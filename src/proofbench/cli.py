@@ -21,10 +21,14 @@ supplies defaults; keys and their defaults:
 
     alphabet = binary             default alphabet name for enumerate/rank/unrank
     format = pretty               default output format
-    count_table_entries = 1000000 memo budget for grammar counting
+    count_table_entries = 1000000 parsed and validated; no command reads it
     table_cells = 1000000         cell budget for program/input tables
-    bucket_words = 500000         per-length materialization cap for unranking
+    bucket_words = 500000         parsed and validated; no command reads it
     search_candidates = 100000    default search budget (candidates)
+
+count_table_entries and bucket_words are kept so that existing config files
+still load; grammar counting and unranking always run with the library's
+defaults.
 
 Alphabets are named (``binary``, ``qlang``) or loaded from a file with one
 single-codepoint symbol per line, order significant.
@@ -126,8 +130,10 @@ def _resolve_alphabet(name: str) -> Alphabet:
     path = Path(name)
     if path.exists():
         symbols = []
-        for raw in path.read_text(encoding="utf-8").split("\n")[:-1] or [""]:
-            line = raw
+        lines = path.read_text(encoding="utf-8").split("\n")
+        if len(lines) > 1 and lines[-1] == "":
+            lines.pop()  # the final newline ends the last line; it adds none
+        for line in lines:
             if len(line) != 1:
                 raise ValueError(f"alphabet file {name}: each line must hold one symbol")
             symbols.append(line)

@@ -14,12 +14,27 @@ equals counting by word exactly when the grammar is unambiguous; every
 grammar shipped in this package is, and the test suite checks this against
 a brute-force oracle.
 
+grammar_unrank finds the word's length from cumulative counts, then the
+word itself in one of two ways.  A length with at most bucket_limit words
+is materialized once, sorted and indexed, which is cheapest when many
+words of one short length are asked for.  A longer length is found by
+prefix descent over an Earley chart that carries derivation counts
+(Earley, CACM 1970; recursive ranking as in Hickey & Cohen, SIAM J.
+Comput. 1983): at each position one probe counts, for every next terminal,
+the words that extend the committed prefix, and committing the chosen
+terminal appends one column.  Counts for the committed prefix are kept from
+probe to probe, so a word of length L costs L probes and L column
+extensions.  recognizes runs the same chart over all but the last symbol of
+the word and probes for that symbol.
+
 Grammars must be epsilon-free and contain no unit-production cycles; both
 restrictions are enforced at construction time and keep the length dynamic
 program well-founded.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .errors import ResourceLimitError
 
@@ -169,6 +184,7 @@ class Grammar:
             for nt, alts in prods.items()
         }
         state: dict[str, int] = {}
+        unit_order: list[str] = []  # post-order: A -> B puts B before A
 
         def visit(node):
             state[node] = 1
@@ -178,10 +194,24 @@ class Grammar:
                 if nxt not in state:
                     visit(nxt)
             state[node] = 2
+            unit_order.append(node)
 
         for nt in prods:
             if nt not in state:
                 visit(nt)
+        self._unit_rank = {nt: i for i, nt in enumerate(unit_order)}
+
+        # Earley prediction closure: the nonterminals whose productions are
+        # predicted when a nonterminal is awaited (left corners, reflexively)
+        corners = {nt: {rhs[0] for rhs in alts if rhs[0] in prods} for nt, alts in prods.items()}
+        self._predicts: dict[str, frozenset] = {}
+        for nt in prods:
+            seen, frontier = {nt}, [nt]
+            while frontier:
+                for nxt in corners[frontier.pop()] - seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+            self._predicts[nt] = frozenset(seen)
 
         # minimum derivable length per nonterminal (fixpoint; None = unproductive)
         minlen: dict[str, int | None] = {nt: None for nt in prods}
@@ -318,58 +348,12 @@ class Grammar:
 
     def recognizes(self, word: str, max_entries: int = 1_000_000) -> bool:
         """True iff the grammar derives the word."""
-        if any(c not in self.alphabet for c in word):
+        if not word or any(c not in self.alphabet for c in word):
             return False
-        return self._count_prefix(word, len(word), max_entries) > 0
-
-    def _count_prefix(self, prefix, length: int, max_entries: int) -> int:
-        """Number of derivations of words of the given length starting with prefix."""
-        plen = len(prefix)
-        prods = self.productions
-        local: dict = {}
-
-        def csym(sym, pos, span):
-            if pos >= plen:
-                return self._csym(sym, span, max_entries)
-            if sym not in prods:
-                return 1 if span == 1 and prefix[pos] == sym else 0
-            key = (sym, pos, span)
-            hit = local.get(key)
-            if hit is not None:
-                return hit
-            total = 0
-            for rhs in prods[sym]:
-                total += cseq(rhs, 0, pos, span)
-            local[key] = total
-            return total
-
-        def cseq(rhs, i, pos, span):
-            if pos >= plen:
-                return self._cseq(rhs, i, span, max_entries)
-            if i == len(rhs):
-                return 1 if span == 0 else 0
-            key = (rhs, i, pos, span)
-            hit = local.get(key)
-            if hit is not None:
-                return hit
-            first = rhs[i]
-            if first in prods:
-                fmin = self._minlen[first]
-                if fmin is None:
-                    local[key] = 0
-                    return 0
-            else:
-                fmin = 1
-            rest_min = self._suffix_min[(rhs, i + 1)]
-            total = 0
-            for l1 in range(fmin, span - rest_min + 1):
-                c = csym(first, pos, l1)
-                if c:
-                    total += c * cseq(rhs, i + 1, pos + l1, span - l1)
-            local[key] = total
-            return total
-
-        return csym(self.start, 0, length)
+        chart = _Chart(self, max_entries)
+        for c in word[:-1]:
+            chart.commit(c)
+        return chart.probe(0).get(word[-1], 0) > 0
 
 
 def grammar_count(grammar: Grammar, length: int, max_entries: int = 1_000_000) -> int:
@@ -426,24 +410,106 @@ def _bucket(grammar: Grammar, length: int, max_entries: int, bucket_limit: int):
     return bucket
 
 
-def _descend(grammar: Grammar, length: int, j: int, max_entries: int) -> str:
-    """The j-th word (lex order) of the given length, by prefix counting."""
-    prefix: list[str] = []
-    terminals = set(grammar.alphabet.symbols)
-    used = {s for alts in grammar.productions.values() for rhs in alts for s in rhs if s in terminals}
-    for _ in range(length):
-        for c in grammar.alphabet.symbols:
-            if c not in used:
-                continue
-            prefix.append(c)
-            n = grammar._count_prefix(prefix, length, max_entries)
-            if j < n:
-                break
-            j -= n
-            prefix.pop()
-        else:
-            raise AssertionError("prefix descent exhausted the alphabet; counts are inconsistent")
-    return "".join(prefix)
+class _Chart:
+    """An Earley chart over a committed prefix, carrying derivation counts.
+
+    Column n maps each item (lhs, rhs, dot, origin) to its inside count, the
+    number of derivations of rhs[:dot] =>* prefix[origin:n], grouped by the
+    item's next symbol rhs[dot].  Completed items are folded into the items
+    waiting for them while the column is built, so no column stores one.
+    Columns never change once built, so every _up entry (which reads only
+    columns at or before its own) stays valid as the prefix grows.
+    """
+
+    def __init__(self, grammar: Grammar, max_entries: int):
+        self.grammar = grammar
+        self.max_entries = max_entries
+        self.columns: list[dict] = []
+        self._ups: dict = {}
+        self._add_column({}, {grammar.start})
+
+    def _add_column(self, items: dict, awaited) -> None:
+        """Append a column holding items plus the predictions for awaited."""
+        n = len(self.columns)
+        column: dict = {}
+        for (lhs, rhs, dot, origin), w in items.items():
+            column.setdefault(rhs[dot], []).append((lhs, rhs, dot, origin, w))
+        predicts = self.grammar._predicts
+        for nt in set().union(*(predicts[a] for a in awaited)):
+            for rhs in self.grammar.productions[nt]:
+                column.setdefault(rhs[0], []).append((nt, rhs, 0, n, 1))
+        self.columns.append(column)
+
+    def commit(self, c: str) -> None:
+        """Extend the prefix by c: scan, complete, predict."""
+        prods = self.grammar.productions
+        rank = self.grammar._unit_rank
+        items: dict = {}
+        done: dict = {}  # (lhs, origin) -> derivations of lhs =>* prefix[origin:n+1]
+        pending: list = []
+
+        def advance(lhs, rhs, dot, origin, w):
+            if dot < len(rhs):
+                key = (lhs, rhs, dot, origin)
+                items[key] = items.get(key, 0) + w
+                return
+            key = (lhs, origin)
+            if key not in done:
+                done[key] = 0
+                heapq.heappush(pending, (-origin, rank[lhs], lhs))
+            done[key] += w
+
+        for lhs, rhs, dot, origin, w in self.columns[-1].get(c, ()):
+            advance(lhs, rhs, dot + 1, origin, w)
+        # Completing (a, i) can only complete parents that start at i or
+        # earlier, and at i only through a unit production; popping later
+        # origins first and unit children before parents finishes every
+        # count before it is propagated, so each (a, i) is completed once.
+        while pending:
+            neg_origin, _, a = heapq.heappop(pending)
+            w = done[(a, -neg_origin)]
+            for lhs, rhs, dot, origin, v in self.columns[-neg_origin].get(a, ()):
+                advance(lhs, rhs, dot + 1, origin, v * w)
+        self._add_column(items, {rhs[dot] for _, rhs, dot, _ in items if rhs[dot] in prods})
+
+    def probe(self, r: int) -> dict:
+        """For each next terminal c, the derivations of words prefix + c + s, |s| = r."""
+        prods = self.grammar.productions
+        n = len(self.columns) - 1
+        counts = {}
+        for sym in self.columns[n]:
+            if sym not in prods:
+                total = self._up(sym, n, r)
+                if total:
+                    counts[sym] = total
+        return counts
+
+    def _up(self, sym: str, i: int, r: int) -> int:
+        """Ways to derive a sym at prefix[i:] and then r more symbols after it.
+
+        Sums, over the items of column i awaiting sym, the item's inside
+        count times the ways to complete it and all its ancestors.
+        """
+        key = (sym, i, r)
+        total = self._ups.get(key)
+        if total is None:
+            total = int(sym == self.grammar.start and i == 0 and r == 0)
+            for lhs, rhs, dot, origin, w in self.columns[i].get(sym, ()):
+                total += w * self._complete(lhs, rhs, dot + 1, origin, r)
+            self._ups[key] = total
+        return total
+
+    def _complete(self, lhs, rhs, dot, origin, r) -> int:
+        """Ways to finish rhs[dot:], then the ancestors of lhs, with r symbols."""
+        if dot == len(rhs):
+            return self._up(lhs, origin, r)
+        g = self.grammar
+        total = 0
+        for r1 in range(g._suffix_min[(rhs, dot)], r + 1):
+            c = g._cseq(rhs, dot, r1, self.max_entries)
+            if c:
+                total += c * self._up(lhs, origin, r - r1)
+        return total
 
 
 def grammar_unrank(
@@ -472,4 +538,17 @@ def grammar_unrank(
     j = k - cum[length]
     if grammar_count(grammar, length, max_entries) <= bucket_limit:
         return _bucket(grammar, length, max_entries, bucket_limit)[j]
-    return _descend(grammar, length, j, max_entries)
+    chart = _Chart(grammar, max_entries)
+    word = []
+    for n in range(length):
+        counts = chart.probe(length - n - 1)
+        for c in grammar.alphabet.symbols:
+            m = counts.get(c, 0)
+            if j < m:
+                break
+            j -= m
+        else:
+            raise AssertionError("prefix descent exhausted the alphabet; counts are inconsistent")
+        chart.commit(c)
+        word.append(c)
+    return "".join(word)

@@ -558,10 +558,12 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
     Returns (derivation, target statement).  Line indices must be 1..n in
     order; structural violations are parse errors, not checker rejections.
     """
+    pending = []
     offset = 0
-    lines = text.split("\n")
-    pending = [(raw, sum(len(l) + 1 for l in lines[:i])) for i, raw in enumerate(lines)]
-    pending = [(raw.rstrip(), off) for raw, off in pending if raw.strip()]
+    for raw in text.split("\n"):
+        if raw.strip():
+            pending.append((raw.rstrip(), offset))
+        offset += len(raw) + 1
     if not pending or not pending[0][0].startswith("vars:"):
         raise ParseError(0, ("'vars:'",))
     header_text, header_off = pending[0]

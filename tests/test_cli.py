@@ -84,6 +84,23 @@ def test_alphabet_from_file(run, tmp_path):
     assert [json.loads(l)["s"] for l in out.splitlines()] == ["", "b", "a"]
 
 
+@pytest.mark.parametrize("text", ["0\n1\n", "0\n1"])
+def test_alphabet_file_final_newline_is_optional(run, tmp_path, text):
+    alphabet_file = tmp_path / "alpha.txt"
+    alphabet_file.write_text(text, encoding="utf-8")
+    code, out, _ = run("enumerate", "--alphabet", str(alphabet_file), "--count", "4", "--format", "json-lines")
+    assert code == 0
+    assert [json.loads(l)["s"] for l in out.splitlines()] == ["", "0", "1", "00"]
+
+
+@pytest.mark.parametrize("text", ["", "\n", "0\n\n1\n", "0\n1\n\n", "01\n"])
+def test_alphabet_file_with_a_blank_or_long_line_is_a_domain_error(run, tmp_path, text):
+    alphabet_file = tmp_path / "alpha.txt"
+    alphabet_file.write_text(text, encoding="utf-8")
+    code, _, err = run("enumerate", "--alphabet", str(alphabet_file), "--count", "1")
+    assert code == 1 and "one symbol" in err
+
+
 def test_unknown_alphabet_is_a_domain_error(run):
     code, _, err = run("enumerate", "--alphabet", "martian", "--count", "1")
     assert code == 1 and "martian" in err

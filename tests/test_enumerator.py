@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proofbench.enumerator import (
     Alphabet,
@@ -12,6 +16,7 @@ from proofbench.enumerator import (
     unrank,
 )
 from proofbench.errors import ResourceLimitError
+from proofbench.qlang import QLANG_GRAMMAR
 
 from oracles import derive_words, shortlex_key, shortlex_strings
 
@@ -183,3 +188,57 @@ def test_count_budget_is_enforced():
     g = _grammar(prods, alphabet=Alphabet.from_string("ab"))
     with pytest.raises(ResourceLimitError):
         grammar_count(g, 4000, max_entries=10)
+
+
+# -- prefix descent against the oracles ----------------------------------------------
+
+DESCENT_GRAMMARS = [
+    pytest.param({"S": [["a", "S", "b"], ["a", "b"], ["c"]]}, "S", "abc", id="nested"),
+    pytest.param(
+        {"E": [["E", "+", "T"], ["T"]], "T": [["a"], ["(", "E", ")"]]}, "E", "a+()", id="left-recursive"
+    ),
+    pytest.param({"S": [["S", "S", "c"], ["a"], ["B"]], "B": [["b"], ["B", "a"]]}, "S", "abc", id="unit-chain"),
+]
+
+
+@pytest.mark.parametrize("prods, start, symbols", DESCENT_GRAMMARS)
+def test_descent_matches_derivation_oracle(prods, start, symbols):
+    alphabet = Alphabet.from_string(symbols)
+    g = Grammar(alphabet, start, prods)
+    expected = []
+    for length in range(0, 10):
+        expected.extend(sorted(derive_words(prods, start, length), key=alphabet.key))
+    assert [grammar_unrank(g, k, bucket_limit=0) for k in range(len(expected))] == expected
+    assert all(g.recognizes(w) for w in expected)
+
+
+@pytest.mark.parametrize("prods, start, symbols", DESCENT_GRAMMARS)
+def test_recognizes_matches_derivation_oracle(prods, start, symbols):
+    g = Grammar(Alphabet.from_string(symbols), start, prods)
+    words = {w for length in range(0, 7) for w in derive_words(prods, start, length)}
+    for candidate in shortlex_strings(symbols, sum(len(symbols) ** l for l in range(0, 7))):
+        assert g.recognizes(candidate) == (candidate in words), candidate
+
+
+def _first_rank(length):
+    """Rank of the first Q-lang program of the given length."""
+    return sum(grammar_count(QLANG_GRAMMAR, l) for l in range(length))
+
+
+def test_qlang_descent_agrees_with_bucket_on_sampled_ranks():
+    descended = Grammar(QLANG_GRAMMAR.alphabet, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions)
+    rng = random.Random(20)
+    for length in (5, 6, 7):
+        count = grammar_count(QLANG_GRAMMAR, length)
+        for j in sorted({0, count - 1, *(rng.randrange(count) for _ in range(60))}):
+            k = _first_rank(length) + j
+            assert grammar_unrank(descended, k, bucket_limit=0) == grammar_unrank(QLANG_GRAMMAR, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(_first_rank(8), _first_rank(13) - 1))
+def test_qlang_unrank_past_the_bucket_is_recognized_and_increasing(k):
+    word, following = grammar_unrank(QLANG_GRAMMAR, k), grammar_unrank(QLANG_GRAMMAR, k + 1)
+    assert 8 <= len(word) <= 12
+    assert QLANG_GRAMMAR.recognizes(word)
+    assert QLANG_GRAMMAR.alphabet.key(word) < QLANG_GRAMMAR.alphabet.key(following)

@@ -222,3 +222,39 @@ def test_hand_built_corrupt_pack_is_representable():
     derivation1, target1 = parse_derivation_file(text1)
     assert check_derivation(pack, derivation0, target0) == Accept()
     assert check_derivation(pack, derivation1, target1) == Accept()
+
+
+# -- long files ---------------------------------------------------------------------------
+
+def long_derivation_text(n_lines, bad_line=None):
+    """An n_lines-line file of A3 instances ending in an A2 step, with blank
+    lines and trailing spaces so that line offsets are not uniform."""
+    out = ["vars: w", "target: int(1+1)"]
+    for k in range(1, n_lines - 1):
+        stmt = "int(2)" if k == bad_line else "int(1)"
+        out.append(f"{k}. {stmt} [axiom A3 {{c := 1}}]" + " " * (k % 3))
+        if k % 7 == 0:
+            out.append("")
+    out.append(f"{n_lines - 1}. int(1+1) [axiom A2 {{t1 := 1, t2 := 1}}]")
+    return "\n".join(out) + "\n"
+
+
+def test_long_file_parses_and_checks():
+    derivation, target = parse_derivation_file(long_derivation_text(2000))
+    assert len(derivation.lines) == 1999
+    assert check_derivation(make_axiom_pack(0), derivation, target) == Accept()
+
+
+def test_long_file_rejects_at_the_mutated_line():
+    assert check_mutant(long_derivation_text(2000, bad_line=1234)) == Reject(1234, "bad-substitution")
+
+
+def test_long_file_parse_error_offset_is_the_line_start():
+    text = long_derivation_text(2000)
+    lines = text.split("\n")
+    broken = next(i for i, line in enumerate(lines) if line.startswith("1800. "))
+    lines[broken] = "1801" + lines[broken][4:]
+    with pytest.raises(ParseError) as info:
+        parse_derivation_file("\n".join(lines))
+    assert info.value.position == sum(len(line) + 1 for line in lines[:broken])
+    assert info.value.expected == ("line index 1800",)
