@@ -440,6 +440,10 @@ def main(argv=None) -> int:
     except (ParseError, GrammarError, ValueError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # the parsers, the evaluator and proof search recurse once per nesting level
+        print("error: input nested too deeply", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

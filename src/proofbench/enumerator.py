@@ -234,54 +234,28 @@ class Grammar:
             raise GrammarError("start symbol derives no finite word")
         self._minlen = minlen
 
-        # finiteness: the language is infinite iff a usable nonterminal is
-        # reachable from the start inside a cycle of usable productions
-        def usable(rhs):
-            return all(sym in terminal_set or minlen[sym] is not None for sym in rhs)
+        # finiteness: the longest word, walking the usable productions (those
+        # whose symbols are all productive) from the start.  The language is
+        # infinite iff that walk meets a nonterminal still on its own stack,
+        # so an entry is _UNBOUNDED until its maximum is known.
+        maxlen: dict[str, int | None] = {}
 
-        edges = {
-            nt: {sym for rhs in alts if usable(rhs) for sym in rhs if sym in prods}
-            for nt, alts in prods.items()
-        }
-        reachable = set()
-        frontier = [self.start]
-        while frontier:
-            node = frontier.pop()
-            if node in reachable:
-                continue
-            reachable.add(node)
-            frontier.extend(edges.get(node, ()))
-        cyc_state: dict[str, int] = {}
-        self._max_word_len: int | None = 0
+        def max_of(sym) -> int | None:
+            if sym in terminal_set:
+                return 1
+            if sym not in maxlen:
+                maxlen[sym] = _UNBOUNDED
+                best = 0
+                for rhs in prods[sym]:
+                    if all(s in terminal_set or minlen[s] is not None for s in rhs):
+                        lengths = [max_of(s) for s in rhs]
+                        if _UNBOUNDED in lengths:
+                            return _UNBOUNDED
+                        best = max(best, sum(lengths))
+                maxlen[sym] = best
+            return maxlen[sym]
 
-        def cyclic(node) -> bool:
-            cyc_state[node] = 1
-            for nxt in edges.get(node, ()):
-                if nxt not in reachable:
-                    continue
-                s = cyc_state.get(nxt)
-                if s == 1 or (s is None and cyclic(nxt)):
-                    return True
-            cyc_state[node] = 2
-            return False
-
-        if any(cyclic(nt) for nt in reachable if nt not in cyc_state):
-            self._max_word_len = _UNBOUNDED
-        else:
-            maxlen: dict[str, int] = {}
-
-            def max_of(sym) -> int:
-                if sym in terminal_set:
-                    return 1
-                if sym not in maxlen:
-                    maxlen[sym] = max(
-                        sum(max_of(s) for s in rhs)
-                        for rhs in prods[sym]
-                        if usable(rhs)
-                    )
-                return maxlen[sym]
-
-            self._max_word_len = max_of(self.start)
+        self._max_word_len = max_of(self.start)
 
         # precomputed minimum lengths for every production suffix
         suffix_min: dict = {}

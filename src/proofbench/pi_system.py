@@ -18,6 +18,10 @@ The inference inventory is fixed and tiny:
     R1    from a > b and b > c conclude a > c
     FBAR  conclude fbar(i) is b for each entry (i, b) of the axiom pack
 
+This table is the checker's only description of the inventory: there is no
+schema engine behind it, and check_derivation tests each of the five rules
+directly (the axioms in _axiom_premises, R1 inline).
+
 An axiom pack is a finite set of fbar entries; make_axiom_pack builds one
 whose bits are exactly the flipped-diagonal truth values, so by construction
 packs inject only true fbar facts.  FBAR is the only producer of fbar
@@ -36,8 +40,9 @@ first failing line and one of five reason codes:
                           conclusion that differs from the instantiated one)
     premise-not-declared  a premise line is not `int(v)` for a header variable
     rule-mismatch         unknown schema/rule id, an axiom premise that is not
-                          an earlier line, or rule premises that do not unify
-                          with the referenced lines / conclusion mismatch
+                          an earlier line, the wrong number of rule
+                          references, or R1 premises that do not chain
+                          (a > b, b > c) into the stated a > c
     forward-reference     a rule reference that is not a strictly earlier line
     wrong-target          the final line is not the target statement
 """
@@ -70,12 +75,6 @@ class Num:
 class Sum:
     left: object
     right: object
-
-@dataclass(frozen=True)
-class MetaVar:
-    """A schema placeholder; never appears in parsed statements."""
-    name: str
-
 
 @dataclass(frozen=True)
 class FbarAtom:
@@ -178,80 +177,38 @@ def make_axiom_pack(n: int, max_cells: int = 1_000_000) -> AxiomPack:
     return AxiomPack(n=n, entries=frozenset((i, fbar_truth(i)) for i in range(1, n + 1)))
 
 
-# -- schema inventory --------------------------------------------------------
-
-@dataclass(frozen=True)
-class AxiomSchema:
-    id: str
-    metavars: tuple
-    premises: tuple
-    conclusion: object
-    numeral_only: frozenset = frozenset()
-
-@dataclass(frozen=True)
-class InferenceRule:
-    id: str
-    premises: tuple
-    conclusion: object
-
-
-_T, _T1, _T2, _C = MetaVar("t"), MetaVar("t1"), MetaVar("t2"), MetaVar("c")
-_A, _B, _C3 = MetaVar("a"), MetaVar("b"), MetaVar("c")
-
-SCHEMAS = {
-    "A1": AxiomSchema("A1", ("t",), (IntTyping(_T),), Greater(Sum(_T, Num(1)), _T)),
-    "A2": AxiomSchema("A2", ("t1", "t2"), (IntTyping(_T1), IntTyping(_T2)), IntTyping(Sum(_T1, _T2))),
-    "A3": AxiomSchema("A3", ("c",), (), IntTyping(_C), numeral_only=frozenset(("c",))),
-}
-
-RULES = {
-    "R1": InferenceRule("R1", (Greater(_A, _B), Greater(_B, _C3)), Greater(_A, _C3)),
-}
-
-
-class _Unbound(Exception):
-    pass
-
-
-def _instantiate(pattern, binding):
-    if isinstance(pattern, MetaVar):
-        try:
-            return binding[pattern.name]
-        except KeyError:
-            raise _Unbound(pattern.name) from None
-    if isinstance(pattern, Sum):
-        return Sum(_instantiate(pattern.left, binding), _instantiate(pattern.right, binding))
-    if isinstance(pattern, Greater):
-        return Greater(_instantiate(pattern.lhs, binding), _instantiate(pattern.rhs, binding))
-    if isinstance(pattern, IntTyping):
-        return IntTyping(_instantiate(pattern.term, binding))
-    return pattern
-
-
-def _unify(pattern, concrete, binding) -> bool:
-    if isinstance(pattern, MetaVar):
-        if pattern.name in binding:
-            return binding[pattern.name] == concrete
-        binding[pattern.name] = concrete
-        return True
-    if isinstance(pattern, Sum):
-        return (
-            isinstance(concrete, Sum)
-            and _unify(pattern.left, concrete.left, binding)
-            and _unify(pattern.right, concrete.right, binding)
-        )
-    if isinstance(pattern, Greater):
-        return (
-            isinstance(concrete, Greater)
-            and _unify(pattern.lhs, concrete.lhs, binding)
-            and _unify(pattern.rhs, concrete.rhs, binding)
-        )
-    if isinstance(pattern, IntTyping):
-        return isinstance(concrete, IntTyping) and _unify(pattern.term, concrete.term, binding)
-    return pattern == concrete
-
-
 # -- checking ----------------------------------------------------------------
+
+# The metavariables each axiom schema's substitution must bind, exactly.
+_AXIOM_METAVARS = {"A1": {"t"}, "A2": {"t1", "t2"}, "A3": {"c"}, "FBAR": {"i"}}
+
+
+def _axiom_premises(pack: AxiomPack, instance: AxiomInstance, statement):
+    """The premises an axiom line needs, or None when the written
+    substitution does not produce the stated line.  The schema must be a
+    key of _AXIOM_METAVARS."""
+    binding = dict(instance.subst)
+    if binding.keys() != _AXIOM_METAVARS[instance.schema]:
+        return None
+    if instance.schema == "A1":
+        t = binding["t"]
+        return (IntTyping(t),) if Greater(Sum(t, Num(1)), t) == statement else None
+    if instance.schema == "A2":
+        t1, t2 = binding["t1"], binding["t2"]
+        return (IntTyping(t1), IntTyping(t2)) if IntTyping(Sum(t1, t2)) == statement else None
+    if instance.schema == "A3":
+        c = binding["c"]
+        return () if isinstance(c, Num) and IntTyping(c) == statement else None
+    i = binding["i"]  # FBAR
+    if (
+        isinstance(i, Num)
+        and isinstance(statement, FbarAtom)
+        and statement.x == i.value
+        and (statement.x, statement.bit) in pack.entries
+    ):
+        return ()
+    return None
+
 
 @dataclass(frozen=True)
 class Accept:
@@ -279,43 +236,25 @@ def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept 
             ):
                 return Reject(line.index, REASON_PREMISE_NOT_DECLARED)
         elif isinstance(just, AxiomInstance):
-            if just.schema == "FBAR":
-                binding = dict(just.subst)
-                index = binding.get("i")
-                stmt = line.statement
-                if (
-                    set(binding) != {"i"}
-                    or not isinstance(index, Num)
-                    or not isinstance(stmt, FbarAtom)
-                    or stmt.x != index.value
-                    or (stmt.x, stmt.bit) not in pack.entries
-                ):
-                    return Reject(line.index, REASON_BAD_SUBSTITUTION)
-            elif just.schema in SCHEMAS:
-                schema = SCHEMAS[just.schema]
-                binding = dict(just.subst)
-                if set(binding) != set(schema.metavars):
-                    return Reject(line.index, REASON_BAD_SUBSTITUTION)
-                if any(not isinstance(binding[name], Num) for name in schema.numeral_only):
-                    return Reject(line.index, REASON_BAD_SUBSTITUTION)
-                if _instantiate(schema.conclusion, binding) != line.statement:
-                    return Reject(line.index, REASON_BAD_SUBSTITUTION)
-                for premise in schema.premises:
-                    if _instantiate(premise, binding) not in derived:
-                        return Reject(line.index, REASON_RULE_MISMATCH)
-            else:
+            if just.schema not in _AXIOM_METAVARS:
+                return Reject(line.index, REASON_RULE_MISMATCH)
+            premises = _axiom_premises(pack, just, line.statement)
+            if premises is None:
+                return Reject(line.index, REASON_BAD_SUBSTITUTION)
+            if any(premise not in derived for premise in premises):
                 return Reject(line.index, REASON_RULE_MISMATCH)
         elif isinstance(just, RuleApplication):
-            rule = RULES.get(just.rule)
-            if rule is None or len(just.refs) != len(rule.premises):
+            if just.rule != "R1" or len(just.refs) != 2:
                 return Reject(line.index, REASON_RULE_MISMATCH)
-            if any(not 1 <= ref < line.index for ref in just.refs):
+            if any(not 1 <= ref < line.index or ref not in by_index for ref in just.refs):
                 return Reject(line.index, REASON_FORWARD_REFERENCE)
-            binding: dict = {}
-            for pattern, ref in zip(rule.premises, just.refs):
-                if not _unify(pattern, by_index[ref], binding):
-                    return Reject(line.index, REASON_RULE_MISMATCH)
-            if _instantiate(rule.conclusion, binding) != line.statement:
+            first, second = by_index[just.refs[0]], by_index[just.refs[1]]
+            if not (
+                isinstance(first, Greater)
+                and isinstance(second, Greater)
+                and first.rhs == second.lhs
+                and Greater(first.lhs, second.rhs) == line.statement
+            ):
                 return Reject(line.index, REASON_RULE_MISMATCH)
         else:
             return Reject(line.index, REASON_RULE_MISMATCH)

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,8 @@ import pytest
 from proofbench.cli import BUILTIN_ALPHABETS, GlobalConfig, emit_report, main
 from proofbench.pi_system import Accept, check_derivation, make_axiom_pack, parse_derivation_file
 
-FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "paper_3_1.drv")
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = str(ROOT / "fixtures" / "paper_3_1.drv")
 
 
 @pytest.fixture()
@@ -52,6 +56,34 @@ def test_reject_is_exit_1_with_reason_on_stderr(run, tmp_path):
     code, out, err = run("check", str(bad))
     assert code == 1
     assert "line 6" in err and "rule-mismatch" in err
+
+
+DEEP = 10_000
+DEEP_TERM = "(" * DEEP + "w" + "+1)" * DEEP
+
+
+@pytest.mark.parametrize(
+    "argv, file_text",
+    [
+        (("qlang", "eval", "{file}", "--x", "1"), "!" * DEEP + "(x=x)\n"),
+        (("search", f"{DEEP_TERM} > w", "--budget", "10"), None),
+        (("decide", f"{DEEP_TERM} > w"), None),
+        (("check", "{file}"), f"vars: w\ntarget: {DEEP_TERM} > w\n1. int(w) [premise]\n"),
+    ],
+    ids=["qlang-eval", "search", "decide", "check"],
+)
+def test_deep_nesting_is_a_domain_error_not_a_traceback(tmp_path, argv, file_text):
+    # run as a real process: an escaping exception would print a traceback
+    source = tmp_path / "deep.txt"
+    if file_text is not None:
+        source.write_text(file_text, encoding="utf-8")
+    argv = [arg.replace("{file}", str(source)) for arg in argv]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "proofbench.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: input nested too deeply\n"
 
 
 # -- enumeration commands -----------------------------------------------------------

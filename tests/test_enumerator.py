@@ -175,6 +175,35 @@ def test_grammar_unrank_beyond_finite_language():
         grammar_unrank(g, 2)
 
 
+@pytest.mark.parametrize(
+    "prods, words",
+    [
+        pytest.param({"S": [["a"], ["T"]], "T": [["T", "b"]]}, ["a"], id="unproductive-cycle"),
+        pytest.param(
+            {"S": [["a", "U"]], "U": [["b"]], "T": [["T", "c"], ["c"]]}, ["ab"], id="unreachable-cycle"
+        ),
+        pytest.param({"S": [["T", "T"]], "T": [["a"], ["b"]]}, ["aa", "ab", "ba", "bb"], id="shared-nonterminal"),
+    ],
+)
+def test_grammar_unrank_lists_a_finite_language_then_stops(prods, words):
+    g = _grammar(prods)
+    # checked first, so that a finite language taken for infinite fails here
+    # instead of making grammar_unrank below search lengths forever
+    assert g._max_word_len == max(len(w) for w in words)
+    assert [grammar_unrank(g, k) for k in range(len(words))] == words
+    with pytest.raises(ValueError):
+        grammar_unrank(g, len(words))
+
+
+def test_grammar_unrank_through_an_indirect_cycle():
+    prods = {"S": [["a"], ["T", "b"]], "T": [["c", "S"]]}
+    g = _grammar(prods)
+    expected = [w for length in range(0, 12) for w in sorted(derive_words(prods, "S", length))]
+    assert expected[:3] == ["a", "cab", "ccabb"]
+    assert [grammar_unrank(g, k) for k in range(len(expected))] == expected
+    assert grammar_unrank(g, 10) == "c" * 10 + "a" + "b" * 10
+
+
 def test_recognizes():
     g = _grammar({"S": [["a", "S", "b"], ["a", "b"]]}, alphabet=Alphabet.from_string("ab"))
     assert g.recognizes("aabb")

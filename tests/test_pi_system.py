@@ -13,7 +13,9 @@ from proofbench.pi_system import (
     IntTyping,
     Line,
     Num,
+    Premise,
     Reject,
+    RuleApplication,
     Sum,
     Var,
     can_form,
@@ -191,6 +193,58 @@ def test_fbar_axiom_index_must_match_statement():
     )
     verdict = check_derivation(make_axiom_pack(5), derivation, FbarAtom(3, 1))
     assert verdict == Reject(1, "bad-substitution")
+
+
+W = Var("w")
+W1 = Sum(W, Num(1))
+PREMISE_W = Line(1, IntTyping(W), Premise())
+A1_W = Line(2, Greater(W1, W), AxiomInstance("A1", (("t", W),)))
+TRUE_3 = FbarAtom(3, fbar_truth(3))
+
+
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        pytest.param(
+            (PREMISE_W, A1_W, Line(3, Greater(W1, W), RuleApplication("R1", (1, 2)))),
+            Reject(3, "rule-mismatch"),
+            id="r1-cites-an-int-line",
+        ),
+        pytest.param(
+            (Line(1, TRUE_3, AxiomInstance("FBAR", (("i", Num(3)),))),
+             Line(2, TRUE_3, RuleApplication("R1", (1, 1)))),
+            Reject(2, "rule-mismatch"),
+            id="r1-cites-an-fbar-line",
+        ),
+        pytest.param(
+            (Line(1, TRUE_3, AxiomInstance("FBAR", (("i", W),))),),
+            Reject(1, "bad-substitution"),
+            id="fbar-non-numeral-index",
+        ),
+        pytest.param(
+            (Line(1, TRUE_3, AxiomInstance("FBAR", (("i", Num(3)), ("j", Num(3))))),),
+            Reject(1, "bad-substitution"),
+            id="fbar-extra-metavariable",
+        ),
+        pytest.param(
+            (PREMISE_W, Line(2, TRUE_3, AxiomInstance("A1", (("t", W),)))),
+            Reject(2, "bad-substitution"),
+            id="a1-stated-as-fbar-atom",
+        ),
+    ],
+)
+def test_hand_built_rejections(lines, expected):
+    verdict = check_derivation(make_axiom_pack(5), Derivation(("w",), lines), lines[-1].statement)
+    assert verdict == expected
+
+
+@pytest.mark.parametrize("refs", [(3, 4), (2, 4)])
+def test_rule_reference_to_a_missing_line_is_a_forward_reference(refs):
+    # hand-built lines need not be numbered 1..n; a cited index that no
+    # earlier line carries is not a strictly earlier line
+    lines = (PREMISE_W, A1_W, Line(5, Greater(W1, W), RuleApplication("R1", refs)))
+    verdict = check_derivation(make_axiom_pack(0), Derivation(("w",), lines), lines[-1].statement)
+    assert verdict == Reject(5, "forward-reference")
 
 
 def test_checker_is_deterministic():
