@@ -15,7 +15,7 @@ grammar shipped in this package is, and the test suite checks this against
 a brute-force oracle.
 
 grammar_unrank finds the word's length from cumulative counts, then the
-word itself in one of two ways.  A length with at most bucket_limit words
+word itself in one of two ways.  A length with at most 500,000 words
 is materialized once, sorted and indexed, which is cheapest when many
 words of one short length are asked for.  A longer length is found by
 prefix descent over an Earley chart that carries derivation counts
@@ -39,6 +39,10 @@ import heapq
 from .errors import ResourceLimitError
 
 _UNBOUNDED = None  # sentinel for "no finite maximum word length"
+
+# A length with at most this many words is unranked from its materialized
+# bucket; building one may make at most 4x as many partial words.
+_BUCKET_WORDS = 500_000
 
 
 class UnknownSymbolError(ValueError):
@@ -337,7 +341,7 @@ def grammar_count(grammar: Grammar, length: int, max_entries: int = 1_000_000) -
     return grammar._csym(grammar.start, length, max_entries)
 
 
-def _bucket(grammar: Grammar, length: int, max_entries: int, bucket_limit: int):
+def _bucket(grammar: Grammar, length: int):
     """All words of the given length, in lex order, materialized and cached."""
     cached = grammar._buckets.get(length)
     if cached is not None:
@@ -357,7 +361,7 @@ def _bucket(grammar: Grammar, length: int, max_entries: int, bucket_limit: int):
         for rhs in prods[sym]:
             words_seq(rhs, 0, l, "", out)
         made["cells"] += len(out)
-        if made["cells"] > 4 * bucket_limit:
+        if made["cells"] > 4 * _BUCKET_WORDS:
             raise ResourceLimitError("word bucket construction exceeded its budget")
         memo[key] = out
         return out
@@ -486,12 +490,7 @@ class _Chart:
         return total
 
 
-def grammar_unrank(
-    grammar: Grammar,
-    k: int,
-    max_entries: int = 1_000_000,
-    bucket_limit: int = 500_000,
-) -> str:
+def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> str:
     """The k-th valid word (0-based) of the grammar in length-then-lex order.
 
     Equivalent to filtering the raw stream through the grammar's recognizer
@@ -510,8 +509,8 @@ def grammar_unrank(
     while cum[length] > k:
         length -= 1
     j = k - cum[length]
-    if grammar_count(grammar, length, max_entries) <= bucket_limit:
-        return _bucket(grammar, length, max_entries, bucket_limit)[j]
+    if grammar_count(grammar, length, max_entries) <= _BUCKET_WORDS:
+        return _bucket(grammar, length)[j]
     chart = _Chart(grammar, max_entries)
     word = []
     for n in range(length):

@@ -268,6 +268,9 @@ def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept 
 
 # -- concrete syntax ----------------------------------------------------------
 
+_DIGITS = "0123456789"
+
+
 class _Cursor:
     def __init__(self, text: str, offset: int = 0):
         self.text = text
@@ -297,10 +300,17 @@ class _Cursor:
             self.pos += 1
         return self.text[start:self.pos]
 
+    def name(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isalnum():
+            self.pos += 1
+        return self.text[start:self.pos]
+
     def numeral(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.error("numeral")
@@ -319,7 +329,7 @@ def _parse_operand(cur: _Cursor):
         inner = _parse_term(cur)
         cur.eat(")")
         return inner
-    if ch.isdigit():
+    if ch and ch in _DIGITS:
         return Num(cur.numeral())
     if ch.isalpha():
         name = cur.word()
@@ -426,11 +436,7 @@ def _parse_justification(text: str, offset: int):
             cur.error("end of justification")
         return Premise()
     if word == "axiom":
-        cur.skip_ws()
-        name_start = cur.pos
-        while cur.pos < len(text) and (text[cur.pos].isalnum()):
-            cur.pos += 1
-        name = text[name_start:cur.pos]
+        name = cur.name()
         if name == "FBAR":
             cur.eat("(")
             index = cur.numeral()
@@ -444,14 +450,9 @@ def _parse_justification(text: str, offset: int):
         cur.eat("{")
         pairs = []
         while True:
-            cur.skip_ws()
-            mv_start = cur.pos
-            while cur.pos < len(text) and text[cur.pos].isalnum():
-                cur.pos += 1
-            mv = text[mv_start:cur.pos]
+            mv = cur.name()
             if not mv:
                 cur.error("metavariable name")
-            cur.skip_ws()
             cur.eat(":")
             cur.eat("=")
             value = _parse_term(cur)
@@ -467,11 +468,7 @@ def _parse_justification(text: str, offset: int):
             cur.error("end of justification")
         return AxiomInstance(name, tuple(pairs))
     if word == "rule":
-        cur.skip_ws()
-        name_start = cur.pos
-        while cur.pos < len(text) and text[cur.pos].isalnum():
-            cur.pos += 1
-        name = text[name_start:cur.pos]
+        name = cur.name()
         if not name:
             cur.error("rule name")
         refs = [cur.numeral()]
@@ -531,9 +528,10 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
     parsed_lines = []
     for expected_index, (raw, off) in enumerate(pending[2:], start=1):
         head, dot, rest = raw.partition(".")
-        if not dot or not head.strip().isdigit():
+        index_text = head.strip()
+        if not dot or not (index_text.isascii() and index_text.isdigit()):
             raise ParseError(off, ("line index",))
-        index = int(head.strip())
+        index = int(index_text)
         if index != expected_index:
             raise ParseError(off, (f"line index {expected_index}",))
         open_bracket = rest.rfind("[")

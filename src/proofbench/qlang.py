@@ -18,6 +18,11 @@ Grammar (fully parenthesized; no whitespace):
 
 Numerals carry no leading zeros ("0" itself is allowed); `%` is remainder
 with the totalizing convention a % 0 = 0.
+
+parse reads a program in one left-to-right pass with an explicit stack and
+no backtracking, so its cost is linear at any nesting depth; a rejection
+raises ParseError at the first position where no reading of the prefix can
+continue, listing everything some reading would accept there.
 """
 
 from __future__ import annotations
@@ -109,88 +114,77 @@ class QProgram:
 
 # -- parsing ---------------------------------------------------------------
 
-class _Fail(Exception):
-    pass
+# The one table of binary syntax: parse builds nodes from it, pretty reads
+# its inverse.
+_NODES = {"&": And, "|": Or, "=": Eq, ">": Gt, "+": Add, "%": Mod}
+_SYMBOLS = {node: op for op, node in _NODES.items()}
 
+_DIGITS = "0123456789"
 
-class _Parser:
-    """Backtracking recursive descent; records the furthest failure point."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.best_pos = 0
-        self.best_expected: set[str] = set()
-
-    def fail(self, pos: int, *expected: str):
-        if pos > self.best_pos:
-            self.best_pos = pos
-            self.best_expected = set(expected)
-        elif pos == self.best_pos:
-            self.best_expected.update(expected)
-        raise _Fail
-
-    def expect(self, pos: int, chars: str) -> str:
-        if pos < len(self.text) and self.text[pos] in chars:
-            return self.text[pos]
-        self.fail(pos, *(repr(c) for c in chars))
-
-    def bexp(self, pos: int):
-        t = self.text
-        if pos >= len(t):
-            self.fail(pos, "'!'", "'('")
-        c = t[pos]
-        if c == "!":
-            node, p = self.bexp(pos + 1)
-            return Not(node), p
-        if c == "(":
-            try:
-                left, p = self.bexp(pos + 1)
-                op = self.expect(p, "&|")
-                right, p = self.bexp(p + 1)
-                self.expect(p, ")")
-                return (And if op == "&" else Or)(left, right), p + 1
-            except _Fail:
-                pass
-            left, p = self.aexp(pos + 1)
-            op = self.expect(p, "=>")
-            right, p = self.aexp(p + 1)
-            self.expect(p, ")")
-            return (Eq if op == "=" else Gt)(left, right), p + 1
-        self.fail(pos, "'!'", "'('")
-
-    def aexp(self, pos: int):
-        t = self.text
-        if pos >= len(t):
-            self.fail(pos, "'x'", "digit", "'('")
-        c = t[pos]
-        if c == "x":
-            return X(), pos + 1
-        if c.isdigit():
-            end = pos + 1
-            while end < len(t) and t[end].isdigit():
-                end += 1
-            if t[pos] == "0" and end - pos > 1:
-                self.fail(pos, "numeral without a leading zero")
-            return Num(int(t[pos:end])), end
-        if c == "(":
-            left, p = self.aexp(pos + 1)
-            op = self.expect(p, "+%")
-            right, p = self.aexp(p + 1)
-            self.expect(p, ")")
-            return (Add if op == "+" else Mod)(left, right), p + 1
-        self.fail(pos, "'x'", "digit", "'('")
+# An operand is read in one of three contexts: "b" where a boolean expression
+# must stand, "a" where an arithmetic one must, and "e" where either may (the
+# left operand of a group opened in "b" or "e").  _STARTS holds what each
+# context admits first; _OPERATORS[context][left is boolean] the operators
+# that may follow the left operand of a group opened in that context.
+_STARTS = {"b": ("'!'", "'('"), "a": ("'('", "'x'", "digit"), "e": ("'!'", "'('", "'x'", "digit")}
+_OPERATORS = {"b": ("=>", "&|"), "a": ("+%", ""), "e": ("=>+%", "&|")}
 
 
 def parse(text: str) -> QProgram:
     """Parse a program; accepts exactly the words of the Q-lang grammar."""
-    parser = _Parser(text)
-    try:
-        ast, end = parser.bexp(0)
-        if end != len(text):
-            parser.fail(end, "end of input")
-    except _Fail:
-        raise ParseError(parser.best_pos, tuple(sorted(parser.best_expected))) from None
-    return QProgram(text, ast)
+    chars = text + "\0"  # the sentinel is outside every expected set
+    pending = []  # a [context, left, operator] list per open group, None per pending '!'
+    context, pos = "b", 0
+    while True:
+        c = chars[pos]
+        if c == "(":
+            pending.append([context, None, None])
+            context = "a" if context == "a" else "e"
+            pos += 1
+            continue
+        if c == "!" and context != "a":
+            pending.append(None)
+            context = "b"
+            pos += 1
+            continue
+        if context == "b" or (c != "x" and c not in _DIGITS):
+            raise ParseError(pos, _STARTS[context])
+        start, pos = pos, pos + 1
+        if c == "x":
+            node = X()
+        else:
+            while chars[pos] in _DIGITS:
+                pos += 1
+            if c == "0" and pos - start > 1:
+                expected = ("numeral without a leading zero",)
+                raise ParseError(start, expected if context == "a" else _STARTS["b"] + expected)
+            node = Num(int(text[start:pos]))
+        boolean = False
+        # the operand is complete: apply pending '!' and close every group it ends
+        while True:
+            while pending and pending[-1] is None:
+                pending.pop()
+                node = Not(node)
+            if not pending:
+                if pos != len(text):
+                    raise ParseError(pos, ("end of input",))
+                return QProgram(text, node)
+            group = pending[-1]
+            c = chars[pos]
+            if group[2] is None:
+                allowed = _OPERATORS[group[0]][boolean]
+                if c not in allowed:
+                    raise ParseError(pos, tuple(sorted(map(repr, allowed))))
+                group[1], group[2] = node, c
+                context = "b" if c in "&|" else "a"
+                pos += 1
+                break
+            if c != ")":
+                raise ParseError(pos, ("')'",))
+            pending.pop()
+            node = _NODES[group[2]](group[1], node)
+            boolean = group[2] not in "+%"
+            pos += 1
 
 
 def pretty(ast) -> str:
@@ -199,21 +193,12 @@ def pretty(ast) -> str:
         return "x"
     if isinstance(ast, Num):
         return str(ast.value)
-    if isinstance(ast, Add):
-        return f"({pretty(ast.left)}+{pretty(ast.right)})"
-    if isinstance(ast, Mod):
-        return f"({pretty(ast.left)}%{pretty(ast.right)})"
     if isinstance(ast, Not):
         return f"!{pretty(ast.arg)}"
-    if isinstance(ast, And):
-        return f"({pretty(ast.left)}&{pretty(ast.right)})"
-    if isinstance(ast, Or):
-        return f"({pretty(ast.left)}|{pretty(ast.right)})"
-    if isinstance(ast, Eq):
-        return f"({pretty(ast.left)}={pretty(ast.right)})"
-    if isinstance(ast, Gt):
-        return f"({pretty(ast.left)}>{pretty(ast.right)})"
-    raise TypeError(f"not a Q-lang node: {ast!r}")
+    op = _SYMBOLS.get(type(ast))
+    if op is None:
+        raise TypeError(f"not a Q-lang node: {ast!r}")
+    return f"({pretty(ast.left)}{op}{pretty(ast.right)})"
 
 
 # -- evaluation ------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proofbench import enumerator
 from proofbench.enumerator import (
     Alphabet,
     Grammar,
@@ -160,12 +161,13 @@ def test_grammar_unrank_lists_words_in_shortlex_order():
     assert got == expected
 
 
-def test_grammar_unrank_descent_agrees_with_bucket():
+def test_grammar_unrank_descent_agrees_with_bucket(monkeypatch):
     prods = {"S": [["a", "S", "b"], ["a", "b"], ["c"]]}
     bucketed = _grammar(prods)
+    expected = [grammar_unrank(bucketed, k) for k in range(0, 40)]
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 0)
     descended = _grammar(prods)
-    for k in range(0, 40):
-        assert grammar_unrank(descended, k, bucket_limit=0) == grammar_unrank(bucketed, k)
+    assert [grammar_unrank(descended, k) for k in range(0, 40)] == expected
 
 
 def test_grammar_unrank_beyond_finite_language():
@@ -231,13 +233,14 @@ DESCENT_GRAMMARS = [
 
 
 @pytest.mark.parametrize("prods, start, symbols", DESCENT_GRAMMARS)
-def test_descent_matches_derivation_oracle(prods, start, symbols):
+def test_descent_matches_derivation_oracle(prods, start, symbols, monkeypatch):
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 0)
     alphabet = Alphabet.from_string(symbols)
     g = Grammar(alphabet, start, prods)
     expected = []
     for length in range(0, 10):
         expected.extend(sorted(derive_words(prods, start, length), key=alphabet.key))
-    assert [grammar_unrank(g, k, bucket_limit=0) for k in range(len(expected))] == expected
+    assert [grammar_unrank(g, k) for k in range(len(expected))] == expected
     assert all(g.recognizes(w) for w in expected)
 
 
@@ -254,14 +257,16 @@ def _first_rank(length):
     return sum(grammar_count(QLANG_GRAMMAR, l) for l in range(length))
 
 
-def test_qlang_descent_agrees_with_bucket_on_sampled_ranks():
-    descended = Grammar(QLANG_GRAMMAR.alphabet, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions)
+def test_qlang_descent_agrees_with_bucket_on_sampled_ranks(monkeypatch):
     rng = random.Random(20)
+    ranks = []
     for length in (5, 6, 7):
         count = grammar_count(QLANG_GRAMMAR, length)
-        for j in sorted({0, count - 1, *(rng.randrange(count) for _ in range(60))}):
-            k = _first_rank(length) + j
-            assert grammar_unrank(descended, k, bucket_limit=0) == grammar_unrank(QLANG_GRAMMAR, k)
+        ranks += [_first_rank(length) + j for j in sorted({0, count - 1, *(rng.randrange(count) for _ in range(60))})]
+    bucketed = [grammar_unrank(QLANG_GRAMMAR, k) for k in ranks]
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 0)
+    descended = Grammar(QLANG_GRAMMAR.alphabet, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions)
+    assert [grammar_unrank(descended, k) for k in ranks] == bucketed
 
 
 @settings(max_examples=60, deadline=None)

@@ -61,6 +61,17 @@ def test_statement_parse_rejects(text):
         parse_statement(text)
 
 
+def _non_ascii_digit(text):
+    return next(i for i, c in enumerate(text) if c.isdigit() and c not in "0123456789")
+
+
+@pytest.mark.parametrize("text", ["int(²)", "int(٣)", "int(1٣)", "fbar(٣) is 1", "fbar(3) is ²", "w+٣ > w"])
+def test_non_ascii_digits_in_a_statement_are_parse_errors_at_the_digit(text):
+    with pytest.raises(ParseError) as info:
+        parse_statement(text)
+    assert info.value.position == _non_ascii_digit(text)
+
+
 def test_term_printing_parenthesizes_nested_sums_only():
     term = Sum(Sum(Var("w"), Num(1)), Num(1))
     assert pretty_term(term) == "(w+1)+1"
@@ -139,6 +150,23 @@ def test_fixture_accepts_under_any_pack():
 def test_malformed_files_are_parse_errors(mangle):
     with pytest.raises(ParseError):
         parse_derivation_file(mangle(fixture_text()))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "². int(w) [premise]",
+        "1. int(٣) [premise]",
+        "1. int(w) [axiom FBAR(٣)]",
+        "1. int(1) [axiom A3 {c := ²}]",
+        "1. w+1 > w [rule R1 ²,1]",
+    ],
+)
+def test_non_ascii_digits_in_a_file_are_parse_errors_at_the_digit(line):
+    text = "vars: w\ntarget: int(w)\n" + line + "\n"
+    with pytest.raises(ParseError) as info:
+        parse_derivation_file(text)
+    assert info.value.position == len("vars: w\ntarget: int(w)\n") + _non_ascii_digit(line)
 
 
 def test_empty_derivation_rejects_with_wrong_target():

@@ -1,10 +1,21 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proofbench.enumerator import grammar_count
 from proofbench.errors import ParseError, ResourceLimitError
 from proofbench.qlang import (
     QLANG_ALPHABET,
     QLANG_GRAMMAR,
+    Add,
+    And,
+    Eq,
+    Gt,
+    Mod,
+    Not,
+    Num,
+    Or,
+    X,
     diagonal,
     diagonal_flip,
     evaluate,
@@ -62,6 +73,87 @@ def test_parse_error_reports_furthest_position():
     with pytest.raises(ParseError) as info:
         parse("(x=07)")
     assert info.value.position == 3
+
+
+B_STARTS = ("'!'", "'('")
+A_STARTS = ("'('", "'x'", "digit")
+LEADING_ZERO = "numeral without a leading zero"
+
+
+@pytest.mark.parametrize(
+    "source, position, expected",
+    [
+        ("", 0, B_STARTS),
+        ("x", 0, B_STARTS),                      # a program is boolean
+        ("!", 1, B_STARTS),
+        ("(!x=x)", 2, B_STARTS),                 # '!' takes a boolean operand
+        ("(x=!x)", 3, A_STARTS),                 # right of a comparison
+        ("(( ", 2, ("'!'", *A_STARTS)),          # a boolean or an arithmetic group
+        ("(x=07)", 3, (LEADING_ZERO,)),
+        ("(07=x)", 1, (*B_STARTS, LEADING_ZERO)),
+        ("((07+1)=x)", 2, (*B_STARTS, LEADING_ZERO)),
+        ("(x&x)", 2, ("'='", "'>'")),            # arithmetic left of a program's group
+        ("((x+1)&(x=x))", 6, ("'='", "'>'")),
+        ("((x=1)+x)", 6, ("'&'", "'|'")),        # boolean left
+        ("((x&x)=x)", 3, ("'%'", "'+'", "'='", "'>'")),  # arithmetic left of either
+        ("((x)", 3, ("'%'", "'+'", "'='", "'>'")),
+        ("(x=(x=x))", 5, ("'%'", "'+'")),        # arithmetic group
+        ("(x=x", 4, ("')'",)),                   # unbalanced
+        ("(x=x))", 5, ("end of input",)),        # trailing input
+        ("(x=x)(x=x)", 5, ("end of input",)),
+        ("(x=٣)", 3, A_STARTS),                  # digits outside ASCII are not numerals
+        ("(x=²)", 3, A_STARTS),
+        ("(x=1٣)", 4, ("')'",)),
+        ("(٣=x)", 1, ("'!'", *A_STARTS)),
+    ],
+)
+def test_parse_error_position_and_expected(source, position, expected):
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert (info.value.position, info.value.expected) == (position, expected)
+
+
+def test_deep_negation_parses():
+    node = parse("!" * 10_000 + "(x=x)").ast
+    for _ in range(10_000):
+        node = node.arg
+    assert node == Eq(X(), X())
+
+
+def test_deep_nesting_parses():
+    depth = 3_000
+    node = parse("(" + "(" * depth + "x" + "+1)" * depth + "=0)").ast.left
+    for _ in range(depth):
+        assert node.right == Num(1)
+        node = node.left
+    assert node == X()
+    node = parse("(" * depth + "(x>1)" + "&(x=x))" * depth).ast
+    for _ in range(depth):
+        assert type(node) is And
+        node = node.left
+    assert node == Gt(X(), Num(1))
+
+
+def _trees(boolean, depth):
+    """Q-lang trees of the given kind, at most `depth` levels deep."""
+    if not boolean:
+        leaf = st.one_of(st.builds(X), st.integers(0, 10**12).map(Num))
+        if depth == 1:
+            return leaf
+        sub = _trees(False, depth - 1)
+        return st.one_of(leaf, st.builds(Add, sub, sub), st.builds(Mod, sub, sub))
+    arith = _trees(False, depth - 1)
+    compare = st.one_of(st.builds(Eq, arith, arith), st.builds(Gt, arith, arith))
+    if depth == 2:
+        return compare
+    sub = _trees(True, depth - 1)
+    return st.one_of(compare, st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(True, 6))
+def test_parse_inverts_pretty(ast):
+    assert parse(pretty(ast)).ast == ast
 
 
 # -- evaluation --------------------------------------------------------------------
