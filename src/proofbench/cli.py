@@ -46,7 +46,7 @@ from pathlib import Path
 
 from . import qlang
 from .enumerator import Alphabet, GrammarError, grammar_count, rank, stream, unrank
-from .errors import ParseError, ResourceLimitError
+from .errors import NestingError, ParseError, ResourceLimitError
 from .pi_system import (
     Accept,
     FbarAtom,
@@ -437,12 +437,12 @@ def main(argv=None) -> int:
         return 64
     try:
         return _HANDLERS[args.command](args, cfg)
+    except (NestingError, RecursionError):
+        # statements stop at pi_system.MAX_NESTING; Q-lang eval/pretty and term ==/hash still recurse
+        print("error: input nested too deeply", file=sys.stderr)
+        return 1
     except (ParseError, GrammarError, ValueError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        # the parsers, the evaluator and proof search recurse once per nesting level
-        print("error: input nested too deeply", file=sys.stderr)
         return 1
 
 

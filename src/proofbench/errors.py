@@ -16,5 +16,9 @@ class ParseError(ValueError):
         super().__init__(f"parse error at position {position}: {detail}")
 
 
+class NestingError(ParseError):
+    """Input nested deeper than a parser admits."""
+
+
 class ResourceLimitError(RuntimeError):
     """A configured memory or size budget would be exceeded."""

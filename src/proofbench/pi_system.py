@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParseError, ResourceLimitError
+from .errors import NestingError, ParseError, ResourceLimitError
 from .qlang import fbar_truth
 
 REASON_BAD_SUBSTITUTION = "bad-substitution"
@@ -59,6 +59,8 @@ REASON_PREMISE_NOT_DECLARED = "premise-not-declared"
 REASON_RULE_MISMATCH = "rule-mismatch"
 REASON_WRONG_TARGET = "wrong-target"
 REASON_FORWARD_REFERENCE = "forward-reference"
+
+MAX_NESTING = 500  # parentheses a statement's term may open at once
 
 
 # -- terms and statements ---------------------------------------------------
@@ -115,21 +117,14 @@ def negate_fbar(statement: FbarAtom) -> FbarAtom:
 
 def statement_vars(statement) -> tuple[str, ...]:
     """Variable names occurring in the statement, in first-appearance order."""
-    seen: list[str] = []
-
-    def walk(t):
-        if isinstance(t, Var):
-            if t.name not in seen:
-                seen.append(t.name)
-        elif isinstance(t, Sum):
-            walk(t.left)
-            walk(t.right)
-
-    if isinstance(statement, Greater):
-        walk(statement.lhs)
-        walk(statement.rhs)
-    elif isinstance(statement, IntTyping):
-        walk(statement.term)
+    seen: dict = {}  # names in insertion order; the values are unused
+    stack = [statement.rhs, statement.lhs] if isinstance(statement, Greater) else [getattr(statement, "term", None)]
+    while stack:  # an explicit stack: term depth is not bounded by recursion
+        t = stack.pop()
+        if isinstance(t, Sum):
+            stack += (t.right, t.left)
+        elif isinstance(t, Var):
+            seen.setdefault(t.name)
     return tuple(seen)
 
 
@@ -321,32 +316,41 @@ class _Cursor:
         return int(digits)
 
 
-def _parse_operand(cur: _Cursor):
-    cur.skip_ws()
-    ch = cur.peek()
-    if ch == "(":
-        cur.eat("(")
-        inner = _parse_term(cur)
-        cur.eat(")")
-        return inner
-    if ch and ch in _DIGITS:
-        return Num(cur.numeral())
-    if ch.isalpha():
-        name = cur.word()
-        if len(name) != 1:
-            cur.error("single-letter variable")
-        return Var(name)
-    cur.error("variable", "numeral", "'('")
-
-
 def _parse_term(cur: _Cursor):
-    left = _parse_operand(cur)
-    cur.skip_ws()
-    if cur.peek() == "+":
-        cur.eat("+")
-        right = _parse_operand(cur)
-        return Sum(left, right)
-    return left
+    """term := operand ['+' operand]; operand := '(' term ')' | numeral | variable.
+    One loop over an explicit stack of open terms; more than MAX_NESTING open
+    '(' is a NestingError (the checker and printers recurse once per level)."""
+    lefts = [None]  # per open term: its left operand once '+' is read, else None
+    while True:
+        cur.skip_ws()
+        ch = cur.peek()
+        if ch == "(":
+            if len(lefts) > MAX_NESTING:
+                raise NestingError(cur.offset + cur.pos, (f"at most {MAX_NESTING} nested '('",))
+            cur.pos += 1
+            lefts.append(None)
+            continue
+        if ch and ch in _DIGITS:
+            value = Num(cur.numeral())
+        elif ch.isalpha():
+            name = cur.word()
+            if len(name) != 1:
+                cur.error("single-letter variable")
+            value = Var(name)
+        else:
+            cur.error("variable", "numeral", "'('")
+        while True:  # close every term this operand completes
+            left = lefts.pop()
+            cur.skip_ws()
+            if left is None and cur.peek() == "+":
+                cur.pos += 1
+                lefts.append(value)
+                break
+            if left is not None:
+                value = Sum(left, value)
+            if not lefts:
+                return value
+            cur.eat(")")
 
 
 def _parse_statement_at(cur: _Cursor):

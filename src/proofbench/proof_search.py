@@ -16,6 +16,10 @@ popping an ordering joins it with previously processed orderings through R1
 via indexes on the shared middle term; and one fresh numeral axiom int(0),
 int(1), ... is injected per pop so that every numeral is eventually
 available.  Each *new* statement is one candidate, goal-tested on arrival.
+Terms are interned per search to integer ids (a sum is keyed by its parts'
+ids), so the worklist, dedup table, indexes and origin tags hold int(t) as
+t's id and a > b as a pair of ids, and no term tree is hashed; statements are
+built only for the lines of a returned proof, walking the tags from the goal.
 The stream is deterministic, duplicate-free, and eventually contains every
 derivable statement, so a sufficient budget finds every derivable target.
 
@@ -114,43 +118,49 @@ class Exhausted:
 # -- shared reconstruction -----------------------------------------------------
 
 def _reconstruct(header, origins, goal) -> Derivation:
-    """Rebuild a derivation file from origin tags, deduplicating sub-proofs."""
+    """Rebuild a derivation file from origin tags, deduplicating sub-proofs.
+
+    A tag is a rule and its premises' keys in origins (or its variable,
+    numeral or pack entry); a line states the rule's conclusion from them.
+    """
     lines: list = []
     index_of: dict = {}
-
-    def visit(stmt) -> int:
-        if stmt in index_of:
-            return index_of[stmt]
-        tag = origins[stmt]
-        kind = tag[0]
+    stack = [goal]
+    while stack:
+        key = stack[-1]
+        if key in index_of:
+            stack.pop()
+            continue
+        kind, *args = origins[key]
+        if kind in ("A1", "A2", "R1"):
+            pending = [premise for premise in args if premise not in index_of]
+            if pending:  # prove the premises first, in order
+                stack.extend(reversed(pending))
+                continue
+            first, second = (lines[index_of[p] - 1].statement for p in (args[0], args[-1]))  # A1: one premise
+        stack.pop()
         if kind == "premise":
-            just = Premise()
+            stmt, just = IntTyping(Var(args[0])), Premise()
         elif kind == "A3":
-            just = AxiomInstance("A3", (("c", Num(tag[1])),))
+            stmt, just = IntTyping(Num(args[0])), AxiomInstance("A3", (("c", Num(args[0])),))
         elif kind == "FBAR":
-            just = AxiomInstance("FBAR", (("i", Num(tag[1])),))
+            stmt, just = FbarAtom(*args), AxiomInstance("FBAR", (("i", Num(args[0])),))
         elif kind == "A1":
-            visit(IntTyping(tag[1]))
-            just = AxiomInstance("A1", (("t", tag[1]),))
+            t = first.term
+            stmt, just = Greater(Sum(t, Num(1)), t), AxiomInstance("A1", (("t", t),))
         elif kind == "A2":
-            visit(IntTyping(tag[1]))
-            visit(IntTyping(tag[2]))
-            just = AxiomInstance("A2", (("t1", tag[1]), ("t2", tag[2])))
+            t1, t2 = first.term, second.term
+            stmt, just = IntTyping(Sum(t1, t2)), AxiomInstance("A2", (("t1", t1), ("t2", t2)))
         else:  # R1
-            first = visit(tag[1])
-            second = visit(tag[2])
-            just = RuleApplication("R1", (first, second))
-        index = len(lines) + 1
-        lines.append(Line(index, stmt, just))
-        index_of[stmt] = index
-        return index
-
-    visit(goal)
+            stmt = Greater(first.lhs, second.rhs)
+            just = RuleApplication("R1", tuple(index_of[premise] for premise in args))
+        index_of[key] = len(lines) + 1
+        lines.append(Line(len(lines) + 1, stmt, just))
     return Derivation(tuple(header), tuple(lines))
 
 
-def _verdict(pack, target, goal, header, origins, candidates):
-    derivation = _reconstruct(header, origins, goal)
+def _verdict(pack, target, derivation, candidates):
+    goal = derivation.lines[-1].statement
     if not isinstance(check_derivation(pack, derivation, goal), Accept):
         raise RuntimeError("search produced a derivation the checker rejects")
     if goal == target:
@@ -161,72 +171,93 @@ def _verdict(pack, target, goal, header, origins, candidates):
 # -- structured mode -----------------------------------------------------------
 
 class _Found(Exception):
-    def __init__(self, statement):
-        self.statement = statement
+    def __init__(self, key):
+        self.key = key
 
 class _BudgetHit(Exception):
     pass
 
 
+def _key(statement, ids: dict):
+    """int(t) -> t's id in ids, a > b -> (a's id, b's id), an fbar atom -> itself.
+    New terms get the next ids, parts first, walked with an explicit stack."""
+    if isinstance(statement, FbarAtom):
+        return statement
+    out: list = []
+    stack = [statement.rhs, statement.lhs] if isinstance(statement, Greater) else [statement.term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Sum):
+            stack += (None, t.right, t.left)
+        elif t is None:  # both parts of a sum are done
+            right = out.pop()
+            out.append(ids.setdefault((out.pop(), right), len(ids)))
+        else:
+            out.append(ids.setdefault(("v", t.name) if isinstance(t, Var) else ("n", t.value), len(ids)))
+    return tuple(out) if isinstance(statement, Greater) else out[0]
+
+
 def _search_structured(pack: AxiomPack, target, budget: SearchBudget):
     started = time.monotonic()
     header = statement_vars(target)
+    ids: dict = {}  # term ids: ("v", name), ("n", value) or (left id, right id) -> id
+    term_id = ids.setdefault  # term_id(key, len(ids)) interns key
     negation = negate_fbar(target) if isinstance(target, FbarAtom) else None
+    goals = {_key(target, ids), negation}
     origins: dict = {}
     queue: deque = deque()
     candidates = 0
 
-    def emit(stmt, tag):
+    def emit(key, tag):
         nonlocal candidates
-        if stmt in origins:
+        if key in origins:
             return
         if budget.max_candidates is not None and candidates >= budget.max_candidates:
             raise _BudgetHit
         candidates += 1
-        origins[stmt] = tag
-        queue.append(stmt)
-        if stmt == target or stmt == negation:
-            raise _Found(stmt)
+        origins[key] = tag
+        queue.append(key)
+        if key in goals:
+            raise _Found(key)
 
     ints_seen: list = []
     greater_by_lhs: dict = {}
     greater_by_rhs: dict = {}
+    one = term_id(("n", 1), len(ids))
     next_numeral = 0
 
     try:
         for name in header:
-            emit(IntTyping(Var(name)), ("premise",))
+            emit(term_id(("v", name), len(ids)), ("premise", name))
         for i, bit in sorted(pack.entries):
-            emit(FbarAtom(i, bit), ("FBAR", i))
+            emit(FbarAtom(i, bit), ("FBAR", i, bit))
         while True:
             if budget.max_seconds is not None and time.monotonic() - started >= budget.max_seconds:
                 return Exhausted(candidates)
             # the numeral stream keeps the worklist fed even from empty seeds
-            emit(IntTyping(Num(next_numeral)), ("A3", next_numeral))
+            emit(term_id(("n", next_numeral), len(ids)), ("A3", next_numeral))
             next_numeral += 1
-            stmt = queue.popleft()
-            if isinstance(stmt, IntTyping):
-                t = stmt.term
-                emit(Greater(Sum(t, Num(1)), t), ("A1", t))
+            key = queue.popleft()
+            if type(key) is int:
+                emit((term_id((key, one), len(ids)), key), ("A1", key))
                 for u in ints_seen:
-                    emit(IntTyping(Sum(t, u)), ("A2", t, u))
-                    emit(IntTyping(Sum(u, t)), ("A2", u, t))
-                emit(IntTyping(Sum(t, t)), ("A2", t, t))
-                ints_seen.append(t)
-            elif isinstance(stmt, Greater):
-                lhs, rhs = stmt.lhs, stmt.rhs
+                    emit(term_id((key, u), len(ids)), ("A2", key, u))
+                    emit(term_id((u, key), len(ids)), ("A2", u, key))
+                emit(term_id((key, key), len(ids)), ("A2", key, key))
+                ints_seen.append(key)
+            elif type(key) is tuple:
+                lhs, rhs = key
                 for other in greater_by_lhs.get(rhs, ()):
-                    emit(Greater(lhs, other.rhs), ("R1", stmt, other))
+                    emit((lhs, other[1]), ("R1", key, other))
                 for other in greater_by_rhs.get(lhs, ()):
-                    emit(Greater(other.lhs, rhs), ("R1", other, stmt))
-                greater_by_lhs.setdefault(lhs, []).append(stmt)
-                greater_by_rhs.setdefault(rhs, []).append(stmt)
+                    emit((other[0], rhs), ("R1", other, key))
+                greater_by_lhs.setdefault(lhs, []).append(key)
+                greater_by_rhs.setdefault(rhs, []).append(key)
             # fbar atoms feed no rule; they were goal-tested on arrival
     except _BudgetHit:
         return Exhausted(candidates)
     except _Found as found:
-        return _verdict(pack, target, found.statement, header, origins, candidates)
-    return Exhausted(candidates)
+        return _verdict(pack, target, _reconstruct(header, origins, found.key), candidates)
 
 
 # -- literal mode ----------------------------------------------------------------
@@ -262,7 +293,7 @@ def _decode(text: str, pack: AxiomPack, header, origins: dict):
             if pos + 1 >= len(text) or text[pos + 1] not in header:
                 return None
             stmt = IntTyping(Var(text[pos + 1]))
-            origins[stmt] = ("premise",)
+            origins[stmt] = ("premise", text[pos + 1])
             return stmt, pos + 2
         if head == "c":
             numeral = _decode_numeral(text, pos + 1)
@@ -282,7 +313,7 @@ def _decode(text: str, pack: AxiomPack, header, origins: dict):
             for bit in (0, 1):
                 if (index, bit) in pack.entries:
                     stmt = FbarAtom(index, bit)
-                    origins[stmt] = ("FBAR", index)
+                    origins[stmt] = ("FBAR", index, bit)
                     return stmt, end
             return None
         if head == "a":
@@ -291,7 +322,7 @@ def _decode(text: str, pack: AxiomPack, header, origins: dict):
                 return None
             t = sub[0].term
             stmt = Greater(Sum(t, Num(1)), t)
-            origins[stmt] = ("A1", t)
+            origins[stmt] = ("A1", sub[0])
             return stmt, sub[1]
         if head == "b":
             first = rec(pos + 1)
@@ -300,9 +331,8 @@ def _decode(text: str, pack: AxiomPack, header, origins: dict):
             second = rec(first[1])
             if second is None or not isinstance(second[0], IntTyping):
                 return None
-            t1, t2 = first[0].term, second[0].term
-            stmt = IntTyping(Sum(t1, t2))
-            origins[stmt] = ("A2", t1, t2)
+            stmt = IntTyping(Sum(first[0].term, second[0].term))
+            origins[stmt] = ("A2", first[0], second[0])
             return stmt, second[1]
         if head == "r":
             first = rec(pos + 1)
@@ -346,7 +376,8 @@ def _search_literal(pack: AxiomPack, target, budget: SearchBudget):
         origins: dict = {}
         stmt = _decode(text, pack, header, origins)
         if stmt is not None and (stmt == target or stmt == negation):
-            return _verdict(pack, target, stmt, header, origins, candidates)
+            derivation = _reconstruct(header, origins, stmt)
+            return _verdict(pack, target, derivation, candidates)
 
 
 def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):

@@ -2,8 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from proofbench.errors import ParseError, ResourceLimitError
+from proofbench.errors import NestingError, ParseError, ResourceLimitError
 from proofbench.pi_system import (
+    MAX_NESTING,
     Accept,
     AxiomInstance,
     AxiomPack,
@@ -340,3 +341,47 @@ def test_long_file_parse_error_offset_is_the_line_start():
         parse_derivation_file("\n".join(lines))
     assert info.value.position == sum(len(line) + 1 for line in lines[:broken])
     assert info.value.expected == ("line index 1800",)
+
+
+# -- deep nesting -------------------------------------------------------------------------
+
+def nested_text(levels):
+    """w+1 wrapped in `levels` parenthesized levels: ((w+1)+1)...+1."""
+    return "(" * levels + "w" + "+1)" * levels + "+1"
+
+
+def test_a_400_level_term_parses_to_the_nested_sums():
+    statement = parse_statement(nested_text(400) + " > w")
+    term = statement.lhs
+    for _ in range(401):  # compared level by level: == on the whole tree recurses
+        assert isinstance(term, Sum) and term.right == Num(1)
+        term = term.left
+    assert term == Var("w") and statement.rhs == Var("w")
+
+
+def test_the_nesting_limit_itself_parses():
+    statement = parse_statement(f"int({nested_text(MAX_NESTING)})")
+    assert isinstance(statement, IntTyping) and isinstance(statement.term, Sum)
+
+
+@pytest.mark.parametrize("template", ["{} > w", "w > {}", "int({})"])
+def test_deep_statements_are_parse_errors_at_the_first_paren_past_the_limit(template):
+    deep = nested_text(10_000)
+    text = template.format(deep)
+    with pytest.raises(NestingError) as info:
+        parse_statement(text)
+    assert isinstance(info.value, ParseError)
+    assert info.value.position == text.index(deep) + MAX_NESTING
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["target: {} > w", "1. int({}) [premise]", "1. int(w) [axiom A3 {{c := {}}}]"],
+    ids=["target", "statement", "substitution"],
+)
+def test_deep_derivation_files_are_parse_errors(line):
+    deep = nested_text(10_000)
+    text = "vars: w\n" + ("" if line.startswith("target") else "target: int(w)\n") + line.format(deep) + "\n"
+    with pytest.raises(NestingError) as info:
+        parse_derivation_file(text)
+    assert info.value.position == text.index(deep) + MAX_NESTING

@@ -6,11 +6,17 @@ from proofbench.pi_system import (
     Accept,
     AxiomPack,
     FbarAtom,
+    Greater,
+    IntTyping,
+    Num,
+    Sum,
+    Var,
     check_derivation,
     derivation_file_text,
     make_axiom_pack,
     negate_fbar,
     parse_statement,
+    statement_vars,
 )
 from proofbench.proof_search import (
     DERIVABLE,
@@ -84,6 +90,28 @@ def test_structured_search_derives_the_negation_of_a_false_bit():
 def test_structured_search_exhausts_on_uncovered_indices():
     verdict = search(PACK5, FbarAtom(9, 1), candidates_budget(1500), SearchMode.STRUCTURED)
     assert verdict == Exhausted(1500)
+
+
+def nested_sum(depth, leaf="w"):
+    """leaf+1 wrapped in depth levels: ((leaf+1)+1)..., built without parsing."""
+    term = Var(leaf)
+    for _ in range(depth):
+        term = Sum(term, Num(1))
+    return term
+
+
+@pytest.mark.parametrize("shape", ["int", "ordering"])
+def test_structured_search_on_a_deeply_nested_target_exhausts(shape):
+    deep = nested_sum(10_000)
+    target = IntTyping(deep) if shape == "int" else Greater(deep, Var("w"))
+    verdict = search(EMPTY, target, candidates_budget(1_000), SearchMode.STRUCTURED)
+    assert verdict == Exhausted(1_000)
+
+
+def test_statement_vars_of_deep_terms_in_first_appearance_order():
+    deep = Sum(Var("c"), Sum(nested_sum(10_000, "a"), Var("b")))
+    assert statement_vars(Greater(deep, Var("d"))) == ("c", "a", "b", "d")
+    assert statement_vars(IntTyping(Sum(Var("b"), deep))) == ("b", "c", "a")
 
 
 def test_time_limited_search_terminates():
