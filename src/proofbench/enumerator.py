@@ -278,9 +278,11 @@ class Grammar:
     # -- counting ---------------------------------------------------------
 
     def _check_budget(self, max_entries: int):
-        if len(self._count_sym) + len(self._count_seq) > max_entries:
+        entries = len(self._count_sym) + len(self._count_seq)
+        if entries > max_entries:
             raise ResourceLimitError(
-                f"grammar count table exceeded {max_entries} entries; raise the budget to continue"
+                f"grammar count table exceeded {max_entries} entries; raise the budget to continue",
+                budget="max_entries", limit=max_entries, attempted=entries,
             )
 
     def _csym(self, sym: str, length: int, max_entries: int) -> int:
@@ -362,7 +364,10 @@ def _bucket(grammar: Grammar, length: int):
             words_seq(rhs, 0, l, "", out)
         made["cells"] += len(out)
         if made["cells"] > 4 * _BUCKET_WORDS:
-            raise ResourceLimitError("word bucket construction exceeded its budget")
+            raise ResourceLimitError(
+                "word bucket construction exceeded its budget",
+                budget="bucket_cells", limit=4 * _BUCKET_WORDS, attempted=made["cells"],
+            )
         memo[key] = out
         return out
 

@@ -21,4 +21,16 @@ class NestingError(ParseError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured memory or size budget would be exceeded."""
+    """A configured memory or size budget would be exceeded.
+
+    budget names the budget (the keyword argument that sets it, where one
+    does), limit is its value, and attempted is the size the call would
+    have reached.  The message is unchanged by them.
+    """
+
+    def __init__(self, message: str, *, budget: str | None = None, limit: int | None = None,
+                 attempted: int | None = None):
+        super().__init__(message)
+        self.budget = budget
+        self.limit = limit
+        self.attempted = attempted

@@ -168,7 +168,9 @@ def make_axiom_pack(n: int, max_cells: int = 1_000_000) -> AxiomPack:
     if n < 0:
         raise ValueError("pack size must be >= 0")
     if n > max_cells:
-        raise ResourceLimitError(f"pack of {n} entries exceeds the budget of {max_cells}")
+        raise ResourceLimitError(
+            f"pack of {n} entries exceeds the budget of {max_cells}", budget="max_cells", limit=max_cells, attempted=n
+        )
     return AxiomPack(n=n, entries=frozenset((i, fbar_truth(i)) for i in range(1, n + 1)))
 
 
@@ -262,138 +264,205 @@ def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept 
 
 
 # -- concrete syntax ----------------------------------------------------------
+#
+# One scanner reads statements, terms and justifications.  A scan works on a
+# string s and an index i into it; the text it reads ends at some n, and s[n]
+# must exist and be a character that no rule consumes: "[" or "]" inside a
+# file line, or an appended "\n".  Reaching s[n] then reads as the end of the
+# text, so the scans need no bounds checks.  Every error is raised at
+# base + i, where base is the offset of s in the caller's text.
 
 _DIGITS = "0123456789"
 
 
-class _Cursor:
-    def __init__(self, text: str, offset: int = 0):
-        self.text = text
-        self.pos = 0
-        self.offset = offset  # for error positions relative to a larger file
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def error(self, *expected: str):
-        raise ParseError(self.offset + self.pos, expected)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, ch: str):
-        self.skip_ws()
-        if self.peek() != ch:
-            self.error(repr(ch))
-        self.pos += 1
-
-    def word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def name(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def numeral(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
-            self.error("numeral")
-        digits = self.text[start:self.pos]
-        if digits[0] == "0" and len(digits) > 1:
-            self.pos = start
-            self.error("numeral without a leading zero")
-        return int(digits)
+def _scan_numeral(s: str, i: int, base: int):
+    """A numeral after optional blanks: (value, index after it)."""
+    while s[i] in " \t":
+        i += 1
+    j = i
+    while s[j] in _DIGITS:
+        j += 1
+    if j == i:
+        raise ParseError(base + i, ("numeral",))
+    if s[i] == "0" and j > i + 1:
+        raise ParseError(base + i, ("numeral without a leading zero",))
+    return int(s[i:j]), j
 
 
-def _parse_term(cur: _Cursor):
+def _scan_term(s: str, i: int, base: int, terms: dict):
     """term := operand ['+' operand]; operand := '(' term ')' | numeral | variable.
     One loop over an explicit stack of open terms; more than MAX_NESTING open
-    '(' is a NestingError (the checker and printers recurse once per level)."""
+    '(' is a NestingError (the checker and printers recurse once per level).
+    Returns (term, index after it).
+
+    terms builds each term once per parse: it maps a leaf's text to the leaf
+    and the ids of a sum's two operands to the sum.  Every term it holds stays
+    alive as long as terms does, so an id in a key cannot be reused."""
     lefts = [None]  # per open term: its left operand once '+' is read, else None
     while True:
-        cur.skip_ws()
-        ch = cur.peek()
-        if ch == "(":
+        while s[i] in " \t":
+            i += 1
+        c = s[i]
+        if c == "(":
             if len(lefts) > MAX_NESTING:
-                raise NestingError(cur.offset + cur.pos, (f"at most {MAX_NESTING} nested '('",))
-            cur.pos += 1
+                raise NestingError(base + i, (f"at most {MAX_NESTING} nested '('",))
+            i += 1
             lefts.append(None)
             continue
-        if ch and ch in _DIGITS:
-            value = Num(cur.numeral())
-        elif ch.isalpha():
-            name = cur.word()
-            if len(name) != 1:
-                cur.error("single-letter variable")
-            value = Var(name)
+        if c in _DIGITS:
+            j = i + 1
+            while s[j] in _DIGITS:
+                j += 1
+            if c == "0" and j > i + 1:
+                raise ParseError(base + i, ("numeral without a leading zero",))
+            c = s[i:j]
+            i = j
+            value = terms.get(c)
+            if value is None:
+                value = terms[c] = Num(int(c))
+        elif c.isalpha():
+            i += 1
+            if s[i].isalpha():
+                while s[i].isalpha():
+                    i += 1
+                raise ParseError(base + i, ("single-letter variable",))
+            value = terms.get(c)
+            if value is None:
+                value = terms[c] = Var(c)
         else:
-            cur.error("variable", "numeral", "'('")
+            raise ParseError(base + i, ("variable", "numeral", "'('"))
         while True:  # close every term this operand completes
             left = lefts.pop()
-            cur.skip_ws()
-            if left is None and cur.peek() == "+":
-                cur.pos += 1
+            while s[i] in " \t":
+                i += 1
+            if left is None and s[i] == "+":
+                i += 1
                 lefts.append(value)
                 break
             if left is not None:
-                value = Sum(left, value)
+                key = (id(left), id(value))
+                total = terms.get(key)
+                if total is None:
+                    total = terms[key] = Sum(left, value)
+                value = total
             if not lefts:
-                return value
-            cur.eat(")")
+                return value, i
+            if s[i] != ")":
+                raise ParseError(base + i, ("')'",))
+            i += 1
 
 
-def _parse_statement_at(cur: _Cursor):
-    cur.skip_ws()
-    save = cur.pos
-    if cur.peek().isalpha():
-        word = cur.word()
-        if word == "fbar":
-            cur.eat("(")
-            cur.skip_ws()
-            if cur.peek() == "0":
-                cur.error("positive fbar index")
-            x = cur.numeral()
-            cur.eat(")")
-            if cur.word() != "is":
-                cur.error("'is'")
-            cur.skip_ws()
-            bit_pos = cur.pos
-            bit = cur.numeral()
-            if bit not in (0, 1):
-                cur.pos = bit_pos
-                cur.error("bit 0 or 1")
-            return FbarAtom(x, bit)
-        if word == "int":
-            cur.eat("(")
-            term = _parse_term(cur)
-            cur.eat(")")
-            return IntTyping(term)
-        cur.pos = save
-    lhs = _parse_term(cur)
-    cur.eat(">")
-    rhs = _parse_term(cur)
-    return Greater(lhs, rhs)
+def _expect(s: str, i: int, base: int, ch: str) -> int:
+    """The index after ch, which must follow optional blanks."""
+    while s[i] in " \t":
+        i += 1
+    if s[i] != ch:
+        raise ParseError(base + i, (repr(ch),))
+    return i + 1
+
+
+def _scan_run(s: str, i: int, test=str.isalpha):
+    """The characters passing test after optional blanks: (run, index after it)."""
+    while s[i] in " \t":
+        i += 1
+    j = i
+    while test(s[j]):
+        j += 1
+    return s[i:j], j
+
+
+def _scan_statement(s: str, i: int, n: int, base: int, terms: dict):
+    """The statement that is all of s[i:n], up to blanks."""
+    while s[i] in " \t":
+        i += 1
+    if s.startswith("fbar", i) and not s[i + 4].isalpha():
+        j = _expect(s, i + 4, base, "(")
+        while s[j] in " \t":
+            j += 1
+        if s[j] == "0":
+            raise ParseError(base + j, ("positive fbar index",))
+        x, j = _scan_numeral(s, j, base)
+        j = _expect(s, j, base, ")")
+        word, j = _scan_run(s, j)
+        if word != "is":
+            raise ParseError(base + j, ("'is'",))
+        while s[j] in " \t":
+            j += 1
+        bit, k = _scan_numeral(s, j, base)
+        if bit not in (0, 1):
+            raise ParseError(base + j, ("bit 0 or 1",))
+        statement = FbarAtom(x, bit)
+        j = k
+    elif s.startswith("int", i) and not s[i + 3].isalpha():
+        term, j = _scan_term(s, _expect(s, i + 3, base, "("), base, terms)
+        statement = IntTyping(term)
+        j = _expect(s, j, base, ")")
+    else:
+        lhs, j = _scan_term(s, i, base, terms)
+        rhs, j = _scan_term(s, _expect(s, j, base, ">"), base, terms)
+        statement = Greater(lhs, rhs)
+    while s[j] in " \t":
+        j += 1
+    if j != n:
+        raise ParseError(base + j, ("end of statement",))
+    return statement
+
+
+def _scan_justification(s: str, i: int, n: int, base: int, terms: dict):
+    """The justification that is all of s[i:n], up to blanks."""
+    word, j = _scan_run(s, i)
+    if word == "premise":
+        just = Premise()
+    elif word == "axiom":
+        name, j = _scan_run(s, j, str.isalnum)
+        if name == "FBAR":
+            index, j = _scan_numeral(s, _expect(s, j, base, "("), base)
+            just = AxiomInstance("FBAR", (("i", Num(index)),))
+            j = _expect(s, j, base, ")")
+        else:
+            if not name:
+                raise ParseError(base + j, ("axiom name",))
+            j = _expect(s, j, base, "{")
+            pairs = []
+            while True:
+                mv, j = _scan_run(s, j, str.isalnum)
+                if not mv:
+                    raise ParseError(base + j, ("metavariable name",))
+                value, j = _scan_term(s, _expect(s, _expect(s, j, base, ":"), base, "="), base, terms)
+                pairs.append((mv, value))
+                while s[j] in " \t":
+                    j += 1
+                if s[j] != ",":
+                    break
+                j += 1
+            just = AxiomInstance(name, tuple(pairs))
+            j = _expect(s, j, base, "}")
+    elif word == "rule":
+        name, j = _scan_run(s, j, str.isalnum)
+        if not name:
+            raise ParseError(base + j, ("rule name",))
+        refs = []
+        while True:
+            ref, j = _scan_numeral(s, j, base)
+            refs.append(ref)
+            while s[j] in " \t":
+                j += 1
+            if s[j] != ",":
+                break
+            j += 1
+        just = RuleApplication(name, tuple(refs))
+    else:
+        raise ParseError(base + i, ("'premise'", "'axiom'", "'rule'"))
+    while s[j] in " \t":
+        j += 1
+    if j != n:
+        raise ParseError(base + j, ("end of justification",))
+    return just
 
 
 def parse_statement(text: str) -> object:
     """Parse one statement; round-trips with pretty_statement on canonical text."""
-    cur = _Cursor(text)
-    statement = _parse_statement_at(cur)
-    cur.skip_ws()
-    if cur.pos != len(text):
-        cur.error("end of statement")
-    return statement
+    return _scan_statement(text + "\n", 0, len(text), 0, {})
 
 
 def pretty_term(term, nested: bool = False) -> str:
@@ -431,62 +500,6 @@ def pretty_justification(just) -> str:
     raise TypeError(f"not a justification: {just!r}")
 
 
-def _parse_justification(text: str, offset: int):
-    cur = _Cursor(text, offset)
-    word = cur.word()
-    if word == "premise":
-        cur.skip_ws()
-        if cur.pos != len(text):
-            cur.error("end of justification")
-        return Premise()
-    if word == "axiom":
-        name = cur.name()
-        if name == "FBAR":
-            cur.eat("(")
-            index = cur.numeral()
-            cur.eat(")")
-            cur.skip_ws()
-            if cur.pos != len(text):
-                cur.error("end of justification")
-            return AxiomInstance("FBAR", (("i", Num(index)),))
-        if not name:
-            cur.error("axiom name")
-        cur.eat("{")
-        pairs = []
-        while True:
-            mv = cur.name()
-            if not mv:
-                cur.error("metavariable name")
-            cur.eat(":")
-            cur.eat("=")
-            value = _parse_term(cur)
-            pairs.append((mv, value))
-            cur.skip_ws()
-            if cur.peek() == ",":
-                cur.eat(",")
-                continue
-            break
-        cur.eat("}")
-        cur.skip_ws()
-        if cur.pos != len(text):
-            cur.error("end of justification")
-        return AxiomInstance(name, tuple(pairs))
-    if word == "rule":
-        name = cur.name()
-        if not name:
-            cur.error("rule name")
-        refs = [cur.numeral()]
-        cur.skip_ws()
-        while cur.peek() == ",":
-            cur.eat(",")
-            refs.append(cur.numeral())
-            cur.skip_ws()
-        if cur.pos != len(text):
-            cur.error("end of justification")
-        return RuleApplication(name, tuple(refs))
-    raise ParseError(offset, ("'premise'", "'axiom'", "'rule'"))
-
-
 def parse_derivation_file(text: str) -> tuple[Derivation, object]:
     """Parse the line-oriented derivation format.
 
@@ -497,6 +510,13 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
 
     Returns (derivation, target statement).  Line indices must be 1..n in
     order; structural violations are parse errors, not checker rejections.
+
+    The cost is linear in the length of the text.  Each call keeps a memo
+    from statement text and from justification text to the parsed object,
+    and builds each distinct term once (see _scan_term), so a text repeated
+    on many lines is scanned once.  The memo holds successful parses only,
+    and a parse does not depend on where its text stands, so a line that
+    reuses an entry gets what scanning it would have given.
     """
     pending = []
     offset = 0
@@ -523,12 +543,10 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
     if len(pending) < 2 or not pending[1][0].startswith("target:"):
         raise ParseError(pending[1][1] if len(pending) > 1 else len(text), ("'target:'",))
     target_text, target_off = pending[1]
-    target_cur = _Cursor(target_text[len("target:"):], target_off + len("target:"))
-    target = _parse_statement_at(target_cur)
-    target_cur.skip_ws()
-    if target_cur.pos != len(target_cur.text):
-        target_cur.error("end of statement")
-
+    terms: dict = {}  # the per-call memo: terms (see _scan_term), and text -> parsed object
+    statements: dict = {}
+    justifications: dict = {}
+    target = _scan_statement(target_text + "\n", len("target:"), len(target_text), target_off, terms)
     parsed_lines = []
     for expected_index, (raw, off) in enumerate(pending[2:], start=1):
         head, dot, rest = raw.partition(".")
@@ -539,16 +557,19 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
         if index != expected_index:
             raise ParseError(off, (f"line index {expected_index}",))
         open_bracket = rest.rfind("[")
-        if open_bracket < 0 or not rest.rstrip().endswith("]"):
+        if open_bracket < 0 or not rest.endswith("]"):
             raise ParseError(off + len(raw), ("'[justification]'",))
+        start = len(head) + 1
+        bracket = start + open_bracket  # raw[bracket] == "[" and raw[-1] == "]" end the two scans
         stmt_text = rest[:open_bracket]
-        stmt_cur = _Cursor(stmt_text, off + len(head) + 1)
-        statement = _parse_statement_at(stmt_cur)
-        stmt_cur.skip_ws()
-        if stmt_cur.pos != len(stmt_text):
-            stmt_cur.error("end of statement")
-        just_text = rest.rstrip()[open_bracket + 1:-1]
-        justification = _parse_justification(just_text, off + len(head) + 1 + open_bracket + 1)
+        statement = statements.get(stmt_text)
+        if statement is None:
+            statement = statements[stmt_text] = _scan_statement(raw, start, bracket, off, terms)
+        just_text = raw[bracket + 1:-1]
+        justification = justifications.get(just_text)
+        if justification is None:
+            justification = _scan_justification(raw, bracket + 1, len(raw) - 1, off, terms)
+            justifications[just_text] = justification
         parsed_lines.append(Line(index, statement, justification))
     return Derivation(tuple(names), tuple(parsed_lines)), target
 

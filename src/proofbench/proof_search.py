@@ -386,6 +386,12 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
 
     Deterministic: identical inputs give identical verdicts and counts
     (time-limited budgets excepted, since wall clocks differ run to run).
+
+    Memory grows linearly with the candidate budget: structured search keeps
+    every candidate (its origin tag, its terms and its worklist entry), about
+    250-280 bytes each, and only the budget bounds them.  An exhausted search
+    of ((w+1)+1)+1 > w peaked at 121 MB RSS at 400,000 candidates and about
+    500 MB at 2,000,000; a budget of 10,000,000 needs about 2.5 GB.
     """
     if not can_form(target):
         raise ValueError(f"not a statement of the system: {target!r}")

@@ -263,7 +263,10 @@ def table(n: int, m: int, max_cells: int = 1_000_000) -> BitTable:
     if n < 1 or m < 1:
         raise ValueError("table dimensions must be >= 1")
     if n * m > max_cells:
-        raise ResourceLimitError(f"table of {n * m} cells exceeds the budget of {max_cells}")
+        raise ResourceLimitError(
+            f"table of {n * m} cells exceeds the budget of {max_cells}",
+            budget="max_cells", limit=max_cells, attempted=n * m,
+        )
     return BitTable(
         rows=n,
         cols=m,
@@ -279,7 +282,9 @@ def diagonal(n: int, max_cells: int = 1_000_000) -> list[int]:
     if n < 1:
         raise ValueError("diagonal length must be >= 1")
     if n > max_cells:
-        raise ResourceLimitError(f"diagonal of {n} cells exceeds the budget of {max_cells}")
+        raise ResourceLimitError(
+            f"diagonal of {n} cells exceeds the budget of {max_cells}", budget="max_cells", limit=max_cells, attempted=n
+        )
     return [evaluate(nth_program(i), i) for i in range(1, n + 1)]
 
 

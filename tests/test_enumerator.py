@@ -75,6 +75,31 @@ def test_unrank_inverts_rank_on_words():
         assert unrank(ABC, rank(ABC, word)) == word
 
 
+ALPHABETS = st.lists(st.characters(), min_size=1, max_size=6, unique=True).map(Alphabet)
+
+
+@st.composite
+def _alphabets_and_ranks(draw):
+    alphabet = draw(ALPHABETS)
+    # over one symbol the k-th word has length k, so keep those ranks small
+    return alphabet, draw(st.integers(0, 10**18 if len(alphabet) > 1 else 1_000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_alphabets_and_ranks())
+def test_rank_inverts_unrank_over_random_alphabets(case):
+    alphabet, k = case
+    assert rank(alphabet, unrank(alphabet, k)) == k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unrank_inverts_rank_over_random_alphabets(data):
+    alphabet = data.draw(ALPHABETS)
+    word = "".join(data.draw(st.lists(st.sampled_from(alphabet.symbols), max_size=40)))
+    assert unrank(alphabet, rank(alphabet, word)) == word
+
+
 def test_stream_is_strictly_increasing_in_shortlex():
     words = stream(ABC, 0, 300)
     keys = [shortlex_key(ABC.symbols, w) for w in words]
@@ -217,8 +242,21 @@ def test_recognizes():
 def test_count_budget_is_enforced():
     prods = {"S": [["a", "S", "b"], ["a", "b"]]}
     g = _grammar(prods, alphabet=Alphabet.from_string("ab"))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as info:
         grammar_count(g, 4000, max_entries=10)
+    assert (info.value.budget, info.value.limit) == ("max_entries", 10)
+    assert info.value.attempted > 10
+    assert str(info.value) == "grammar count table exceeded 10 entries; raise the budget to continue"
+
+
+def test_bucket_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 2)
+    g = _grammar({"S": [["a", "S"], ["b", "S"], ["c", "S"], ["a"], ["b"], ["c"]]})
+    with pytest.raises(ResourceLimitError) as info:
+        enumerator._bucket(g, 3)
+    assert (info.value.budget, info.value.limit) == ("bucket_cells", 8)
+    assert info.value.attempted > 8
+    assert str(info.value) == "word bucket construction exceeded its budget"
 
 
 # -- prefix descent against the oracles ----------------------------------------------

@@ -1,6 +1,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proofbench.errors import NestingError, ParseError, ResourceLimitError
 from proofbench.pi_system import (
@@ -73,6 +75,29 @@ def test_non_ascii_digits_in_a_statement_are_parse_errors_at_the_digit(text):
     assert info.value.position == _non_ascii_digit(text)
 
 
+def _terms(depth):
+    """Terms of depth at most depth; a leaf has depth 0."""
+    leaf = st.one_of(st.sampled_from("abcuvwxyz").map(Var), st.integers(0, 10**6).map(Num))
+    if depth == 0:
+        return leaf
+    sub = _terms(depth - 1)
+    return st.one_of(leaf, st.builds(Sum, sub, sub))
+
+
+TERMS = _terms(6)
+STATEMENTS = st.one_of(
+    st.builds(FbarAtom, st.integers(1, 10**6), st.integers(0, 1)),
+    st.builds(IntTyping, TERMS),
+    st.builds(Greater, TERMS, TERMS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(STATEMENTS)
+def test_parse_statement_inverts_pretty_statement(statement):
+    assert parse_statement(pretty_statement(statement)) == statement
+
+
 def test_term_printing_parenthesizes_nested_sums_only():
     term = Sum(Sum(Var("w"), Num(1)), Num(1))
     assert pretty_term(term) == "(w+1)+1"
@@ -109,8 +134,10 @@ def test_make_axiom_pack_edges():
     assert make_axiom_pack(0).entries == frozenset()
     with pytest.raises(ValueError):
         make_axiom_pack(-1)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as info:
         make_axiom_pack(100, max_cells=10)
+    assert (info.value.budget, info.value.limit, info.value.attempted) == ("max_cells", 10, 100)
+    assert str(info.value) == "pack of 100 entries exceeds the budget of 10"
 
 
 # -- derivation files ------------------------------------------------------------------
@@ -132,6 +159,34 @@ def test_fixture_accepts_under_any_pack():
     derivation, target = parse_derivation_file(fixture_text())
     for n in (0, 5):
         assert check_derivation(make_axiom_pack(n), derivation, target) == Accept()
+
+
+JUSTIFICATIONS = st.one_of(
+    st.just(Premise()),
+    TERMS.map(lambda t: AxiomInstance("A1", (("t", t),))),
+    st.tuples(TERMS, TERMS).map(lambda ts: AxiomInstance("A2", (("t1", ts[0]), ("t2", ts[1])))),
+    st.integers(0, 10**6).map(lambda c: AxiomInstance("A3", (("c", Num(c)),))),
+    st.integers(0, 10**6).map(lambda i: AxiomInstance("FBAR", (("i", Num(i)),))),
+    st.lists(st.integers(0, 10**4), min_size=1, max_size=3).map(lambda refs: RuleApplication("R1", tuple(refs))),
+)
+
+
+@st.composite
+def _derivations(draw):
+    """A header of 0-3 variables, up to 8 lines (valid steps or not) and a target."""
+    header = tuple(draw(st.lists(st.sampled_from("abcuvwxyz"), max_size=3, unique=True)))
+    # lines drawn from a small pool repeat, as the lines of real files do
+    pool = draw(st.lists(st.tuples(STATEMENTS, JUSTIFICATIONS), min_size=1, max_size=4))
+    picked = draw(st.lists(st.sampled_from(pool), max_size=8))
+    lines = tuple(Line(i, statement, just) for i, (statement, just) in enumerate(picked, start=1))
+    return Derivation(header, lines), draw(STATEMENTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_derivations())
+def test_derivation_files_round_trip(case):
+    derivation, target = case
+    assert parse_derivation_file(derivation_file_text(derivation, target)) == (derivation, target)
 
 
 @pytest.mark.parametrize(
@@ -326,6 +381,15 @@ def test_long_file_parses_and_checks():
     derivation, target = parse_derivation_file(long_derivation_text(2000))
     assert len(derivation.lines) == 1999
     assert check_derivation(make_axiom_pack(0), derivation, target) == Accept()
+
+
+def test_a_file_builds_each_repeated_text_and_term_once():
+    derivation, target = parse_derivation_file(long_derivation_text(50))
+    first, second, last = derivation.lines[0], derivation.lines[1], derivation.lines[-1]
+    assert first.statement is second.statement and first.justification is second.justification
+    one = first.statement.term
+    assert target.term.left is one and target.term.right is one
+    assert last.statement.term is target.term and last.justification.subst[0][1] is one
 
 
 def test_long_file_rejects_at_the_mutated_line():

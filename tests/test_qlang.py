@@ -238,8 +238,17 @@ def test_table_cell_bounds():
 
 
 def test_table_budget():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as info:
         table(100, 100, max_cells=50)
+    assert (info.value.budget, info.value.limit, info.value.attempted) == ("max_cells", 50, 10_000)
+    assert str(info.value) == "table of 10000 cells exceeds the budget of 50"
+
+
+def test_diagonal_budget():
+    with pytest.raises(ResourceLimitError) as info:
+        diagonal(100, max_cells=50)
+    assert (info.value.budget, info.value.limit, info.value.attempted) == ("max_cells", 50, 100)
+    assert str(info.value) == "diagonal of 100 cells exceeds the budget of 50"
 
 
 def test_diagonal_five():
