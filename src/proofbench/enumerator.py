@@ -17,15 +17,22 @@ a brute-force oracle.
 grammar_unrank finds the word's length from cumulative counts, then the
 word itself in one of two ways.  A length with at most 500,000 words
 is materialized once, sorted and indexed, which is cheapest when many
-words of one short length are asked for.  A longer length is found by
+words of one short length are asked for.  One dynamic program over
+(symbol, length) and (production suffix, length) builds that bucket, and
+its entries are (word, value) pairs, as in semiring parsing (Goodman,
+Computational Linguistics 1999): the value is what the grammar's semantic
+actions make of the derivation, so grammar_derivation hands out a
+bucketed word together with, for Q-lang, its syntax tree, and no Q-lang
+program of length <= 7 is ever parsed.  A longer length is found by
 prefix descent over an Earley chart that carries derivation counts
 (Earley, CACM 1970; recursive ranking as in Hickey & Cohen, SIAM J.
 Comput. 1983): at each position one probe counts, for every next terminal,
 the words that extend the committed prefix, and committing the chosen
 terminal appends one column.  Counts for the committed prefix are kept from
 probe to probe, so a word of length L costs L probes and L column
-extensions.  recognizes runs the same chart over all but the last symbol of
-the word and probes for that symbol.
+extensions.  The descent builds no derivation, so grammar_derivation
+returns None for such a word.  recognizes runs the same chart over all but the last symbol
+of the word and probes for that symbol.
 
 Grammars must be epsilon-free and contain no unit-production cycles; both
 restrictions are enforced at construction time and keep the length dynamic
@@ -148,13 +155,21 @@ class Grammar:
     a right-hand side is a nonempty tuple of symbols, each either a
     nonterminal name or a terminal character of the alphabet.  Nonterminal
     names must not collide with alphabet symbols.
+
+    actions maps some (nonterminal, rhs) pairs to semantic actions
+    f(word, children), as in yacc: a derivation's value is its production's
+    action applied to its word and its children's values (a terminal's value
+    is the terminal; a production without an action gives None).
     """
 
-    def __init__(self, alphabet: Alphabet, start: str, productions: dict):
+    def __init__(self, alphabet: Alphabet, start: str, productions: dict, actions: dict | None = None):
         self.alphabet = alphabet
         self.start = start
         self.productions = {nt: tuple(tuple(rhs) for rhs in alts) for nt, alts in productions.items()}
         self._validate()
+        self.actions = {(nt, tuple(rhs)): f for (nt, rhs), f in (actions or {}).items()}
+        if any(rhs not in self.productions.get(nt, ()) for nt, rhs in self.actions):
+            raise GrammarError("every action must be keyed by a production (nonterminal, rhs)")
         # memoization caches; contents are pure functions of the grammar
         self._count_sym: dict = {}
         self._count_seq: dict = {}
@@ -324,6 +339,15 @@ class Grammar:
         self._check_budget(max_entries)
         return total
 
+    def cache_sizes(self) -> dict:
+        """Entries in the count memos, cached bucket lengths and bucketed words."""
+        return {
+            "bucket_lengths": len(self._buckets),
+            "bucket_words": sum(map(len, self._buckets.values())),
+            "count_seq": len(self._count_seq),
+            "count_sym": len(self._count_sym),
+        }
+
     # -- recognition ------------------------------------------------------
 
     def recognizes(self, word: str, max_entries: int = 1_000_000) -> bool:
@@ -343,52 +367,58 @@ def grammar_count(grammar: Grammar, length: int, max_entries: int = 1_000_000) -
     return grammar._csym(grammar.start, length, max_entries)
 
 
-def _bucket(grammar: Grammar, length: int):
-    """All words of the given length, in lex order, materialized and cached."""
+def _bucket(grammar: Grammar, length: int) -> list:
+    """All (word, value) pairs of the given length, in lex order, built once and cached."""
     cached = grammar._buckets.get(length)
     if cached is not None:
         return cached
-    prods = grammar.productions
-    made = {"cells": 0}
+    prods, actions = grammar.productions, grammar.actions
     memo: dict = {}
+    cells = 0
 
-    def words_sym(sym, l):
+    def derive(sym, l):
+        nonlocal cells
         if sym not in prods:
-            return [sym] if l == 1 else []
-        key = (sym, l)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out: list[str] = []
-        for rhs in prods[sym]:
-            words_seq(rhs, 0, l, "", out)
-        made["cells"] += len(out)
-        if made["cells"] > 4 * _BUCKET_WORDS:
-            raise ResourceLimitError(
-                "word bucket construction exceeded its budget",
-                budget="bucket_cells", limit=4 * _BUCKET_WORDS, attempted=made["cells"],
-            )
-        memo[key] = out
+            return [(sym, sym)] if l == 1 else []
+        out = memo.get((sym, l))
+        if out is None:
+            out = []
+            for rhs in prods[sym]:
+                out += derive_seq(rhs, 0, l, actions.get((sym, rhs)))
+            cells += len(out)
+            if cells > 4 * _BUCKET_WORDS:
+                raise ResourceLimitError(
+                    "word bucket construction exceeded its budget",
+                    budget="bucket_cells", limit=4 * _BUCKET_WORDS, attempted=cells,
+                )
+            memo[(sym, l)] = out
         return out
 
-    def words_seq(rhs, i, l, acc, out):
+    def derive_seq(rhs, i, l, act=None):
+        # (word, child values) of rhs[i:] over l symbols, but (word, act(word, child
+        # values)) for a whole rhs (i == 0), which is not memoized to spare peak memory
         if i == len(rhs):
-            if l == 0:
-                out.append(acc)
-            return
-        first = rhs[i]
-        if first in prods:
-            fmin = grammar._minlen[first]
-            if fmin is None:
-                return
-        else:
-            fmin = 1
-        rest_min = grammar._suffix_min[(rhs, i + 1)]
-        for l1 in range(fmin, l - rest_min + 1):
-            for w in words_sym(first, l1):
-                words_seq(rhs, i + 1, l - l1, acc + w, out)
+            return [("", ())] if l == 0 else []
+        out = memo.get((rhs, i, l))
+        if out is None:
+            out = []
+            first_min = grammar._minlen[rhs[i]] if rhs[i] in prods else 1  # None: derives nothing
+            for l1 in range(first_min or l + 1, l - grammar._suffix_min[(rhs, i + 1)] + 1):
+                tails = derive_seq(rhs, i + 1, l - l1)
+                heads = derive(rhs[i], l1) if tails else ()
+                if i:
+                    out += [(w + t, (v,) + c) for w, v in heads for t, c in tails]
+                else:
+                    out += [(word, act and act(word, (v,) + c)) for w, v in heads for t, c in tails for word in (w + t,)]
+            if i:
+                memo[(rhs, i, l)] = out
+        return out
 
-    bucket = sorted(words_sym(grammar.start, length), key=grammar.alphabet.key)
+    # every word here has the same length, so code points in alphabet order sort it
+    order = {ord(s): i for i, s in enumerate(grammar.alphabet.symbols)}
+    bucket = derive(grammar.start, length)
+    memo.clear()  # derive and derive_seq form a cycle that would keep it alive
+    bucket.sort(key=lambda pair: pair[0].translate(order))
     grammar._buckets[length] = bucket
     return bucket
 
@@ -495,12 +525,9 @@ class _Chart:
         return total
 
 
-def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> str:
-    """The k-th valid word (0-based) of the grammar in length-then-lex order.
-
-    Equivalent to filtering the raw stream through the grammar's recognizer
-    and taking element k, but computed from length counts directly.
-    """
+def _locate(grammar: Grammar, k: int, max_entries: int):
+    """The k-th word's length, its offset among the words of that length, and
+    their bucket, or None for a length with more words than a bucket holds."""
     if k < 0:
         raise ValueError("rank must be >= 0")
     cum = grammar._cum
@@ -513,9 +540,19 @@ def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> st
     length -= 1
     while cum[length] > k:
         length -= 1
-    j = k - cum[length]
-    if grammar_count(grammar, length, max_entries) <= _BUCKET_WORDS:
-        return _bucket(grammar, length)[j]
+    bucketed = grammar_count(grammar, length, max_entries) <= _BUCKET_WORDS
+    return length, k - cum[length], _bucket(grammar, length) if bucketed else None
+
+
+def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> str:
+    """The k-th valid word (0-based) of the grammar in length-then-lex order.
+
+    Equivalent to filtering the raw stream through the grammar's recognizer
+    and taking element k, but computed from length counts directly.
+    """
+    length, j, bucket = _locate(grammar, k, max_entries)
+    if bucket is not None:
+        return bucket[j][0]
     chart = _Chart(grammar, max_entries)
     word = []
     for n in range(length):
@@ -530,3 +567,10 @@ def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> st
         chart.commit(c)
         word.append(c)
     return "".join(word)
+
+
+def grammar_derivation(grammar: Grammar, k: int, max_entries: int = 1_000_000):
+    """(grammar_unrank(grammar, k), its value under the grammar's actions), or
+    None past the bucket, where prefix descent builds no derivation."""
+    _, j, bucket = _locate(grammar, k, max_entries)
+    return None if bucket is None else bucket[j]

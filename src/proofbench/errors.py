@@ -7,6 +7,8 @@ with the set of things that would have been acceptable there.
 
 from __future__ import annotations
 
+import sys
+
 
 class ParseError(ValueError):
     def __init__(self, position: int, expected: tuple[str, ...], message: str = ""):
@@ -18,6 +20,18 @@ class ParseError(ValueError):
 
 class NestingError(ParseError):
     """Input nested deeper than a parser admits."""
+
+
+def numeral_value(digits: str, position: int) -> int:
+    """The value of a run of ASCII digits that starts at position.
+
+    A run longer than Python's integer-string limit (sys.get_int_max_str_digits(),
+    4,300 digits by default) is a ParseError there, not int()'s ValueError.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(position, (f"numeral of at most {sys.get_int_max_str_digits()} digits",)) from None
 
 
 class ResourceLimitError(RuntimeError):

@@ -8,7 +8,10 @@ Statements come in exactly three shapes:
 
 Terms are variables (single lowercase letters), numerals, or sums; sums are
 written with at most one bare `+` per level and parentheses around nested
-sums, so `(w+1)+1` is the sum of `w+1` and `1`.
+sums, so `(w+1)+1` is the sum of `w+1` and `1`.  A numeral (and a line
+index) may have at most Python's integer-string limit of digits
+(sys.get_int_max_str_digits(), 4,300 by default); a longer one is a
+ParseError at its first digit.
 
 The inference inventory is fixed and tiny:
 
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NestingError, ParseError, ResourceLimitError
+from .errors import NestingError, ParseError, ResourceLimitError, numeral_value
 from .qlang import fbar_truth
 
 REASON_BAD_SUBSTITUTION = "bad-substitution"
@@ -286,7 +289,7 @@ def _scan_numeral(s: str, i: int, base: int):
         raise ParseError(base + i, ("numeral",))
     if s[i] == "0" and j > i + 1:
         raise ParseError(base + i, ("numeral without a leading zero",))
-    return int(s[i:j]), j
+    return numeral_value(s[i:j], base + i), j
 
 
 def _scan_term(s: str, i: int, base: int, terms: dict):
@@ -316,10 +319,10 @@ def _scan_term(s: str, i: int, base: int, terms: dict):
             if c == "0" and j > i + 1:
                 raise ParseError(base + i, ("numeral without a leading zero",))
             c = s[i:j]
-            i = j
             value = terms.get(c)
             if value is None:
-                value = terms[c] = Num(int(c))
+                value = terms[c] = Num(numeral_value(c, base + i))
+            i = j
         elif c.isalpha():
             i += 1
             if s[i].isalpha():
@@ -553,7 +556,7 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
         index_text = head.strip()
         if not dot or not (index_text.isascii() and index_text.isdigit()):
             raise ParseError(off, ("line index",))
-        index = int(index_text)
+        index = numeral_value(index_text, off + len(head) - len(head.lstrip()))
         if index != expected_index:
             raise ParseError(off, (f"line index {expected_index}",))
         open_bracket = rest.rfind("[")

@@ -17,7 +17,9 @@ Grammar (fully parenthesized; no whitespace):
     aexp := 'x' | numeral | '(' aexp '+' aexp ')' | '(' aexp '%' aexp ')'
 
 Numerals carry no leading zeros ("0" itself is allowed); `%` is remainder
-with the totalizing convention a % 0 = 0.
+with the totalizing convention a % 0 = 0.  parse admits numerals of at most
+Python's integer-string limit (sys.get_int_max_str_digits(), 4,300 digits
+by default) and rejects a longer one at its first digit.
 
 parse reads a program in one left-to-right pass with an explicit stack and
 no backtracking, so its cost is linear at any nesting depth; a rejection
@@ -30,8 +32,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .enumerator import Alphabet, Grammar, grammar_unrank
-from .errors import ParseError, ResourceLimitError
+from .enumerator import Alphabet, Grammar, grammar_derivation, grammar_unrank
+from .errors import ParseError, ResourceLimitError, numeral_value
 
 QLANG_ALPHABET = Alphabet.from_string("x0123456789()+%=>!&|")
 
@@ -57,6 +59,18 @@ QLANG_GRAMMAR = Grammar(
         "digits": (("digit",), ("digit", "digits")),
         "nonzero": tuple((d,) for d in "123456789"),
         "digit": tuple((d,) for d in "0123456789"),
+    },
+    actions={  # build each bucketed program's syntax tree; c holds the children's values
+        ("bexp", ("!", "bexp")): lambda word, c: Not(c[1]),
+        ("bexp", ("(", "bexp", "&", "bexp", ")")): lambda word, c: And(c[1], c[3]),
+        ("bexp", ("(", "bexp", "|", "bexp", ")")): lambda word, c: Or(c[1], c[3]),
+        ("bexp", ("(", "aexp", "cmp", "aexp", ")")): lambda word, c: c[2](c[1], c[3]),
+        ("cmp", ("=",)): lambda word, c: Eq,
+        ("cmp", (">",)): lambda word, c: Gt,
+        ("aexp", ("x",)): lambda word, c: X(),
+        ("aexp", ("numeral",)): lambda word, c: Num(int(word)),
+        ("aexp", ("(", "aexp", "+", "aexp", ")")): lambda word, c: Add(c[1], c[3]),
+        ("aexp", ("(", "aexp", "%", "aexp", ")")): lambda word, c: Mod(c[1], c[3]),
     },
 )
 
@@ -114,8 +128,8 @@ class QProgram:
 
 # -- parsing ---------------------------------------------------------------
 
-# The one table of binary syntax: parse builds nodes from it, pretty reads
-# its inverse.
+# The binary operators' nodes: parse builds nodes from this table, pretty
+# reads its inverse.
 _NODES = {"&": And, "|": Or, "=": Eq, ">": Gt, "+": Add, "%": Mod}
 _SYMBOLS = {node: op for op, node in _NODES.items()}
 
@@ -158,7 +172,7 @@ def parse(text: str) -> QProgram:
             if c == "0" and pos - start > 1:
                 expected = ("numeral without a leading zero",)
                 raise ParseError(start, expected if context == "a" else _STARTS["b"] + expected)
-            node = Num(int(text[start:pos]))
+            node = Num(numeral_value(text[start:pos], start))
         boolean = False
         # the operand is complete: apply pending '!' and close every group it ends
         while True:
@@ -238,10 +252,18 @@ def evaluate(program: QProgram, x: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def nth_program(i: int) -> QProgram:
-    """The i-th valid program (1-based) in length-then-lex order."""
+    """The i-th valid program (1-based) in length-then-lex order.
+
+    A program of length <= 7 (i <= 64,446) comes with the syntax tree that
+    QLANG_GRAMMAR's actions built alongside its bucket, so it is not parsed;
+    a longer one is found by prefix descent and then parsed.
+    """
     if i < 1:
         raise ValueError("program indices start at 1")
-    return parse(grammar_unrank(QLANG_GRAMMAR, i - 1))
+    derivation = grammar_derivation(QLANG_GRAMMAR, i - 1)
+    if derivation is None:
+        return parse(grammar_unrank(QLANG_GRAMMAR, i - 1))
+    return QProgram(*derivation)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,16 @@ def test_reject_is_exit_1_with_reason_on_stderr(run, tmp_path):
     assert "line 6" in err and "rule-mismatch" in err
 
 
+def test_check_reports_a_huge_numeral_at_its_position(run, tmp_path):
+    text = "vars: w\ntarget: int(w)\n1. int(" + "1" * 5000 + ") [premise]\n"
+    huge = tmp_path / "huge.drv"
+    huge.write_text(text, encoding="utf-8")
+    code, out, err = run("check", str(huge))
+    assert (code, out) == (1, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: parse error at position {text.index('11')}: expected numeral of at most {limit} digits\n"
+
+
 DEEP = 10_000
 DEEP_TERM = "(" * DEEP + "w" + "+1)" * DEEP
 

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofbench import enumerator
+from proofbench import enumerator, qlang
 from proofbench.enumerator import (
     Alphabet,
     Grammar,
     GrammarError,
     UnknownSymbolError,
     grammar_count,
+    grammar_derivation,
     grammar_unrank,
     rank,
     stream,
@@ -283,6 +284,23 @@ def test_descent_matches_derivation_oracle(prods, start, symbols, monkeypatch):
 
 
 @pytest.mark.parametrize("prods, start, symbols", DESCENT_GRAMMARS)
+def test_concatenating_actions_rebuild_every_bucketed_word(prods, start, symbols):
+    alphabet = Alphabet.from_string(symbols)
+    concat = {(nt, tuple(rhs)): lambda word, children: "".join(children) for nt, alts in prods.items() for rhs in alts}
+    g = Grammar(alphabet, start, prods, concat)
+    expected = []
+    for length in range(0, 10):
+        expected.extend(sorted(derive_words(prods, start, length), key=alphabet.key))
+    assert [grammar_derivation(g, k) for k in range(len(expected))] == [(w, w) for w in expected]
+
+
+def test_actions_must_name_productions():
+    for key in [("S", ("b",)), ("T", ("a",))]:
+        with pytest.raises(GrammarError):
+            Grammar(ABC, "S", {"S": [["a"]]}, {key: lambda word, children: word})
+
+
+@pytest.mark.parametrize("prods, start, symbols", DESCENT_GRAMMARS)
 def test_recognizes_matches_derivation_oracle(prods, start, symbols):
     g = Grammar(Alphabet.from_string(symbols), start, prods)
     words = {w for length in range(0, 7) for w in derive_words(prods, start, length)}
@@ -295,16 +313,31 @@ def _first_rank(length):
     return sum(grammar_count(QLANG_GRAMMAR, l) for l in range(length))
 
 
-def test_qlang_descent_agrees_with_bucket_on_sampled_ranks(monkeypatch):
+def _sampled_qlang_ranks():
+    """The first, the last and 60 random ranks of each Q-lang length 5-7."""
     rng = random.Random(20)
     ranks = []
     for length in (5, 6, 7):
         count = grammar_count(QLANG_GRAMMAR, length)
         ranks += [_first_rank(length) + j for j in sorted({0, count - 1, *(rng.randrange(count) for _ in range(60))})]
+    return ranks
+
+
+def test_qlang_descent_agrees_with_bucket_on_sampled_ranks(monkeypatch):
+    ranks = _sampled_qlang_ranks()
     bucketed = [grammar_unrank(QLANG_GRAMMAR, k) for k in ranks]
     monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 0)
     descended = Grammar(QLANG_GRAMMAR.alphabet, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions)
     assert [grammar_unrank(descended, k) for k in ranks] == bucketed
+
+
+def test_nth_program_by_descent_equals_the_bucketed_program(monkeypatch):
+    ranks = _sampled_qlang_ranks()
+    assert all(grammar_derivation(QLANG_GRAMMAR, k) is not None for k in ranks)
+    bucketed = [qlang.nth_program(k + 1) for k in ranks]
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 0)
+    assert all(grammar_derivation(QLANG_GRAMMAR, k) is None for k in ranks)
+    assert [qlang.nth_program.__wrapped__(k + 1) for k in ranks] == bucketed
 
 
 @settings(max_examples=60, deadline=None)

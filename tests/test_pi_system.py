@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,20 @@ def test_non_ascii_digits_in_a_statement_are_parse_errors_at_the_digit(text):
     with pytest.raises(ParseError) as info:
         parse_statement(text)
     assert info.value.position == _non_ascii_digit(text)
+
+
+HUGE = "1" * 5000  # more digits than Python's default integer-string limit
+
+
+def _numeral_limit_expected():
+    return (f"numeral of at most {sys.get_int_max_str_digits()} digits",)
+
+
+@pytest.mark.parametrize("text", [f"int({HUGE})", f"int((w+{HUGE})+1)", f"fbar({HUGE}) is 1", f"{HUGE} > w"])
+def test_huge_numerals_in_a_statement_are_parse_errors_at_the_first_digit(text):
+    with pytest.raises(ParseError) as info:
+        parse_statement(text)
+    assert (info.value.position, info.value.expected) == (text.index(HUGE), _numeral_limit_expected())
 
 
 def _terms(depth):
@@ -223,6 +238,24 @@ def test_non_ascii_digits_in_a_file_are_parse_errors_at_the_digit(line):
     with pytest.raises(ParseError) as info:
         parse_derivation_file(text)
     assert info.value.position == len("vars: w\ntarget: int(w)\n") + _non_ascii_digit(line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        f"{HUGE}. int(w) [premise]",
+        f"1. int({HUGE}) [premise]",
+        f"1. int((w+{HUGE})+1) [premise]",
+        f"1. int(w) [axiom FBAR({HUGE})]",
+        f"1. int(1) [axiom A3 {{c := {HUGE}}}]",
+        f"1. w+1 > w [rule R1 {HUGE},1]",
+    ],
+)
+def test_huge_numerals_in_a_file_are_parse_errors_at_the_first_digit(line):
+    header = "vars: w\ntarget: int(w)\n"
+    with pytest.raises(ParseError) as info:
+        parse_derivation_file(header + line + "\n")
+    assert (info.value.position, info.value.expected) == (len(header) + line.index(HUGE), _numeral_limit_expected())
 
 
 def test_empty_derivation_rejects_with_wrong_target():

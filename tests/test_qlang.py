@@ -1,8 +1,11 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofbench.enumerator import grammar_count
+from proofbench import qlang
+from proofbench.enumerator import Grammar, grammar_count, grammar_derivation, grammar_unrank
 from proofbench.errors import ParseError, ResourceLimitError
 from proofbench.qlang import (
     QLANG_ALPHABET,
@@ -113,6 +116,14 @@ def test_parse_error_position_and_expected(source, position, expected):
     assert (info.value.position, info.value.expected) == (position, expected)
 
 
+def test_huge_numerals_are_parse_errors_at_the_first_digit():
+    limit = sys.get_int_max_str_digits()
+    assert parse("(x=" + "1" * limit + ")").ast == Eq(X(), Num(int("1" * limit)))
+    with pytest.raises(ParseError) as info:
+        parse("(x=" + "1" * 5000 + ")")
+    assert (info.value.position, info.value.expected) == (3, (f"numeral of at most {limit} digits",))
+
+
 def test_deep_negation_parses():
     node = parse("!" * 10_000 + "(x=x)").ast
     for _ in range(10_000):
@@ -212,6 +223,36 @@ def test_nth_program_deep_index():
 def test_nth_program_rejects_nonpositive_index():
     with pytest.raises(ValueError):
         nth_program(0)
+
+
+def test_every_bucketed_program_is_its_own_parse():
+    # programs of length <= 7 take their syntax trees from the bucket, not from parse
+    for i in range(1, sum(WORDS_PER_LENGTH) + 1):
+        program = nth_program(i)
+        assert program == parse(program.source)
+        assert program.source == grammar_unrank(QLANG_GRAMMAR, i - 1)
+
+
+def test_qlang_actions_build_the_parse_tree_of_every_node_kind():
+    # '+' and '%' first appear at length 9 and '&' and '|' at 13, past the
+    # sweep above; with 'x' and '1' as the only operands those lengths stay small
+    g = Grammar(QLANG_ALPHABET, "bexp", dict(QLANG_GRAMMAR.productions, numeral=(("1",),)), QLANG_GRAMMAR.actions)
+    derivations = [grammar_derivation(g, k) for k in range(sum(grammar_count(g, l) for l in range(16)))]
+    assert set("".join(word for word, _ in derivations)) == set("x1()!&|=>+%")
+    for word, ast in derivations:
+        assert ast == parse(word).ast
+
+
+def test_grammar_reports_its_cache_sizes(monkeypatch, capsys):
+    g = QLANG_GRAMMAR
+    cold = Grammar(g.alphabet, g.start, g.productions, g.actions)
+    monkeypatch.setattr(qlang, "QLANG_GRAMMAR", cold)
+    assert cold.cache_sizes() == {"bucket_lengths": 0, "bucket_words": 0, "count_seq": 0, "count_sym": 0}
+    assert nth_program.__wrapped__(5000).source == "(x=655)"
+    sizes = cold.cache_sizes()
+    assert list(sizes) == sorted(sizes)
+    assert sizes == {"bucket_lengths": 1, "bucket_words": WORDS_PER_LENGTH[7], "count_seq": 110, "count_sym": 27}
+    assert capsys.readouterr() == ("", "")
 
 
 def test_programs_parse_back_to_their_source():
