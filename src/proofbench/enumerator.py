@@ -31,8 +31,8 @@ the words that extend the committed prefix, and committing the chosen
 terminal appends one column.  Counts for the committed prefix are kept from
 probe to probe, so a word of length L costs L probes and L column
 extensions.  The descent builds no derivation, so grammar_derivation
-returns None for such a word.  recognizes runs the same chart over all but the last symbol
-of the word and probes for that symbol.
+returns None for such a word.  recognizes runs the same chart over all but
+the last symbol of the word and probes for that symbol.
 
 Grammars must be epsilon-free and contain no unit-production cycles; both
 restrictions are enforced at construction time and keep the length dynamic
@@ -41,6 +41,7 @@ program well-founded.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 
 from .errors import ResourceLimitError
@@ -48,7 +49,8 @@ from .errors import ResourceLimitError
 _UNBOUNDED = None  # sentinel for "no finite maximum word length"
 
 # A length with at most this many words is unranked from its materialized
-# bucket; building one may make at most 4x as many partial words.
+# bucket; the lists kept while building one may hold at most 4x as many
+# entries in all.
 _BUCKET_WORDS = 500_000
 
 
@@ -368,16 +370,22 @@ def grammar_count(grammar: Grammar, length: int, max_entries: int = 1_000_000) -
 
 
 def _bucket(grammar: Grammar, length: int) -> list:
-    """All (word, value) pairs of the given length, in lex order, built once and cached."""
-    cached = grammar._buckets.get(length)
-    if cached is not None:
-        return cached
+    """All (word, value) pairs of the given length, in lex order; cached in grammar._buckets."""
     prods, actions = grammar.productions, grammar.actions
     memo: dict = {}
     cells = 0
 
-    def derive(sym, l):
+    def keep(key, out):
         nonlocal cells
+        cells += len(out)
+        if cells > 4 * _BUCKET_WORDS:
+            raise ResourceLimitError(
+                "word bucket construction exceeded its budget",
+                budget="bucket_cells", limit=4 * _BUCKET_WORDS, attempted=cells,
+            )
+        memo[key] = out
+
+    def derive(sym, l):
         if sym not in prods:
             return [(sym, sym)] if l == 1 else []
         out = memo.get((sym, l))
@@ -385,13 +393,7 @@ def _bucket(grammar: Grammar, length: int) -> list:
             out = []
             for rhs in prods[sym]:
                 out += derive_seq(rhs, 0, l, actions.get((sym, rhs)))
-            cells += len(out)
-            if cells > 4 * _BUCKET_WORDS:
-                raise ResourceLimitError(
-                    "word bucket construction exceeded its budget",
-                    budget="bucket_cells", limit=4 * _BUCKET_WORDS, attempted=cells,
-                )
-            memo[(sym, l)] = out
+            keep((sym, l), out)
         return out
 
     def derive_seq(rhs, i, l, act=None):
@@ -409,9 +411,10 @@ def _bucket(grammar: Grammar, length: int) -> list:
                 if i:
                     out += [(w + t, (v,) + c) for w, v in heads for t, c in tails]
                 else:
-                    out += [(word, act and act(word, (v,) + c)) for w, v in heads for t, c in tails for word in (w + t,)]
+                    out += [(word, act and act(word, (v,) + c))
+                            for w, v in heads for t, c in tails for word in (w + t,)]
             if i:
-                memo[(rhs, i, l)] = out
+                keep((rhs, i, l), out)
         return out
 
     # every word here has the same length, so code points in alphabet order sort it
@@ -537,11 +540,11 @@ def _locate(grammar: Grammar, k: int, max_entries: int):
             raise ValueError(f"rank {k} is beyond the language: only {cum[length]} words exist")
         cum.append(cum[length] + grammar_count(grammar, length, max_entries))
         length += 1
-    length -= 1
-    while cum[length] > k:
-        length -= 1
-    bucketed = grammar_count(grammar, length, max_entries) <= _BUCKET_WORDS
-    return length, k - cum[length], _bucket(grammar, length) if bucketed else None
+    length = bisect.bisect_right(cum, k) - 1
+    bucket = grammar._buckets.get(length)
+    if bucket is None and grammar_count(grammar, length, max_entries) <= _BUCKET_WORDS:
+        bucket = _bucket(grammar, length)
+    return length, k - cum[length], bucket
 
 
 def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> str:
@@ -569,8 +572,8 @@ def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> st
     return "".join(word)
 
 
-def grammar_derivation(grammar: Grammar, k: int, max_entries: int = 1_000_000):
+def grammar_derivation(grammar: Grammar, k: int):
     """(grammar_unrank(grammar, k), its value under the grammar's actions), or
     None past the bucket, where prefix descent builds no derivation."""
-    _, j, bucket = _locate(grammar, k, max_entries)
+    _, j, bucket = _locate(grammar, k, 1_000_000)
     return None if bucket is None else bucket[j]

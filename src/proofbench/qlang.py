@@ -261,9 +261,7 @@ def nth_program(i: int) -> QProgram:
     if i < 1:
         raise ValueError("program indices start at 1")
     derivation = grammar_derivation(QLANG_GRAMMAR, i - 1)
-    if derivation is None:
-        return parse(grammar_unrank(QLANG_GRAMMAR, i - 1))
-    return QProgram(*derivation)
+    return QProgram(*derivation) if derivation else parse(grammar_unrank(QLANG_GRAMMAR, i - 1))
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,18 @@ def test_bucket_budget_is_enforced(monkeypatch):
     assert str(info.value) == "word bucket construction exceeded its budget"
 
 
+def test_bucket_budget_counts_suffix_lists(monkeypatch):
+    # the lists of S and B hold 2 entries each at length 9; the suffixes
+    # a^7 B, ..., a B, B of S's right-hand side keep 8 more lists of 2 entries
+    g = _grammar({"S": [["a"] * 8 + ["B"]], "B": [["a"], ["b"]]})
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 4)
+    with pytest.raises(ResourceLimitError) as info:
+        enumerator._bucket(g, 9)
+    assert (info.value.limit, info.value.attempted) == (16, 18)
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 5)
+    assert [word for word, _ in enumerator._bucket(g, 9)] == ["aaaaaaaaa", "aaaaaaaab"]
+
+
 # -- prefix descent against the oracles ----------------------------------------------
 
 DESCENT_GRAMMARS = [
@@ -336,6 +348,7 @@ def test_nth_program_by_descent_equals_the_bucketed_program(monkeypatch):
     assert all(grammar_derivation(QLANG_GRAMMAR, k) is not None for k in ranks)
     bucketed = [qlang.nth_program(k + 1) for k in ranks]
     monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 0)
+    monkeypatch.setattr(QLANG_GRAMMAR, "_buckets", {})  # a built bucket is served without a recount
     assert all(grammar_derivation(QLANG_GRAMMAR, k) is None for k in ranks)
     assert [qlang.nth_program.__wrapped__(k + 1) for k in ranks] == bucketed
 
