@@ -6,33 +6,34 @@ mixed-radix form (offset = sum of |A|^l for l < len, plus the base-|A| lex
 position) with arbitrary-precision integers, so no enumeration loop is ever
 needed to locate a string.
 
-The same order is applied to the valid words of a context-free grammar:
-grammar_count computes how many words of a given length the grammar derives
-(a dynamic program over lengths) and grammar_unrank returns the k-th valid
-word without scanning invalid strings.  Counting is by derivation, which
-equals counting by word exactly when the grammar is unambiguous; every
-grammar shipped in this package is, and the test suite checks this against
-a brute-force oracle.
+The same order is applied to the valid words of a context-free grammar.
+grammar_count and grammar_unrank rest on one memoized dynamic program over
+(symbol, length) and (production suffix, length), run over two semirings as
+in semiring parsing (Goodman, Computational Linguistics 1999): integers
+count the derivations of each length, and lists of (word, value) pairs hold
+the words of one length, the value being what the grammar's semantic
+actions make of the derivation.  Each split computes its head before its
+tail, and the tail only for a nonzero head, so the memo fills from short
+lengths up; the caller owns the memo and its budget.  Counting is by
+derivation, which equals counting by word exactly when the grammar is
+unambiguous; every grammar shipped in this package is, and the test suite
+checks this against a brute-force oracle.
 
 grammar_unrank finds the word's length from cumulative counts, then the
-word itself in one of two ways.  A length with at most 500,000 words
-is materialized once, sorted and indexed, which is cheapest when many
-words of one short length are asked for.  One dynamic program over
-(symbol, length) and (production suffix, length) builds that bucket, and
-its entries are (word, value) pairs, as in semiring parsing (Goodman,
-Computational Linguistics 1999): the value is what the grammar's semantic
-actions make of the derivation, so grammar_derivation hands out a
-bucketed word together with, for Q-lang, its syntax tree, and no Q-lang
-program of length <= 7 is ever parsed.  A longer length is found by
-prefix descent over an Earley chart that carries derivation counts
-(Earley, CACM 1970; recursive ranking as in Hickey & Cohen, SIAM J.
-Comput. 1983): at each position one probe counts, for every next terminal,
-the words that extend the committed prefix, and committing the chosen
-terminal appends one column.  Counts for the committed prefix are kept from
-probe to probe, so a word of length L costs L probes and L column
-extensions.  The descent builds no derivation, so grammar_derivation
-returns None for such a word.  recognizes runs the same chart over all but
-the last symbol of the word and probes for that symbol.
+word itself in one of two ways.  A length with at most 500,000 words is
+materialized once, sorted and indexed, which is cheapest when many words of
+one short length are asked for; grammar_derivation hands out such a word
+with its value, for Q-lang its syntax tree, so no Q-lang program of length
+<= 7 is ever parsed.  A longer length is found by prefix descent over an
+Earley chart that carries derivation counts (Earley, CACM 1970; recursive
+ranking as in Hickey & Cohen, SIAM J. Comput. 1983): at each position one
+probe counts, for every next terminal, the words that extend the committed
+prefix, and committing the chosen terminal appends one column.  Counts for
+the committed prefix are kept from probe to probe, so a word of length L
+costs L probes and L column extensions.  The descent builds no derivation,
+so grammar_derivation returns None for such a word.  recognizes runs the
+same chart over all but the last symbol of the word and probes for that
+symbol.
 
 Grammars must be epsilon-free and contain no unit-production cycles; both
 restrictions are enforced at construction time and keep the length dynamic
@@ -150,6 +151,28 @@ def stream(alphabet: Alphabet, from_: int, count: int) -> list[str]:
     return [unrank(alphabet, from_ + i) for i in range(count)]
 
 
+def _post_order(roots, edges: dict):
+    """(the nodes reachable from roots, each after those its edges reach, None),
+    or (None, the node that closes a cycle).  Iterative, for long chains."""
+    state, order = {}, []  # state: 1 while on the path, 2 once finished
+    for root in roots:
+        path = [] if root in state else [(root, iter(edges[root]))]
+        state.setdefault(root, 1)
+        while path:
+            node, rest = path[-1]
+            nxt = next(rest, None)
+            if nxt is None:
+                path.pop()
+                state[node] = 2
+                order.append(node)
+            elif state.get(nxt) == 1:
+                return None, nxt
+            elif nxt not in state:
+                state[nxt] = 1
+                path.append((nxt, iter(edges[nxt])))
+    return order, None
+
+
 class Grammar:
     """A validated context-free grammar over (a subset of) an Alphabet.
 
@@ -173,8 +196,7 @@ class Grammar:
         if any(rhs not in self.productions.get(nt, ()) for nt, rhs in self.actions):
             raise GrammarError("every action must be keyed by a production (nonterminal, rhs)")
         # memoization caches; contents are pure functions of the grammar
-        self._count_sym: dict = {}
-        self._count_seq: dict = {}
+        self._counts: dict = {}
         self._buckets: dict = {}
         self._cum: list[int] = [0]  # _cum[L] = number of words shorter than L
 
@@ -204,22 +226,9 @@ class Grammar:
             nt: {rhs[0] for rhs in alts if len(rhs) == 1 and rhs[0] in prods}
             for nt, alts in prods.items()
         }
-        state: dict[str, int] = {}
-        unit_order: list[str] = []  # post-order: A -> B puts B before A
-
-        def visit(node):
-            state[node] = 1
-            for nxt in unit_edges.get(node, ()):
-                if state.get(nxt) == 1:
-                    raise GrammarError(f"unit-production cycle through {nxt!r}")
-                if nxt not in state:
-                    visit(nxt)
-            state[node] = 2
-            unit_order.append(node)
-
-        for nt in prods:
-            if nt not in state:
-                visit(nt)
+        unit_order, cycle = _post_order(prods, unit_edges)  # A -> B puts B before A
+        if cycle is not None:
+            raise GrammarError(f"unit-production cycle through {cycle!r}")
         self._unit_rank = {nt: i for i, nt in enumerate(unit_order)}
 
         # Earley prediction closure: the nonterminals whose productions are
@@ -255,28 +264,20 @@ class Grammar:
             raise GrammarError("start symbol derives no finite word")
         self._minlen = minlen
 
-        # finiteness: the longest word, walking the usable productions (those
-        # whose symbols are all productive) from the start.  The language is
-        # infinite iff that walk meets a nonterminal still on its own stack,
-        # so an entry is _UNBOUNDED until its maximum is known.
-        maxlen: dict[str, int | None] = {}
-
-        def max_of(sym) -> int | None:
-            if sym in terminal_set:
-                return 1
-            if sym not in maxlen:
-                maxlen[sym] = _UNBOUNDED
-                best = 0
-                for rhs in prods[sym]:
-                    if all(s in terminal_set or minlen[s] is not None for s in rhs):
-                        lengths = [max_of(s) for s in rhs]
-                        if _UNBOUNDED in lengths:
-                            return _UNBOUNDED
-                        best = max(best, sum(lengths))
-                maxlen[sym] = best
-            return maxlen[sym]
-
-        self._max_word_len = max_of(self.start)
+        # finiteness: the longest word, over the usable productions (those
+        # whose symbols are all productive) reachable from the start.  The
+        # language is infinite iff they close a cycle; otherwise the longest
+        # word of each nonterminal follows from its children's, in post-order.
+        usable = {
+            nt: [rhs for rhs in alts if all(s in terminal_set or minlen[s] is not None for s in rhs)]
+            for nt, alts in prods.items()
+        }
+        order, _ = _post_order([self.start], {nt: {s for rhs in alts for s in rhs if s in prods}
+                                              for nt, alts in usable.items()})
+        maxlen: dict[str, int] = {}
+        for nt in order or ():
+            maxlen[nt] = max(sum(1 if s in terminal_set else maxlen[s] for s in rhs) for rhs in usable[nt])
+        self._max_word_len = maxlen.get(self.start, _UNBOUNDED)
 
         # precomputed minimum lengths for every production suffix
         suffix_min: dict = {}
@@ -292,65 +293,18 @@ class Grammar:
                     suffix_min[(rhs, i)] = acc
         self._suffix_min = suffix_min
 
-    # -- counting ---------------------------------------------------------
-
-    def _check_budget(self, max_entries: int):
-        entries = len(self._count_sym) + len(self._count_seq)
-        if entries > max_entries:
-            raise ResourceLimitError(
-                f"grammar count table exceeded {max_entries} entries; raise the budget to continue",
-                budget="max_entries", limit=max_entries, attempted=entries,
-            )
-
-    def _csym(self, sym: str, length: int, max_entries: int) -> int:
-        if sym not in self.productions:
-            return 1 if length == 1 else 0
-        key = (sym, length)
-        hit = self._count_sym.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        for rhs in self.productions[sym]:
-            total += self._cseq(rhs, 0, length, max_entries)
-        self._count_sym[key] = total
-        self._check_budget(max_entries)
-        return total
-
-    def _cseq(self, rhs, i: int, length: int, max_entries: int) -> int:
-        if i == len(rhs):
-            return 1 if length == 0 else 0
-        key = (rhs, i, length)
-        hit = self._count_seq.get(key)
-        if hit is not None:
-            return hit
-        first = rhs[i]
-        if first in self.productions:
-            first_min = self._minlen[first]
-            if first_min is None:
-                self._count_seq[key] = 0
-                return 0
-        else:
-            first_min = 1
-        rest_min = self._suffix_min[(rhs, i + 1)]
-        total = 0
-        for l1 in range(first_min, length - rest_min + 1):
-            c = self._csym(first, l1, max_entries)
-            if c:
-                total += c * self._cseq(rhs, i + 1, length - l1, max_entries)
-        self._count_seq[key] = total
-        self._check_budget(max_entries)
-        return total
+    # -- caches and recognition ---------------------------------------------
 
     def cache_sizes(self) -> dict:
-        """Entries in the count memos, cached bucket lengths and bucketed words."""
+        """Cached bucket lengths, bucketed words, and the count memo's entries,
+        split into (production suffix, length) and (symbol, length) keys."""
+        seq = sum(len(key) == 3 for key in self._counts)
         return {
             "bucket_lengths": len(self._buckets),
             "bucket_words": sum(map(len, self._buckets.values())),
-            "count_seq": len(self._count_seq),
-            "count_sym": len(self._count_sym),
+            "count_seq": seq,
+            "count_sym": len(self._counts) - seq,
         }
-
-    # -- recognition ------------------------------------------------------
 
     def recognizes(self, word: str, max_entries: int = 1_000_000) -> bool:
         """True iff the grammar derives the word."""
@@ -362,65 +316,101 @@ class Grammar:
         return chart.probe(0).get(word[-1], 0) > 0
 
 
+def _length_dp(grammar: Grammar, memo: dict, keep, zero, terminal, empty, join):
+    """(sym, seq): one memoized length-split DP over the caller's algebra.
+
+    sym(s, l) values the derivations of s over l symbols, seq(rhs, i, l, lhs)
+    those of rhs[i:].  The algebra is a fresh zero(), terminal(c), the empty
+    suffix's value, +=, and join(lhs, rhs, i, head, tail) of rhs[i]'s value
+    and rhs[i + 1:]'s (lhs matters only for a whole rhs, i == 0).
+    keep(key, value) stores an entry in memo, or declines to, under the
+    caller's budget.  A split computes its head first and its tail only for
+    a nonzero head, so the memo fills from short lengths up and the
+    recursion deepens with the nesting of nonterminals, not the length.
+    """
+    prods, minlen, suffix_min = grammar.productions, grammar._minlen, grammar._suffix_min
+
+    def sym(s, l):
+        if s not in prods:
+            return terminal(s) if l == 1 else zero()
+        value = memo.get((s, l))
+        if value is None:
+            value = zero()
+            for rhs in prods[s]:
+                value += seq(rhs, 0, l, s)
+            keep((s, l), value)
+        return value
+
+    def seq(rhs, i, l, lhs=None):
+        if i == len(rhs):
+            return empty if l == 0 else zero()
+        value = memo.get((rhs, i, l))
+        if value is None:
+            value = zero()
+            first_min = minlen[rhs[i]] if rhs[i] in prods else 1  # None: derives nothing
+            for l1 in range(first_min or l + 1, l - suffix_min[(rhs, i + 1)] + 1):
+                head = sym(rhs[i], l1)
+                if head:
+                    value += join(lhs, rhs, i, head, seq(rhs, i + 1, l - l1))
+            keep((rhs, i, l), value)
+        return value
+
+    return sym, seq
+
+
+def _counter(grammar: Grammar, max_entries: int):
+    """The counting (sym, seq) over grammar._counts, at most max_entries entries."""
+    counts = grammar._counts
+
+    def keep(key, value):
+        counts[key] = value
+        if len(counts) > max_entries:
+            raise ResourceLimitError(
+                f"grammar count table exceeded {max_entries} entries; raise the budget to continue",
+                budget="max_entries", limit=max_entries, attempted=len(counts),
+            )
+
+    return _length_dp(grammar, counts, keep, int, lambda c: 1, 1, lambda lhs, rhs, i, head, tail: head * tail)
+
+
 def grammar_count(grammar: Grammar, length: int, max_entries: int = 1_000_000) -> int:
     """Number of distinct words of exactly the given length the grammar derives."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    return grammar._csym(grammar.start, length, max_entries)
+    count, _ = _counter(grammar, max_entries)
+    return count(grammar.start, length)
 
 
 def _bucket(grammar: Grammar, length: int) -> list:
     """All (word, value) pairs of the given length, in lex order; cached in grammar._buckets."""
-    prods, actions = grammar.productions, grammar.actions
+    actions = grammar.actions
     memo: dict = {}
     cells = 0
 
-    def keep(key, out):
+    def keep(key, pairs):
         nonlocal cells
-        cells += len(out)
+        if len(key) == 3 and key[1] == 0:
+            return  # a whole right-hand side's pairs are not kept, to spare peak memory
+        cells += len(pairs)
         if cells > 4 * _BUCKET_WORDS:
             raise ResourceLimitError(
                 "word bucket construction exceeded its budget",
                 budget="bucket_cells", limit=4 * _BUCKET_WORDS, attempted=cells,
             )
-        memo[key] = out
+        memo[key] = pairs
 
-    def derive(sym, l):
-        if sym not in prods:
-            return [(sym, sym)] if l == 1 else []
-        out = memo.get((sym, l))
-        if out is None:
-            out = []
-            for rhs in prods[sym]:
-                out += derive_seq(rhs, 0, l, actions.get((sym, rhs)))
-            keep((sym, l), out)
-        return out
+    def join(lhs, rhs, i, heads, tails):
+        # (word, child values) of a suffix, but (word, act(word, child values)) of a whole rhs
+        if i:
+            return [(w + t, (v,) + c) for w, v in heads for t, c in tails]
+        act = actions.get((lhs, rhs))
+        return [(word, act and act(word, (v,) + c)) for w, v in heads for t, c in tails for word in (w + t,)]
 
-    def derive_seq(rhs, i, l, act=None):
-        # (word, child values) of rhs[i:] over l symbols, but (word, act(word, child
-        # values)) for a whole rhs (i == 0), which is not memoized to spare peak memory
-        if i == len(rhs):
-            return [("", ())] if l == 0 else []
-        out = memo.get((rhs, i, l))
-        if out is None:
-            out = []
-            first_min = grammar._minlen[rhs[i]] if rhs[i] in prods else 1  # None: derives nothing
-            for l1 in range(first_min or l + 1, l - grammar._suffix_min[(rhs, i + 1)] + 1):
-                tails = derive_seq(rhs, i + 1, l - l1)
-                heads = derive(rhs[i], l1) if tails else ()
-                if i:
-                    out += [(w + t, (v,) + c) for w, v in heads for t, c in tails]
-                else:
-                    out += [(word, act and act(word, (v,) + c))
-                            for w, v in heads for t, c in tails for word in (w + t,)]
-            if i:
-                keep((rhs, i, l), out)
-        return out
-
+    derive, _ = _length_dp(grammar, memo, keep, list, lambda c: [(c, c)], [("", ())], join)
     # every word here has the same length, so code points in alphabet order sort it
     order = {ord(s): i for i, s in enumerate(grammar.alphabet.symbols)}
     bucket = derive(grammar.start, length)
-    memo.clear()  # derive and derive_seq form a cycle that would keep it alive
+    memo.clear()  # the DP's two functions form a cycle that would keep it alive
     bucket.sort(key=lambda pair: pair[0].translate(order))
     grammar._buckets[length] = bucket
     return bucket
@@ -439,7 +429,7 @@ class _Chart:
 
     def __init__(self, grammar: Grammar, max_entries: int):
         self.grammar = grammar
-        self.max_entries = max_entries
+        _, self._count_seq = _counter(grammar, max_entries)
         self.columns: list[dict] = []
         self._ups: dict = {}
         self._add_column({}, {grammar.start})
@@ -519,10 +509,9 @@ class _Chart:
         """Ways to finish rhs[dot:], then the ancestors of lhs, with r symbols."""
         if dot == len(rhs):
             return self._up(lhs, origin, r)
-        g = self.grammar
         total = 0
-        for r1 in range(g._suffix_min[(rhs, dot)], r + 1):
-            c = g._cseq(rhs, dot, r1, self.max_entries)
+        for r1 in range(self.grammar._suffix_min[(rhs, dot)], r + 1):
+            c = self._count_seq(rhs, dot, r1)
             if c:
                 total += c * self._up(lhs, origin, r - r1)
         return total
@@ -542,7 +531,7 @@ def _locate(grammar: Grammar, k: int, max_entries: int):
         length += 1
     length = bisect.bisect_right(cum, k) - 1
     bucket = grammar._buckets.get(length)
-    if bucket is None and grammar_count(grammar, length, max_entries) <= _BUCKET_WORDS:
+    if bucket is None and cum[length + 1] - cum[length] <= _BUCKET_WORDS:
         bucket = _bucket(grammar, length)
     return length, k - cum[length], bucket
 

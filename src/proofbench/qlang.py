@@ -250,7 +250,6 @@ def evaluate(program: QProgram, x: int) -> int:
 
 # -- the enumerated program list ------------------------------------------
 
-@functools.lru_cache(maxsize=None)
 def nth_program(i: int) -> QProgram:
     """The i-th valid program (1-based) in length-then-lex order.
 

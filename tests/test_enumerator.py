@@ -157,6 +157,17 @@ def test_grammar_allows_left_recursion():
     assert grammar_unrank(g, 2) == "aaa"
 
 
+def test_grammar_validates_long_chains_iteratively():
+    ab, n = Alphabet.from_string("ab"), 2000
+    units = {**{f"N{i}": [[f"N{i + 1}"]] for i in range(n - 1)}, f"N{n - 1}": [["a"]]}
+    assert Grammar(ab, "N0", units)._max_word_len == 1
+    sequences = {**{f"N{i}": [["a", f"N{i + 1}"]] for i in range(n)}, f"N{n}": [["a"]]}
+    assert Grammar(ab, "N0", sequences)._max_word_len == n + 1
+    units[f"N{n - 1}"] = [["N0"], ["a"]]
+    with pytest.raises(GrammarError, match="unit-production cycle"):
+        Grammar(ab, "N0", units)
+
+
 # -- counting and unranking --------------------------------------------------------
 
 BALANCED = {"S": [["a", "b"], ["a", "S", "b"], ["S", "S"]]}
@@ -175,6 +186,41 @@ def test_grammar_count_equals_words_for_unambiguous_grammar():
     g = _grammar(prods, alphabet=Alphabet.from_string("ab"))
     for length in range(0, 13):
         assert grammar_count(g, length) == len(derive_words(prods, "S", length))
+
+
+def test_cold_count_of_a_long_qlang_length():
+    # each split counts its head before its tail, so the memo fills from short
+    # lengths up and the recursion does not deepen with the length
+    g = Grammar(QLANG_GRAMMAR.alphabet, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions)
+    count = grammar_count(g, 1000)
+    assert (len(str(count)), count % (2**61 - 1)) == (1002, 1751370876803359850)
+
+
+@st.composite
+def _small_grammars(draw):
+    """Epsilon-free grammars of 2-4 nonterminals over ab, right-hand sides of 1-3 symbols."""
+    nonterminals = ["S", "T", "U", "V"][: draw(st.integers(2, 4))]
+    symbol = st.one_of(st.sampled_from("ab"), st.sampled_from(nonterminals))  # terminals half the time
+    rhs = st.lists(symbol, min_size=1, max_size=3)
+    return {nt: draw(st.lists(rhs, min_size=1, max_size=3)) for nt in nonterminals}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_grammars())
+def test_counts_buckets_and_descent_agree_with_the_oracle(prods):
+    ab = Alphabet.from_string("ab")
+    try:
+        g = Grammar(ab, "S", prods)
+    except GrammarError:
+        return
+    expected = [sorted(derive_words(prods, "S", length), key=ab.key) for length in range(7)]
+    assert [grammar_count(g, length) for length in range(7)] == list(map(len, expected))
+    assert [[word for word, _ in enumerator._bucket(g, length)] for length in range(7)] == expected
+    words = [word for same_length in expected for word in same_length]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumerator, "_BUCKET_WORDS", 0)
+        descended = Grammar(ab, "S", prods)
+        assert [grammar_unrank(descended, k) for k in range(len(words))] == words
 
 
 def test_grammar_unrank_lists_words_in_shortlex_order():
@@ -350,7 +396,7 @@ def test_nth_program_by_descent_equals_the_bucketed_program(monkeypatch):
     monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 0)
     monkeypatch.setattr(QLANG_GRAMMAR, "_buckets", {})  # a built bucket is served without a recount
     assert all(grammar_derivation(QLANG_GRAMMAR, k) is None for k in ranks)
-    assert [qlang.nth_program.__wrapped__(k + 1) for k in ranks] == bucketed
+    assert [qlang.nth_program(k + 1) for k in ranks] == bucketed
 
 
 @settings(max_examples=60, deadline=None)

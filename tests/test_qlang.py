@@ -248,7 +248,7 @@ def test_grammar_reports_its_cache_sizes(monkeypatch, capsys):
     cold = Grammar(g.alphabet, g.start, g.productions, g.actions)
     monkeypatch.setattr(qlang, "QLANG_GRAMMAR", cold)
     assert cold.cache_sizes() == {"bucket_lengths": 0, "bucket_words": 0, "count_seq": 0, "count_sym": 0}
-    assert nth_program.__wrapped__(5000).source == "(x=655)"
+    assert nth_program(5000).source == "(x=655)"
     sizes = cold.cache_sizes()
     assert list(sizes) == sorted(sizes)
     assert sizes == {"bucket_lengths": 1, "bucket_words": WORDS_PER_LENGTH[7], "count_seq": 110, "count_sym": 27}
