@@ -37,70 +37,56 @@ single-codepoint symbol per line, order significant.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from pathlib import Path
 
-from . import qlang
-from .enumerator import Alphabet, GrammarError, grammar_count, rank, stream, unrank
+from .enumerator import Alphabet, GrammarError, rank, stream, unrank
 from .errors import NestingError, ParseError, ResourceLimitError
-from .pi_system import (
-    Accept,
-    FbarAtom,
-    check_derivation,
-    derivation_file_text,
-    make_axiom_pack,
-    negate_fbar,
-    parse_derivation_file,
-    parse_statement,
-    pretty_statement,
-)
-from .proof_search import (
-    DERIVABLE,
-    NOT_DERIVABLE,
-    DerivedNegation,
-    DerivedTarget,
-    Exhausted,
-    SearchBudget,
-    SearchMode,
-    audit_consistency,
-    audit_soundness,
-    completeness_gap,
-    decide_fbar,
-    search,
-)
+
+# Each command imports the modules it uses in its handler, so that small
+# commands skip the proof modules.  These five names stay attributes of this
+# module, read from the package's lazy exports on first access; handlers call
+# them through _self, so a caller that rebinds them here (as perfbench's
+# traced CLI child does) sees every call.
+_REBINDABLE = ("make_axiom_pack", "parse_derivation_file", "check_derivation", "parse_statement", "search")
+_self = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _REBINDABLE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
 
 FORMATS = ("pretty", "csv", "json-lines")
 
 BUILTIN_ALPHABETS = {
     "binary": Alphabet.from_string("01"),
-    "qlang": qlang.QLANG_ALPHABET,
+    "qlang": Alphabet.from_string("x0123456789()+%=>!&|"),  # qlang.QLANG_ALPHABET, without importing qlang
 }
 
 
-@dataclass(frozen=True)
-class GlobalConfig:
-    alphabet: str = "binary"
-    format: str = "pretty"
-    count_table_entries: int = 1_000_000
-    table_cells: int = 1_000_000
-    bucket_words: int = 500_000
-    search_candidates: int = 100_000
+class GlobalConfig(namedtuple(
+    "GlobalConfig",
+    "alphabet format count_table_entries table_cells bucket_words search_candidates",
+    defaults=("binary", "pretty", 1_000_000, 1_000_000, 500_000, 100_000),
+)):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
         for name in ("count_table_entries", "table_cells", "bucket_words", "search_candidates"):
             if getattr(self, name) < 1:
                 raise ValueError(f"budget {name} must be positive")
+        return self
 
     @classmethod
     def from_text(cls, text: str) -> "GlobalConfig":
         values: dict = {}
-        known = {f.name: f.type for f in fields(cls)}
         for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -109,7 +95,7 @@ class GlobalConfig:
             key, value = key.strip(), value.strip()
             if not sep or not key or not value:
                 raise ValueError(f"config line {lineno}: expected 'key = value'")
-            if key not in known:
+            if key not in cls._fields:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
             if key in ("alphabet", "format"):
                 values[key] = value
@@ -121,7 +107,7 @@ class GlobalConfig:
         return cls(**values)
 
     def to_text(self) -> str:
-        return "".join(f"{f.name} = {getattr(self, f.name)}\n" for f in fields(self))
+        return "".join(f"{name} = {value}\n" for name, value in zip(self._fields, self))
 
 
 def _resolve_alphabet(name: str) -> Alphabet:
@@ -144,10 +130,15 @@ def _resolve_alphabet(name: str) -> Alphabet:
 def emit_report(rows: list, fmt: str) -> str:
     """Render records in a stable order; empty input renders empty output."""
     if fmt == "json-lines":
+        import json
+
         return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     if fmt == "csv":
         if not rows:
             return ""
+        import csv
+        import io
+
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
@@ -215,7 +206,7 @@ def build_parser() -> _Parser:
     p.add_argument("statement", help="target statement")
     p.add_argument("--pack", type=int, default=0)
     p.add_argument("--budget", type=int, default=None, help="candidate budget (default from config)")
-    p.add_argument("--mode", choices=[m.value for m in SearchMode], default="structured")
+    p.add_argument("--mode", choices=("literal", "structured"), default="structured")
     p.add_argument("--emit-derivation", metavar="PATH", default=None, help="write the found derivation file")
     _add_format(p)
 
@@ -282,6 +273,8 @@ def _cmd_unrank(args, cfg):
 
 
 def _cmd_qlang(args, cfg):
+    from . import qlang
+
     fmt = _fmt(args, cfg)
     if args.qcommand == "eval":
         if args.source == "-":
@@ -315,8 +308,10 @@ def _cmd_qlang(args, cfg):
 
 
 def _cmd_check(args, cfg):
-    derivation, target = parse_derivation_file(Path(args.file).read_text(encoding="utf-8"))
-    verdict = check_derivation(make_axiom_pack(args.pack), derivation, target)
+    from .pi_system import Accept
+
+    derivation, target = _self.parse_derivation_file(Path(args.file).read_text(encoding="utf-8"))
+    verdict = _self.check_derivation(_self.make_axiom_pack(args.pack), derivation, target)
     if isinstance(verdict, Accept):
         _write("Accept\n")
         return 0
@@ -325,10 +320,13 @@ def _cmd_check(args, cfg):
 
 
 def _cmd_search(args, cfg):
-    target = parse_statement(args.statement)
-    pack = make_axiom_pack(args.pack)
+    from .pi_system import derivation_file_text, negate_fbar, pretty_statement
+    from .proof_search import DerivedTarget, Exhausted, SearchBudget, SearchMode
+
+    target = _self.parse_statement(args.statement)
+    pack = _self.make_axiom_pack(args.pack)
     budget = SearchBudget(max_candidates=args.budget if args.budget is not None else cfg.search_candidates)
-    verdict = search(pack, target, budget, SearchMode(args.mode))
+    verdict = _self.search(pack, target, budget, SearchMode(args.mode))
     if isinstance(verdict, Exhausted):
         _write(emit_report([{"verdict": "Exhausted", "candidates": verdict.candidates}], _fmt(args, cfg)))
         return 2
@@ -348,22 +346,29 @@ def _cmd_search(args, cfg):
 
 
 def _cmd_decide(args, cfg):
-    statement = parse_statement(args.statement)
+    from .pi_system import FbarAtom, pretty_statement
+    from .proof_search import decide_fbar
+
+    statement = _self.parse_statement(args.statement)
     if not isinstance(statement, FbarAtom):
         raise ValueError("decide takes an fbar statement")
-    decision = decide_fbar(make_axiom_pack(args.pack), statement)
+    decision = decide_fbar(_self.make_axiom_pack(args.pack), statement)
     _write(emit_report([{"statement": pretty_statement(statement), "decision": decision}], _fmt(args, cfg)))
     return 0
 
 
 def _cmd_gap(args, cfg):
-    gap = completeness_gap(make_axiom_pack(args.pack), args.xmax)
+    from .proof_search import completeness_gap
+
+    gap = completeness_gap(_self.make_axiom_pack(args.pack), args.xmax)
     _write(emit_report([{"x": x} for x in gap], _fmt(args, cfg)))
     return 0
 
 
 def _cmd_audit(args, cfg):
-    pack = make_axiom_pack(args.pack)
+    from .proof_search import audit_consistency, audit_soundness
+
+    pack = _self.make_axiom_pack(args.pack)
     if args.which == "soundness":
         report = audit_soundness(pack)
         detail = " ".join(f"{x}:{bit}" for x, bit in report.violations)
@@ -382,7 +387,11 @@ def _cmd_audit(args, cfg):
 
 
 def _cmd_demo(args, cfg):
-    pack = make_axiom_pack(args.pack)
+    from .pi_system import FbarAtom, negate_fbar, pretty_statement
+    from .proof_search import NOT_DERIVABLE, SearchBudget, SearchMode, completeness_gap, decide_fbar
+    from .qlang import fbar_truth
+
+    pack = _self.make_axiom_pack(args.pack)
     gap = completeness_gap(pack, args.xmax)
     out = []
     out.append(f"axiom pack: fbar bits for x = 1..{pack.n}, scanning x <= {args.xmax}")
@@ -392,7 +401,7 @@ def _cmd_demo(args, cfg):
         _write("\n".join(out) + "\n")
         return 0
     for x in gap:
-        true_bit = qlang.fbar_truth(x)
+        true_bit = fbar_truth(x)
         atom = FbarAtom(x, true_bit)
         assert decide_fbar(pack, atom) == NOT_DERIVABLE
         out.append(
@@ -400,9 +409,9 @@ def _cmd_demo(args, cfg):
             f"formable, yet {NOT_DERIVABLE}; so is its negation {pretty_statement(negate_fbar(atom))}"
         )
     first = gap[0]
-    atom = FbarAtom(first, qlang.fbar_truth(first))
+    atom = FbarAtom(first, fbar_truth(first))
     budget = SearchBudget(max_candidates=cfg.search_candidates)
-    verdict = search(pack, atom, budget, SearchMode.STRUCTURED)
+    verdict = _self.search(pack, atom, budget, SearchMode.STRUCTURED)
     out.append(
         f"search transcript: target {pretty_statement(atom)}, structured mode, "
         f"budget {cfg.search_candidates} candidates -> {type(verdict).__name__} "

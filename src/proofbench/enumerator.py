@@ -243,23 +243,38 @@ class Grammar:
                     frontier.append(nxt)
             self._predicts[nt] = frozenset(seen)
 
-        # minimum derivable length per nonterminal (fixpoint; None = unproductive)
+        # minimum derivable length per nonterminal (None = unproductive), as
+        # in Knuth's generalization of Dijkstra's algorithm (IPL 1977): pop
+        # the shortest pending minimum, which is then final, and re-total
+        # only the productions that mention its nonterminal
         minlen: dict[str, int | None] = {nt: None for nt in prods}
-        changed = True
-        while changed:
-            changed = False
-            for nt, alts in prods.items():
-                for rhs in alts:
-                    total = 0
-                    for sym in rhs:
-                        m = 1 if sym in terminal_set else minlen[sym]
-                        if m is None:
-                            break
-                        total += m
-                    else:
-                        if minlen[nt] is None or total < minlen[nt]:
-                            minlen[nt] = total
-                            changed = True
+        uses: dict = {nt: [] for nt in prods}
+        for nt, alts in prods.items():
+            for rhs in alts:
+                for sym in dict.fromkeys(rhs):
+                    if sym in prods:
+                        uses[sym].append((nt, rhs))
+        pending: list = []  # (length, tie-break, nonterminal); names need not compare
+
+        def relax(nt, rhs):
+            total = 0
+            for sym in rhs:
+                m = 1 if sym in terminal_set else minlen[sym]
+                if m is None:
+                    return
+                total += m
+            if minlen[nt] is None or total < minlen[nt]:
+                minlen[nt] = total
+                heapq.heappush(pending, (total, self._unit_rank[nt], nt))
+
+        for nt, alts in prods.items():
+            for rhs in alts:
+                relax(nt, rhs)
+        while pending:
+            total, _, nt = heapq.heappop(pending)
+            if total == minlen[nt]:  # else a stale entry, since superseded
+                for user, rhs in uses[nt]:
+                    relax(user, rhs)
         if minlen[self.start] is None:
             raise GrammarError("start symbol derives no finite word")
         self._minlen = minlen
@@ -347,8 +362,12 @@ def _length_dp(grammar: Grammar, memo: dict, keep, zero, terminal, empty, join):
         value = memo.get((rhs, i, l))
         if value is None:
             value = zero()
-            first_min = minlen[rhs[i]] if rhs[i] in prods else 1  # None: derives nothing
-            for l1 in range(first_min or l + 1, l - suffix_min[(rhs, i + 1)] + 1):
+            top = l - suffix_min[(rhs, i + 1)]
+            if rhs[i] in prods:
+                first_min = minlen[rhs[i]]  # None: derives nothing
+            else:
+                first_min, top = 1, min(top, 1)  # a terminal spans exactly one symbol
+            for l1 in range(first_min or l + 1, top + 1):
                 head = sym(rhs[i], l1)
                 if head:
                     value += join(lhs, rhs, i, head, seq(rhs, i + 1, l - l1))

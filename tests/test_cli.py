@@ -3,12 +3,17 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import proofbench.cli as cli
+from proofbench import qlang
 from proofbench.cli import BUILTIN_ALPHABETS, GlobalConfig, emit_report, main
 from proofbench.pi_system import Accept, check_derivation, make_axiom_pack, parse_derivation_file
+from proofbench.proof_search import SearchMode
+from proofbench.qlang import QLANG_ALPHABET
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = str(ROOT / "fixtures" / "paper_3_1.drv")
@@ -234,6 +239,18 @@ def test_config_round_trips():
         assert GlobalConfig.from_text(config.to_text()) == config
 
 
+def test_config_is_an_immutable_record():
+    config = GlobalConfig(format="csv")
+    assert repr(config) == (
+        "GlobalConfig(alphabet='binary', format='csv', count_table_entries=1000000, "
+        "table_cells=1000000, bucket_words=500000, search_candidates=100000)"
+    )
+    assert config == GlobalConfig(format="csv") != GlobalConfig()
+    assert hash(config) == hash(GlobalConfig(format="csv"))
+    with pytest.raises(AttributeError):
+        config.format = "pretty"
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GlobalConfig(format="xml")
@@ -282,6 +299,42 @@ def test_emit_report_formats():
 def test_builtin_alphabets_exist():
     assert "".join(BUILTIN_ALPHABETS["binary"].symbols) == "01"
     assert len(BUILTIN_ALPHABETS["qlang"]) == 20
+    assert BUILTIN_ALPHABETS["qlang"].symbols == QLANG_ALPHABET.symbols
+
+
+def test_search_mode_choices_are_the_search_modes(capsys):
+    with pytest.raises(SystemExit):
+        main(["search", "--help"])
+    assert "--mode {" + ",".join(m.value for m in SearchMode) + "}" in capsys.readouterr().out
+
+
+def test_rebound_cli_and_qlang_names_see_every_call(run, monkeypatch):
+    # perfbench's traced CLI child reads these names and rebinds them to
+    # wrappers before it calls main; the commands must call the wrappers
+    calls = Counter()
+
+    def rebind(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("make_axiom_pack", "parse_derivation_file", "check_derivation", "parse_statement", "search"):
+        rebind(cli, name)
+    for name in ("grammar_unrank", "parse", "evaluate"):
+        rebind(qlang, name)
+    qlang.fbar_truth.cache_clear()  # so that building the pack evaluates its programs
+    assert run("check", FIXTURE, "--pack", "5")[0] == 0
+    assert run("search", "fbar(2) is 1", "--pack", "5")[0] == 0
+    assert run("qlang", "nth", "70000")[0] == 0  # past the buckets: unranked, then parsed
+    assert calls.pop("evaluate") >= 5
+    assert calls == {
+        "make_axiom_pack": 2, "parse_derivation_file": 1, "check_derivation": 1, "parse_statement": 1,
+        "search": 1, "grammar_unrank": 1, "parse": 1,
+    }
 
 
 def test_cli_output_is_deterministic(run):
