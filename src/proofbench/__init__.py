@@ -28,67 +28,7 @@ _HOMES = {
     for name in names.split()
 }
 
-__all__ = [
-    "Accept",
-    "Alphabet",
-    "AuditReport",
-    "AxiomInstance",
-    "AxiomPack",
-    "BitTable",
-    "DERIVABLE",
-    "Derivation",
-    "DerivedNegation",
-    "DerivedTarget",
-    "Exhausted",
-    "FbarAtom",
-    "Grammar",
-    "GrammarError",
-    "Greater",
-    "IntTyping",
-    "Line",
-    "NOT_DERIVABLE",
-    "Num",
-    "ParseError",
-    "Premise",
-    "QLANG_ALPHABET",
-    "QLANG_GRAMMAR",
-    "QProgram",
-    "Reject",
-    "ResourceLimitError",
-    "RuleApplication",
-    "SearchBudget",
-    "SearchMode",
-    "Sum",
-    "UnknownSymbolError",
-    "Var",
-    "audit_consistency",
-    "audit_soundness",
-    "can_form",
-    "check_derivation",
-    "completeness_gap",
-    "decide_fbar",
-    "derivation_file_text",
-    "diagonal",
-    "diagonal_flip",
-    "evaluate",
-    "fbar_truth",
-    "grammar_count",
-    "grammar_derivation",
-    "grammar_unrank",
-    "make_axiom_pack",
-    "negate_fbar",
-    "nth_program",
-    "parse",
-    "parse_derivation_file",
-    "parse_statement",
-    "pretty_statement",
-    "pretty_term",
-    "rank",
-    "search",
-    "stream",
-    "table",
-    "unrank",
-]
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name):

@@ -103,11 +103,6 @@ class Alphabet:
     def __repr__(self) -> str:
         return f"Alphabet({''.join(self.symbols)!r})"
 
-    def key(self, word: str):
-        """Sort key realizing length-then-lex order for words over this alphabet."""
-        idx = self._index
-        return (len(word), tuple(idx[c] for c in word))
-
 
 def unrank(alphabet: Alphabet, k: int) -> str:
     """The k-th string (0-based) over the alphabet in length-then-lex order."""
@@ -231,17 +226,9 @@ class Grammar:
             raise GrammarError(f"unit-production cycle through {cycle!r}")
         self._unit_rank = {nt: i for i, nt in enumerate(unit_order)}
 
-        # Earley prediction closure: the nonterminals whose productions are
-        # predicted when a nonterminal is awaited (left corners, reflexively)
-        corners = {nt: {rhs[0] for rhs in alts if rhs[0] in prods} for nt, alts in prods.items()}
-        self._predicts: dict[str, frozenset] = {}
-        for nt in prods:
-            seen, frontier = {nt}, [nt]
-            while frontier:
-                for nxt in corners[frontier.pop()] - seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-            self._predicts[nt] = frozenset(seen)
+        # Earley prediction: each nonterminal's direct left corners; a chart
+        # column closes its awaited set over them
+        self._corners = {nt: {rhs[0] for rhs in alts if rhs[0] in prods} for nt, alts in prods.items()}
 
         # minimum derivable length per nonterminal (None = unproductive), as
         # in Knuth's generalization of Dijkstra's algorithm (IPL 1977): pop
@@ -459,8 +446,13 @@ class _Chart:
         column: dict = {}
         for (lhs, rhs, dot, origin), w in items.items():
             column.setdefault(rhs[dot], []).append((lhs, rhs, dot, origin, w))
-        predicts = self.grammar._predicts
-        for nt in set().union(*(predicts[a] for a in awaited)):
+        corners = self.grammar._corners
+        predicted, frontier = set(awaited), list(awaited)
+        while frontier:  # close the awaited nonterminals over their left corners
+            for nxt in corners[frontier.pop()] - predicted:
+                predicted.add(nxt)
+                frontier.append(nxt)
+        for nt in predicted:
             for rhs in self.grammar.productions[nt]:
                 column.setdefault(rhs[0], []).append((nt, rhs, 0, n, 1))
         self.columns.append(column)

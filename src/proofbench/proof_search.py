@@ -35,6 +35,10 @@ nothing, counting them as candidates tried.  The encoding is positional:
     r<P><P>         from proofs of a > b and b > c, conclude a > c
 
 (When a hand-built pack carries both bits for the same index, F picks bit 0.)
+Proof terms are prefix notation, so one left-to-right pass with a stack of
+open rules decodes a string.  Each finished sub-proof is keyed and tagged as
+structured search keys and tags its statements, in the same per-search term
+table, so a candidate is goal-tested by key and no statement is built for it.
 Every derivable statement has a proof term, so literal mode is exhaustive in
 the limit as well — just spectacularly slower, which is why it is exercised
 on one-line targets.  Found proofs in either mode are rebuilt into derivation
@@ -115,7 +119,26 @@ class Exhausted:
     candidates: int
 
 
-# -- shared reconstruction -----------------------------------------------------
+# -- keys and reconstruction, shared by both modes ------------------------------
+
+def _key(statement, ids: dict):
+    """int(t) -> t's id in ids, a > b -> (a's id, b's id), an fbar atom -> itself.
+    New terms get the next ids, parts first, walked with an explicit stack."""
+    if isinstance(statement, FbarAtom):
+        return statement
+    out: list = []
+    stack = [statement.rhs, statement.lhs] if isinstance(statement, Greater) else [statement.term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Sum):
+            stack += (None, t.right, t.left)
+        elif t is None:  # both parts of a sum are done
+            right = out.pop()
+            out.append(ids.setdefault((out.pop(), right), len(ids)))
+        else:
+            out.append(ids.setdefault(("v", t.name) if isinstance(t, Var) else ("n", t.value), len(ids)))
+    return tuple(out) if isinstance(statement, Greater) else out[0]
+
 
 def _reconstruct(header, origins, goal) -> Derivation:
     """Rebuild a derivation file from origin tags, deduplicating sub-proofs.
@@ -178,32 +201,8 @@ class _BudgetHit(Exception):
     pass
 
 
-def _key(statement, ids: dict):
-    """int(t) -> t's id in ids, a > b -> (a's id, b's id), an fbar atom -> itself.
-    New terms get the next ids, parts first, walked with an explicit stack."""
-    if isinstance(statement, FbarAtom):
-        return statement
-    out: list = []
-    stack = [statement.rhs, statement.lhs] if isinstance(statement, Greater) else [statement.term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Sum):
-            stack += (None, t.right, t.left)
-        elif t is None:  # both parts of a sum are done
-            right = out.pop()
-            out.append(ids.setdefault((out.pop(), right), len(ids)))
-        else:
-            out.append(ids.setdefault(("v", t.name) if isinstance(t, Var) else ("n", t.value), len(ids)))
-    return tuple(out) if isinstance(statement, Greater) else out[0]
-
-
-def _search_structured(pack: AxiomPack, target, budget: SearchBudget):
-    started = time.monotonic()
-    header = statement_vars(target)
-    ids: dict = {}  # term ids: ("v", name), ("n", value) or (left id, right id) -> id
+def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: SearchBudget, started: float):
     term_id = ids.setdefault  # term_id(key, len(ids)) interns key
-    negation = negate_fbar(target) if isinstance(target, FbarAtom) else None
-    goals = {_key(target, ids), negation}
     origins: dict = {}
     queue: deque = deque()
     candidates = 0
@@ -233,7 +232,7 @@ def _search_structured(pack: AxiomPack, target, budget: SearchBudget):
             emit(FbarAtom(i, bit), ("FBAR", i, bit))
         while True:
             if budget.max_seconds is not None and time.monotonic() - started >= budget.max_seconds:
-                return Exhausted(candidates)
+                return None, origins, candidates
             # the numeral stream keeps the worklist fed even from empty seeds
             emit(term_id(("n", next_numeral), len(ids)), ("A3", next_numeral))
             next_numeral += 1
@@ -255,14 +254,15 @@ def _search_structured(pack: AxiomPack, target, budget: SearchBudget):
                 greater_by_rhs.setdefault(rhs, []).append(key)
             # fbar atoms feed no rule; they were goal-tested on arrival
     except _BudgetHit:
-        return Exhausted(candidates)
+        return None, origins, candidates
     except _Found as found:
-        return _verdict(pack, target, _reconstruct(header, origins, found.key), candidates)
+        return found.key, origins, candidates
 
 
 # -- literal mode ----------------------------------------------------------------
 
 _LITERAL_BASE = "0123456789.Fabcpr"
+_ARITY = {"a": 1, "b": 2, "r": 2}
 
 
 def _literal_alphabet(header) -> Alphabet:
@@ -270,114 +270,81 @@ def _literal_alphabet(header) -> Alphabet:
     return Alphabet.from_string(_LITERAL_BASE + extra)
 
 
-def _decode_numeral(text: str, pos: int):
-    start = pos
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    digits = text[start:pos]
-    if not digits or (digits[0] == "0" and len(digits) > 1):
-        return None
-    if pos >= len(text) or text[pos] != ".":
-        return None
-    return int(digits), pos + 1
+def _decode(text: str, pack: AxiomPack, header, ids: dict, origins: dict):
+    """Decode one proof term in one left-to-right pass; return its key or None.
 
-
-def _decode(text: str, pack: AxiomPack, header, origins: dict):
-    """Decode one proof term; returns (statement, end position) or None."""
-
-    def rec(pos: int):
-        if pos >= len(text):
-            return None
+    Proof terms are prefix notation, so a rule letter waits on the stack until
+    its operands are done.  Each finished sub-proof gives the key _key would
+    give its conclusion, and its origin tag goes into origins in post-order.
+    """
+    term_id = ids.setdefault
+    stack: list = []  # open rules: [letter, operand keys so far...]
+    pos, end = 0, len(text)
+    while pos < end:
         head = text[pos]
+        pos += 1
+        if head in _ARITY:
+            stack.append([head])
+            continue
         if head == "p":
-            if pos + 1 >= len(text) or text[pos + 1] not in header:
+            if pos == end or text[pos] not in header:
                 return None
-            stmt = IntTyping(Var(text[pos + 1]))
-            origins[stmt] = ("premise", text[pos + 1])
-            return stmt, pos + 2
-        if head == "c":
-            numeral = _decode_numeral(text, pos + 1)
-            if numeral is None:
+            key, tag = term_id(("v", text[pos]), len(ids)), ("premise", text[pos])
+            pos += 1
+        elif head == "c" or head == "F":  # a numeral: digits, no leading zero, then "."
+            dot = text.find(".", pos)
+            digits = text[pos:dot]
+            if dot < 0 or not digits.isdigit() or (digits[0] == "0" and len(digits) > 1):
                 return None
-            value, end = numeral
-            stmt = IntTyping(Num(value))
-            origins[stmt] = ("A3", value)
-            return stmt, end
-        if head == "F":
-            numeral = _decode_numeral(text, pos + 1)
-            if numeral is None:
-                return None
-            index, end = numeral
-            if index < 1:
-                return None
-            for bit in (0, 1):
-                if (index, bit) in pack.entries:
-                    stmt = FbarAtom(index, bit)
-                    origins[stmt] = ("FBAR", index, bit)
-                    return stmt, end
+            value, pos = int(digits), dot + 1
+            if head == "c":
+                key, tag = term_id(("n", value), len(ids)), ("A3", value)
+            else:
+                bit = 0 if (value, 0) in pack.entries else 1
+                if value < 1 or (value, bit) not in pack.entries:
+                    return None
+                key, tag = FbarAtom(value, bit), ("FBAR", value, bit)
+        else:
             return None
-        if head == "a":
-            sub = rec(pos + 1)
-            if sub is None or not isinstance(sub[0], IntTyping):
+        while True:  # record the finished sub-proof, then each rule it completes
+            origins[key] = tag
+            if not stack:
+                return key if pos == end else None
+            rule = stack[-1]
+            rule.append(key)
+            if len(rule) <= _ARITY[rule[0]]:
+                break
+            stack.pop()
+            letter, first, second = rule[0], rule[1], rule[-1]  # "a" has one operand
+            if letter == "a" and type(first) is int:
+                key, tag = (term_id((first, term_id(("n", 1), len(ids))), len(ids)), first), ("A1", first)
+            elif letter == "b" and type(first) is int and type(second) is int:
+                key, tag = term_id((first, second), len(ids)), ("A2", first, second)
+            elif letter == "r" and type(first) is tuple and type(second) is tuple and first[1] == second[0]:
+                key, tag = (first[0], second[1]), ("R1", first, second)
+            else:
                 return None
-            t = sub[0].term
-            stmt = Greater(Sum(t, Num(1)), t)
-            origins[stmt] = ("A1", sub[0])
-            return stmt, sub[1]
-        if head == "b":
-            first = rec(pos + 1)
-            if first is None or not isinstance(first[0], IntTyping):
-                return None
-            second = rec(first[1])
-            if second is None or not isinstance(second[0], IntTyping):
-                return None
-            stmt = IntTyping(Sum(first[0].term, second[0].term))
-            origins[stmt] = ("A2", first[0], second[0])
-            return stmt, second[1]
-        if head == "r":
-            first = rec(pos + 1)
-            if first is None or not isinstance(first[0], Greater):
-                return None
-            second = rec(first[1])
-            if second is None or not isinstance(second[0], Greater):
-                return None
-            if first[0].rhs != second[0].lhs:
-                return None
-            stmt = Greater(first[0].lhs, second[0].rhs)
-            origins[stmt] = ("R1", first[0], second[0])
-            return stmt, second[1]
-        return None
-
-    result = rec(0)
-    if result is None or result[1] != len(text):
-        return None
-    return result[0]
+    return None
 
 
-def _search_literal(pack: AxiomPack, target, budget: SearchBudget):
-    started = time.monotonic()
-    header = statement_vars(target)
-    negation = negate_fbar(target) if isinstance(target, FbarAtom) else None
+def _search_literal(pack: AxiomPack, header, ids: dict, goals: set, budget: SearchBudget, started: float):
     alphabet = _literal_alphabet(header)
     candidates = 0
-    rank = 0
     while True:
         if budget.max_candidates is not None and candidates >= budget.max_candidates:
-            return Exhausted(candidates)
+            return None, None, candidates
         if (
             budget.max_seconds is not None
-            and rank % 1024 == 0
+            and candidates % 1024 == 0
             and time.monotonic() - started >= budget.max_seconds
         ):
-            return Exhausted(candidates)
-        text = unrank(alphabet, rank)
-        rank += 1
+            return None, None, candidates
+        text = unrank(alphabet, candidates)  # candidate n is the string of rank n - 1
         candidates += 1
         origins: dict = {}
-        stmt = _decode(text, pack, header, origins)
-        if stmt is not None and (stmt == target or stmt == negation):
-            derivation = _reconstruct(header, origins, stmt)
-            return _verdict(pack, target, derivation, candidates)
+        key = _decode(text, pack, header, ids, origins)
+        if key in goals:
+            return key, origins, candidates
 
 
 def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
@@ -396,9 +363,17 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     if not can_form(target):
         raise ValueError(f"not a statement of the system: {target!r}")
     mode = SearchMode(mode)
-    if mode is SearchMode.STRUCTURED:
-        return _search_structured(pack, target, budget)
-    return _search_literal(pack, target, budget)
+    started = time.monotonic()
+    header = statement_vars(target)
+    ids: dict = {}  # term ids: ("v", name), ("n", value) or (left id, right id) -> id
+    goals = {_key(target, ids)}
+    if isinstance(target, FbarAtom):
+        goals.add(negate_fbar(target))
+    run = _search_structured if mode is SearchMode.STRUCTURED else _search_literal
+    found, origins, candidates = run(pack, header, ids, goals, budget, started)
+    if found is None:
+        return Exhausted(candidates)
+    return _verdict(pack, target, _reconstruct(header, origins, found), candidates)
 
 
 # -- static decidability and audits ---------------------------------------------

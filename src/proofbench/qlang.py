@@ -29,7 +29,6 @@ continue, listing everything some reading would accept there.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .enumerator import Alphabet, Grammar, grammar_derivation, grammar_unrank
@@ -317,7 +316,6 @@ def diagonal_flip(bits) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def fbar_truth(x: int) -> int:
     """The x-th flipped-diagonal bit: 1 - (program x on input x)."""
     if x < 1:

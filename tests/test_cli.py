@@ -326,7 +326,6 @@ def test_rebound_cli_and_qlang_names_see_every_call(run, monkeypatch):
         rebind(cli, name)
     for name in ("grammar_unrank", "parse", "evaluate"):
         rebind(qlang, name)
-    qlang.fbar_truth.cache_clear()  # so that building the pack evaluates its programs
     assert run("check", FIXTURE, "--pack", "5")[0] == 0
     assert run("search", "fbar(2) is 1", "--pack", "5")[0] == 0
     assert run("qlang", "nth", "70000")[0] == 0  # past the buckets: unranked, then parsed

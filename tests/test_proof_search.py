@@ -1,6 +1,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proofbench.pi_system import (
     Accept,
@@ -32,6 +34,7 @@ from proofbench.proof_search import (
     decide_fbar,
     search,
 )
+from proofbench.proof_search import _decode, _key, _reconstruct
 from proofbench.qlang import fbar_truth
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "paper_3_1.drv"
@@ -145,6 +148,57 @@ def test_literal_search_handles_compound_targets():
     verdict = search(EMPTY, target, candidates_budget(10**6), SearchMode.LITERAL)
     assert isinstance(verdict, DerivedTarget)
     assert check_derivation(EMPTY, verdict.derivation, target) == Accept()
+
+
+HEADER = ("w", "a", "p")  # variables named like rule letters still read as variables after p
+
+_INT_PROOFS = st.recursive(  # (proof term of int(t), t)
+    st.one_of(
+        st.sampled_from(HEADER).map(lambda v: ("p" + v, Var(v))),
+        st.integers(0, 120).map(lambda n: (f"c{n}.", Num(n))),
+    ),
+    lambda sub: st.tuples(sub, sub).map(lambda pq: ("b" + pq[0][0] + pq[1][0], Sum(pq[0][1], pq[1][1]))),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _ordering_proofs(draw):
+    """A proof term of t_k > t_0, where t_i+1 is t_(i+1): k A1 steps joined by R1 in a drawn bracketing."""
+    text, t = draw(_INT_PROOFS)
+    ints, terms = [], [t]  # ints[i] proves int(t_i)
+    for _ in range(draw(st.integers(1, 4))):
+        ints.append(text)
+        text, t = "b" + text + "c1.", Sum(t, Num(1))
+        terms.append(t)
+
+    def proof(hi, lo):  # of t_hi > t_lo
+        if hi - lo == 1:
+            return "a" + ints[lo]
+        mid = draw(st.integers(lo + 1, hi - 1))
+        return "r" + proof(hi, mid) + proof(mid, lo)
+
+    return proof(len(ints), 0), Greater(terms[-1], terms[0])
+
+
+_PROOF_TERMS = st.one_of(
+    _INT_PROOFS.map(lambda proof: (proof[0], IntTyping(proof[1]))),
+    _ordering_proofs(),
+    st.sampled_from(sorted(PACK5.entries)).map(lambda entry: (f"F{entry[0]}.", FbarAtom(*entry))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PROOF_TERMS)
+def test_literal_decoder_reads_every_well_typed_proof_term(case):
+    text, statement = case
+    ids, origins = {}, {}
+    key = _decode(text, PACK5, HEADER, ids, origins)
+    assert key == _key(statement, ids)
+    assert check_derivation(PACK5, _reconstruct(HEADER, origins, key), statement) == Accept()
+    # a proof term is read whole: a proper prefix or a trailing sub-proof leaves no proof
+    assert _decode(text[:-1], PACK5, HEADER, {}, {}) is None
+    assert _decode(text + "c0.", PACK5, HEADER, {}, {}) is None
 
 
 # -- invariants across modes -------------------------------------------------------------
