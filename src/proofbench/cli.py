@@ -447,7 +447,7 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args, cfg)
     except (NestingError, RecursionError):
-        # statements stop at pi_system.MAX_NESTING; Q-lang eval/pretty and term ==/hash still recurse
+        # statements stop at pi_system.MAX_NESTING; Q-lang eval and term ==/hash still recurse
         print("error: input nested too deeply", file=sys.stderr)
         return 1
     except (ParseError, GrammarError, ValueError, ResourceLimitError, OSError) as exc:

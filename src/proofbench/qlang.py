@@ -29,6 +29,7 @@ continue, listing everything some reading would accept there.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .enumerator import Alphabet, Grammar, grammar_derivation, grammar_unrank
@@ -119,10 +120,10 @@ class Gt:
     right: object
 
 
-@dataclass(frozen=True)
-class QProgram:
-    source: str
-    ast: object
+# A tuple record: nth_program makes one per call, and a named tuple costs
+# about half a frozen dataclass, whose __init__ sets each field through
+# object.__setattr__.
+QProgram = namedtuple("QProgram", "source ast")
 
 
 # -- parsing ---------------------------------------------------------------
@@ -201,17 +202,28 @@ def parse(text: str) -> QProgram:
 
 
 def pretty(ast) -> str:
-    """Canonical (fully parenthesized) source for an expression tree."""
-    if isinstance(ast, X):
-        return "x"
-    if isinstance(ast, Num):
-        return str(ast.value)
-    if isinstance(ast, Not):
-        return f"!{pretty(ast.arg)}"
-    op = _SYMBOLS.get(type(ast))
-    if op is None:
-        raise TypeError(f"not a Q-lang node: {ast!r}")
-    return f"({pretty(ast.left)}{op}{pretty(ast.right)})"
+    """Canonical (fully parenthesized) source for an expression tree.
+
+    Writes left to right from an explicit stack, so any depth is fine."""
+    out, stack = [], [(True, ast)]  # (True, a node to write) or (False, text)
+    while stack:
+        is_node, node = stack.pop()
+        if not is_node:
+            out.append(node)
+        elif isinstance(node, X):
+            out.append("x")
+        elif isinstance(node, Num):
+            out.append(str(node.value))
+        elif isinstance(node, Not):
+            out.append("!")
+            stack.append((True, node.arg))
+        else:
+            op = _SYMBOLS.get(type(node))
+            if op is None:
+                raise TypeError(f"not a Q-lang node: {node!r}")
+            out.append("(")
+            stack += ((False, ")"), (True, node.right), (False, op), (True, node.left))
+    return "".join(out)
 
 
 # -- evaluation ------------------------------------------------------------

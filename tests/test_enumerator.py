@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -316,6 +317,52 @@ def test_bucket_budget_counts_suffix_lists(monkeypatch):
     assert (info.value.limit, info.value.attempted) == (16, 18)
     monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 5)
     assert [word for word, _ in enumerator._bucket(g, 9)] == ["aaaaaaaaa", "aaaaaaaab"]
+
+
+def test_a_bucket_over_its_cell_budget_falls_back_to_descent(monkeypatch):
+    # the grammar of the test above: 2 words of length 9, but 18 cells > 16
+    g = _grammar({"S": [["a"] * 8 + ["B"]], "B": [["a"], ["b"]]})
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 4)
+    builds = []
+    build = enumerator._bucket
+    monkeypatch.setattr(enumerator, "_bucket", lambda grammar, length: builds.append(length) or build(grammar, length))
+    assert grammar_unrank(g, 1) == "aaaaaaaab"
+    assert grammar_unrank(g, 0) == "aaaaaaaaa"
+    assert grammar_derivation(g, 1) is None
+    assert builds == [9]  # the failed length is remembered, not rebuilt
+    assert g.cache_sizes()["bucket_lengths"] == g.cache_sizes()["bucket_words"] == 0
+
+
+def test_only_the_bucket_cell_budget_falls_back_to_descent(monkeypatch):
+    def fail(grammar, length):
+        raise ResourceLimitError("over", budget="max_entries", limit=1, attempted=2)
+
+    monkeypatch.setattr(enumerator, "_bucket", fail)
+    with pytest.raises(ResourceLimitError) as info:
+        grammar_unrank(_grammar({"S": [["a"], ["b"]]}), 0)
+    assert info.value.budget == "max_entries"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_bucket_builds_with_the_collector_paused_and_restores_it(enabled):
+    # the action's value records whether the collector ran during the build
+    g = Grammar(ABC, "S", {"S": [["a", "S"], ["b"]]}, {("S", ("b",)): lambda word, c: gc.isenabled()})
+    try:
+        if not enabled:
+            gc.disable()
+        assert enumerator._bucket(g, 1) == [("b", False)]
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_bucket_restores_the_collector_when_its_budget_is_exceeded(monkeypatch):
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 2)
+    g = _grammar({"S": [["a", "S"], ["b", "S"], ["c", "S"], ["a"], ["b"], ["c"]]})
+    assert gc.isenabled()
+    with pytest.raises(ResourceLimitError):
+        enumerator._bucket(g, 3)
+    assert gc.isenabled()
 
 
 # -- prefix descent against the oracles ----------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -145,6 +146,21 @@ def test_deep_nesting_parses():
     assert node == Gt(X(), Num(1))
 
 
+def test_pretty_writes_deep_trees_without_recursion():
+    source = "!" * 10_000 + "(x=x)"
+    assert pretty(parse(source).ast) == source
+    right = left = X()
+    for _ in range(10_000):
+        right, left = Add(X(), right), Add(left, Num(1))
+    assert pretty(right) == "(x+" * 10_000 + "x" + ")" * 10_000
+    assert pretty(Eq(left, X())) == "(" + "(" * 10_000 + "x" + "+1)" * 10_000 + "=x)"
+
+
+def test_pretty_rejects_a_foreign_node():
+    with pytest.raises(TypeError, match=r"not a Q-lang node: 'x'"):
+        pretty(Not(And(Eq(X(), X()), "x")))
+
+
 def _trees(boolean, depth):
     """Q-lang trees of the given kind, at most `depth` levels deep."""
     if not boolean:
@@ -253,6 +269,34 @@ def test_grammar_reports_its_cache_sizes(monkeypatch, capsys):
     assert list(sizes) == sorted(sizes)
     assert sizes == {"bucket_lengths": 1, "bucket_words": WORDS_PER_LENGTH[7], "count_seq": 110, "count_sym": 27}
     assert capsys.readouterr() == ("", "")
+
+
+def test_programs_are_immutable_tuple_records_equal_to_their_parse():
+    program = nth_program(1)
+    assert repr(program) == "QProgram(source='(x=x)', ast=Eq(left=X(), right=X()))"
+    with pytest.raises(AttributeError):
+        program.source = "(x>x)"
+    with pytest.raises(AttributeError):
+        program.ast = X()
+    for i in (1, 2, 242, 243, 4444, 4445, 64446, 64447):
+        program = nth_program(i)
+        assert program == parse(program.source)
+        assert hash(program) == hash(parse(program.source))
+
+
+# sha256 of the flipped-diagonal bits fbar_truth(lo..hi), one per program
+# length, as recorded with the benchmark's reference outputs
+FLIPPED_DIAGONAL_DIGESTS = {
+    5: (1, 242, "4ae65cd229cdd9b8d0563f637ddb328b7751d2c225406813b0d5f5718a4c5161"),
+    6: (243, 4444, "3221921610c50af57f5e67c7f959d9f5172ec9ab62098cec1ecc1ac87b927101"),
+    7: (4445, 64446, "544b70f1aee3b491f804e7ccf0d5b5f4989eb16b17fc762f8a6a0ae52962d402"),
+}
+
+
+def test_the_whole_bucketed_flipped_diagonal_matches_its_digests():
+    bits = "".join(str(fbar_truth(x)) for x in range(1, 64_447))
+    for length, (lo, hi, digest) in FLIPPED_DIAGONAL_DIGESTS.items():
+        assert hashlib.sha256(bits[lo - 1:hi].encode()).hexdigest() == digest, length
 
 
 def test_programs_parse_back_to_their_source():
