@@ -344,25 +344,21 @@ def test_only_the_bucket_cell_budget_falls_back_to_descent(monkeypatch):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_bucket_builds_with_the_collector_paused_and_restores_it(enabled):
+def test_bucket_builds_with_the_collector_paused_and_restores_it(enabled, monkeypatch):
     # the action's value records whether the collector ran during the build
     g = Grammar(ABC, "S", {"S": [["a", "S"], ["b"]]}, {("S", ("b",)): lambda word, c: gc.isenabled()})
+    over_budget = _grammar({"S": [["a", "S"], ["b", "S"], ["c", "S"], ["a"], ["b"], ["c"]]})
     try:
         if not enabled:
             gc.disable()
         assert enumerator._bucket(g, 1) == [("b", False)]
         assert gc.isenabled() is enabled
+        monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 2)
+        with pytest.raises(ResourceLimitError):
+            enumerator._bucket(over_budget, 3)
+        assert gc.isenabled() is enabled
     finally:
         gc.enable()
-
-
-def test_bucket_restores_the_collector_when_its_budget_is_exceeded(monkeypatch):
-    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 2)
-    g = _grammar({"S": [["a", "S"], ["b", "S"], ["c", "S"], ["a"], ["b"], ["c"]]})
-    assert gc.isenabled()
-    with pytest.raises(ResourceLimitError):
-        enumerator._bucket(g, 3)
-    assert gc.isenabled()
 
 
 # -- prefix descent against the oracles ----------------------------------------------
