@@ -52,10 +52,9 @@ first failing line and one of five reason codes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NestingError, ParseError, ResourceLimitError, numeral_value
 from .qlang import fbar_truth
+from .records import record
 
 REASON_BAD_SUBSTITUTION = "bad-substitution"
 REASON_PREMISE_NOT_DECLARED = "premise-not-declared"
@@ -68,38 +67,24 @@ MAX_NESTING = 500  # parentheses a statement's term may open at once
 
 # -- terms and statements ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+Var = record("Var", "name")
+Num = record("Num", "value")
+Sum = record("Sum", "left right")
 
-@dataclass(frozen=True)
-class Num:
-    value: int
 
-@dataclass(frozen=True)
-class Sum:
-    left: object
-    right: object
+class FbarAtom(record("FbarAtom", "x bit")):
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class FbarAtom:
-    x: int
-    bit: int
-
-    def __post_init__(self):
-        if self.x < 1:
+    def __new__(cls, x: int, bit: int):
+        if x < 1:
             raise ValueError("fbar indices are positive integers")
-        if self.bit not in (0, 1):
+        if bit not in (0, 1):
             raise ValueError("fbar bits are 0 or 1")
+        return tuple.__new__(cls, (x, bit))
 
-@dataclass(frozen=True)
-class Greater:
-    lhs: object
-    rhs: object
 
-@dataclass(frozen=True)
-class IntTyping:
-    term: object
+Greater = record("Greater", "lhs rhs")
+IntTyping = record("IntTyping", "term")
 
 
 def can_form(statement) -> bool:
@@ -133,37 +118,14 @@ def statement_vars(statement) -> tuple[str, ...]:
 
 # -- justifications and derivations ------------------------------------------
 
-@dataclass(frozen=True)
-class Premise:
-    pass
+Premise = record("Premise", "")
+AxiomInstance = record("AxiomInstance", "schema subst")  # subst: ((metavar name, Term), ...) in written order
+RuleApplication = record("RuleApplication", "rule refs")  # refs: referenced line indices
+Line = record("Line", "index statement justification")
+Derivation = record("Derivation", "header lines")  # header: declared integer variable names
 
-@dataclass(frozen=True)
-class AxiomInstance:
-    schema: str
-    subst: tuple  # ((metavar name, Term), ...) in written order
-
-@dataclass(frozen=True)
-class RuleApplication:
-    rule: str
-    refs: tuple  # referenced line indices
-
-@dataclass(frozen=True)
-class Line:
-    index: int
-    statement: object
-    justification: object
-
-@dataclass(frozen=True)
-class Derivation:
-    header: tuple  # declared integer variable names
-    lines: tuple
-
-
-@dataclass(frozen=True)
-class AxiomPack:
-    """A finite stock of fbar axioms: entries is a frozenset of (x, bit)."""
-    n: int
-    entries: frozenset
+# A finite stock of fbar axioms: entries is a frozenset of (x, bit).
+AxiomPack = record("AxiomPack", "n entries")
 
 
 def make_axiom_pack(n: int, max_cells: int = 1_000_000) -> AxiomPack:
@@ -210,14 +172,8 @@ def _axiom_premises(pack: AxiomPack, instance: AxiomInstance, statement):
     return None
 
 
-@dataclass(frozen=True)
-class Accept:
-    pass
-
-@dataclass(frozen=True)
-class Reject:
-    line: int
-    reason: str
+Accept = record("Accept", "")
+Reject = record("Reject", "line reason")
 
 
 def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept | Reject:
@@ -295,7 +251,9 @@ def _scan_numeral(s: str, i: int, base: int):
 def _scan_term(s: str, i: int, base: int, terms: dict):
     """term := operand ['+' operand]; operand := '(' term ')' | numeral | variable.
     One loop over an explicit stack of open terms; more than MAX_NESTING open
-    '(' is a NestingError (the checker and printers recurse once per level).
+    '(' is a NestingError.  The bound keeps pretty_term, which recurses once
+    per level, within the recursion limit, and it bounds the tuple hash that
+    the checker applies to statements, which recurses in C with no depth check.
     Returns (term, index after it).
 
     terms builds each term once per parse: it maps a leaf's text to the leaf

@@ -58,7 +58,6 @@ from __future__ import annotations
 import enum
 import time
 from collections import deque
-from dataclasses import dataclass
 
 from .enumerator import Alphabet, unrank
 from .pi_system import (
@@ -80,6 +79,7 @@ from .pi_system import (
     negate_fbar,
     statement_vars,
 )
+from .records import record
 
 DERIVABLE = "Derivable"
 NOT_DERIVABLE = "NotDerivable"
@@ -90,33 +90,22 @@ class SearchMode(enum.Enum):
     STRUCTURED = "structured"
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_candidates: int | None = None
-    max_seconds: float | None = None
+class SearchBudget(record("SearchBudget", "max_candidates max_seconds")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_candidates is None and self.max_seconds is None:
+    def __new__(cls, max_candidates: int | None = None, max_seconds: float | None = None):
+        if max_candidates is None and max_seconds is None:
             raise ValueError("a search budget needs a candidate or time limit")
-        if self.max_candidates is not None and self.max_candidates < 1:
+        if max_candidates is not None and max_candidates < 1:
             raise ValueError("candidate limit must be >= 1")
-        if self.max_seconds is not None and self.max_seconds <= 0:
+        if max_seconds is not None and max_seconds <= 0:
             raise ValueError("time limit must be positive")
+        return tuple.__new__(cls, (max_candidates, max_seconds))
 
 
-@dataclass(frozen=True)
-class DerivedTarget:
-    derivation: Derivation
-    candidates: int
-
-@dataclass(frozen=True)
-class DerivedNegation:
-    derivation: Derivation
-    candidates: int
-
-@dataclass(frozen=True)
-class Exhausted:
-    candidates: int
+DerivedTarget = record("DerivedTarget", "derivation candidates")
+DerivedNegation = record("DerivedNegation", "derivation candidates")
+Exhausted = record("Exhausted", "candidates")
 
 
 # -- keys and reconstruction, shared by both modes ------------------------------
@@ -402,11 +391,8 @@ def completeness_gap(pack: AxiomPack, x_max: int) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    kind: str
-    queries: int
-    violations: tuple
+class AuditReport(record("AuditReport", "kind queries violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

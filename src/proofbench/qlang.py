@@ -29,11 +29,9 @@ continue, listing everything some reading would accept there.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from dataclasses import dataclass
-
 from .enumerator import Alphabet, Grammar, grammar_derivation, grammar_unrank
 from .errors import ParseError, ResourceLimitError, numeral_value
+from .records import record
 
 QLANG_ALPHABET = Alphabet.from_string("x0123456789()+%=>!&|")
 
@@ -77,53 +75,33 @@ QLANG_GRAMMAR = Grammar(
 
 # -- abstract syntax -------------------------------------------------------
 
-@dataclass(frozen=True)
-class X:
-    pass
-
-@dataclass(frozen=True)
-class Num:
-    value: int
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-@dataclass(frozen=True)
-class Mod:
-    left: object
-    right: object
-
-@dataclass(frozen=True)
-class Not:
-    arg: object
-
-@dataclass(frozen=True)
-class And:
-    left: object
-    right: object
-
-@dataclass(frozen=True)
-class Or:
-    left: object
-    right: object
-
-@dataclass(frozen=True)
-class Eq:
-    left: object
-    right: object
-
-@dataclass(frozen=True)
-class Gt:
-    left: object
-    right: object
+def _hash(node) -> int:
+    return tuple.__hash__(node)
 
 
-# A tuple record: nth_program makes one per call, and a named tuple costs
-# about half a frozen dataclass, whose __init__ sets each field through
-# object.__setattr__.
-QProgram = namedtuple("QProgram", "source ast")
+def _node(name: str, fields: str = "") -> type:
+    """A syntax-tree record.  Trees have no depth limit (parse reads any
+    depth), so a node hashes through one Python call per level, which raises
+    RecursionError on a tree too deep to hash where the tuple hash would
+    crash the interpreter (see records)."""
+    node = record(name, fields)
+    node.__hash__ = _hash
+    return node
+
+
+X = _node("X")
+Num = _node("Num", "value")
+Add = _node("Add", "left right")
+Mod = _node("Mod", "left right")
+Not = _node("Not", "arg")
+And = _node("And", "left right")
+Or = _node("Or", "left right")
+Eq = _node("Eq", "left right")
+Gt = _node("Gt", "left right")
+
+# nth_program makes one per call; like every record, it costs about half a
+# frozen dataclass to build.
+QProgram = record("QProgram", "source ast")
 
 
 # -- parsing ---------------------------------------------------------------
@@ -228,28 +206,36 @@ def pretty(ast) -> str:
 
 # -- evaluation ------------------------------------------------------------
 
+# Dispatch on the exact node type and unpack the fields: a named tuple's
+# field properties are slow to read, and this walk is the diagonal's
+# inner loop.
+
 def _aeval(node, x: int) -> int:
-    if isinstance(node, X):
+    kind = type(node)
+    if kind is X:
         return x
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Add):
-        return _aeval(node.left, x) + _aeval(node.right, x)
+    if kind is Num:
+        return node[0]
+    left, right = node
+    if kind is Add:
+        return _aeval(left, x) + _aeval(right, x)
     # Mod; a % 0 = 0 keeps evaluation total
-    divisor = _aeval(node.right, x)
-    return _aeval(node.left, x) % divisor if divisor else 0
+    divisor = _aeval(right, x)
+    return _aeval(left, x) % divisor if divisor else 0
 
 
 def _beval(node, x: int) -> bool:
-    if isinstance(node, Not):
-        return not _beval(node.arg, x)
-    if isinstance(node, And):
-        return _beval(node.left, x) and _beval(node.right, x)
-    if isinstance(node, Or):
-        return _beval(node.left, x) or _beval(node.right, x)
-    if isinstance(node, Eq):
-        return _aeval(node.left, x) == _aeval(node.right, x)
-    return _aeval(node.left, x) > _aeval(node.right, x)
+    kind = type(node)
+    if kind is Not:
+        return not _beval(node[0], x)
+    left, right = node
+    if kind is And:
+        return _beval(left, x) and _beval(right, x)
+    if kind is Or:
+        return _beval(left, x) or _beval(right, x)
+    if kind is Eq:
+        return _aeval(left, x) == _aeval(right, x)
+    return _aeval(left, x) > _aeval(right, x)
 
 
 def evaluate(program: QProgram, x: int) -> int:
@@ -274,11 +260,10 @@ def nth_program(i: int) -> QProgram:
     return QProgram(*derivation) if derivation else parse(grammar_unrank(QLANG_GRAMMAR, i - 1))
 
 
-@dataclass(frozen=True)
-class BitTable:
-    rows: int
-    cols: int
-    cells: tuple  # cells[i-1][x-1] = output of program i on input x
+class BitTable(record("BitTable", "rows cols cells")):
+    """cells[i-1][x-1] = output of program i on input x."""
+
+    __slots__ = ()
 
     def cell(self, i: int, x: int) -> int:
         if not 1 <= i <= self.rows:

@@ -14,6 +14,7 @@ from proofbench.cli import BUILTIN_ALPHABETS, GlobalConfig, emit_report, main
 from proofbench.pi_system import Accept, check_derivation, make_axiom_pack, parse_derivation_file
 from proofbench.proof_search import SearchMode
 from proofbench.qlang import QLANG_ALPHABET
+from test_pi_system import a2_chain_file
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = str(ROOT / "fixtures" / "paper_3_1.drv")
@@ -189,6 +190,12 @@ def test_qlang_fbar_matches_diagonal_flip(run):
 def test_check_fixture_accepts(run):
     code, out, _ = run("check", FIXTURE)
     assert code == 0 and out == "Accept\n"
+
+
+def test_check_accepts_a_499_level_derivation(run, tmp_path):
+    chain = tmp_path / "chain.drv"
+    chain.write_text(a2_chain_file(499), encoding="utf-8")
+    assert run("check", str(chain)) == (0, "Accept\n", "")
 
 
 def test_search_emits_a_recheckable_derivation(run, tmp_path):

@@ -461,6 +461,23 @@ def test_the_nesting_limit_itself_parses():
     assert isinstance(statement, IntTyping) and isinstance(statement.term, Sum)
 
 
+def a2_chain_file(levels):
+    """int(w) as a premise, int(1) by A3, then `levels` A2 lines that each
+    add one `+1`, the last concluding the target int(((w+1)+1)...+1)."""
+    lines, term = ["1. int(w) [premise]", "2. int(1) [axiom A3 {c := 1}]"], "w"
+    for index in range(3, levels + 3):
+        lines.append(f"{index}. int({term}+1) [axiom A2 {{t1 := {term}, t2 := 1}}]")
+        term = f"({term}+1)"
+    return f"vars: w\ntarget: int({term[1:-1]})\n" + "\n".join(lines) + "\n"
+
+
+def test_a_499_level_derivation_checks():
+    # the checker hashes each line's statement; its terms nest 498 '(' deep
+    derivation, target = parse_derivation_file(a2_chain_file(499))
+    assert len(derivation.lines) == 501
+    assert check_derivation(make_axiom_pack(0), derivation, target) == Accept()
+
+
 @pytest.mark.parametrize("template", ["{} > w", "w > {}", "int({})"])
 def test_deep_statements_are_parse_errors_at_the_first_paren_past_the_limit(template):
     deep = nested_text(10_000)

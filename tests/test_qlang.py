@@ -1,5 +1,8 @@
 import hashlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +157,24 @@ def test_pretty_writes_deep_trees_without_recursion():
         right, left = Add(X(), right), Add(left, Num(1))
     assert pretty(right) == "(x+" * 10_000 + "x" + ")" * 10_000
     assert pretty(Eq(left, X())) == "(" + "(" * 10_000 + "x" + "+1)" * 10_000 + "=x)"
+
+
+def test_hashing_a_very_deep_tree_is_a_recursion_error_not_a_crash():
+    # in a child process: the tuple hash recurses in C with no depth check,
+    # so a node without a Python-level hash would kill the interpreter here
+    code = (
+        "from proofbench.qlang import parse\n"
+        "tree = parse('!' * 10**6 + '(x=x)').ast\n"
+        "try:\n"
+        "    hash(tree)\n"
+        "except RecursionError:\n"
+        "    print('RecursionError')\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+    assert proc.stdout in ("RecursionError\n", "")
 
 
 def test_pretty_rejects_a_foreign_node():
