@@ -21,7 +21,7 @@ _HOMES = {
         " parse_statement pretty_statement pretty_term",
         "proof_search": "DERIVABLE NOT_DERIVABLE AuditReport DerivedNegation DerivedTarget"
         " Exhausted SearchBudget SearchMode audit_consistency audit_soundness"
-        " completeness_gap decide_fbar search",
+        " completeness_gap decide decide_fbar search",
         "qlang": "QLANG_ALPHABET QLANG_GRAMMAR BitTable QProgram diagonal diagonal_flip"
         " evaluate fbar_truth nth_program parse table",
     }.items()

@@ -210,7 +210,7 @@ def build_parser() -> _Parser:
     p.add_argument("--emit-derivation", metavar="PATH", default=None, help="write the found derivation file")
     _add_format(p)
 
-    p = commands.add_parser("decide", help="static derivability of an fbar statement")
+    p = commands.add_parser("decide", help="static derivability of a statement")
     p.add_argument("statement")
     p.add_argument("--pack", type=int, default=0)
     _add_format(p)
@@ -346,13 +346,11 @@ def _cmd_search(args, cfg):
 
 
 def _cmd_decide(args, cfg):
-    from .pi_system import FbarAtom, pretty_statement
-    from .proof_search import decide_fbar
+    from .pi_system import pretty_statement
+    from .proof_search import decide
 
     statement = _self.parse_statement(args.statement)
-    if not isinstance(statement, FbarAtom):
-        raise ValueError("decide takes an fbar statement")
-    decision = decide_fbar(_self.make_axiom_pack(args.pack), statement)
+    decision = decide(_self.make_axiom_pack(args.pack), statement)
     _write(emit_report([{"statement": pretty_statement(statement), "decision": decision}], _fmt(args, cfg)))
     return 0
 

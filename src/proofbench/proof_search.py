@@ -1,4 +1,4 @@
-"""Budgeted derivation search, a static fbar decider, and pack audits.
+"""Budgeted derivation search, a static decider, and pack audits.
 
 The search procedure plays the role of a dovetailing prover: generate
 candidate derivations in a fixed order, check each one mechanically, and halt
@@ -45,12 +45,22 @@ on one-line targets.  Found proofs in either mode are rebuilt into derivation
 files with shared sub-proofs deduplicated, then re-checked before the verdict
 is returned; a verdict never carries a derivation the checker would reject.
 
-Derivability of fbar atoms does not need search at all: the pack rule is the
-only producer of fbar statements and no rule consumes them, so an fbar atom
-is derivable exactly when it is a pack entry.  decide_fbar implements that
-lookup, completeness_gap lists the indices where neither bit is derivable,
-and the audits sweep the decider for soundness (derivable implies true) and
-consistency (never both bits) violations.
+Derivability does not need search at all, for any statement shape, once the
+statement's own variables count as declared (as search declares them):
+
+    int(t)    always derivable: A3 and the premises type every leaf, and A2
+              every sum of typed terms.
+    a > c     derivable exactly when a is c wrapped in k >= 1 (...)+1 layers:
+              A1 yields only t+1 > t, and R1 only chains orderings.
+    fbar      derivable exactly when it is a pack entry: the pack rule is the
+              only producer of fbar statements and no rule consumes them.
+
+decide implements that for every shape in time linear in the statement's
+size, and search uses it to return at once when a candidate-budgeted search
+could only run out.  decide_fbar is the fbar case alone, completeness_gap
+lists the indices where neither bit is derivable, and the audits sweep the
+decider for soundness (derivable implies true) and consistency (never both
+bits) violations.
 """
 
 from __future__ import annotations
@@ -169,6 +179,24 @@ def _reconstruct(header, origins, goal) -> Derivation:
         index_of[key] = len(lines) + 1
         lines.append(Line(len(lines) + 1, stmt, just))
     return Derivation(tuple(header), tuple(lines))
+
+
+def _derivable(pack: AxiomPack, key, ids: dict) -> bool:
+    """Whether the statement keyed key in ids is derivable (see the module
+    docstring).  An ordering a > c is read off the term ids: from c's id, step
+    to the id of (cur)+1 while ids has one, until a's id is reached.  A sum's
+    id is larger than its parts', so the walk ends within len(ids) steps."""
+    if type(key) is int:
+        return True
+    if type(key) is tuple:
+        lhs, cur = key
+        one = ids.get(("n", 1))
+        while cur is not None:
+            cur = ids.get((cur, one))
+            if cur == lhs:
+                return True
+        return False
+    return (key.x, key.bit) in pack.entries
 
 
 def _verdict(pack, target, derivation, candidates):
@@ -343,9 +371,16 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     Deterministic: identical inputs give identical verdicts and counts
     (time-limited budgets excepted, since wall clocks differ run to run).
 
-    Memory grows linearly with the candidate budget: structured search keeps
-    every candidate (its origin tag, its terms and its worklist entry), about
-    250-280 bytes each, and only the budget bounds them.  An exhausted search
+    Both candidate streams are infinite, so a search for a target that
+    decide rejects (for an fbar target, both bits) can only end at its
+    budget.  With a candidate limit and no time limit, search returns that
+    Exhausted(max_candidates) at once, without enumerating.  A budget with a
+    time limit still enumerates, and so does every derivable target.
+
+    For the targets that enumerate, memory grows linearly with the candidate
+    budget: structured search keeps every candidate (its origin tag, its
+    terms and its worklist entry), about 250-280 bytes each, and only the
+    budget bounds them.  An exhausted search
     of ((w+1)+1)+1 > w peaked at 121 MB RSS at 400,000 candidates and about
     500 MB at 2,000,000; a budget of 10,000,000 needs about 2.5 GB.
     """
@@ -358,6 +393,8 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     goals = {_key(target, ids)}
     if isinstance(target, FbarAtom):
         goals.add(negate_fbar(target))
+    if budget.max_seconds is None and not any(_derivable(pack, goal, ids) for goal in goals):
+        return Exhausted(budget.max_candidates)
     run = _search_structured if mode is SearchMode.STRUCTURED else _search_literal
     found, origins, candidates = run(pack, header, ids, goals, budget, started)
     if found is None:
@@ -366,6 +403,19 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
 
 
 # -- static decidability and audits ---------------------------------------------
+
+def decide(pack: AxiomPack, statement) -> str:
+    """Exact derivability of any statement, its own variables declared: no search.
+
+    int(t) is always derivable, a > c exactly when a is c wrapped in k >= 1
+    (...)+1 layers, and an fbar atom exactly when it is a pack entry (see the
+    module docstring).  Linear in the statement's size, with no recursion.
+    """
+    if not can_form(statement):
+        raise ValueError(f"not a statement of the system: {statement!r}")
+    ids: dict = {}
+    return DERIVABLE if _derivable(pack, _key(statement, ids), ids) else NOT_DERIVABLE
+
 
 def decide_fbar(pack: AxiomPack, s: FbarAtom) -> str:
     """Exact derivability of an fbar atom: pack membership, no search.

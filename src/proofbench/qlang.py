@@ -65,7 +65,7 @@ QLANG_GRAMMAR = Grammar(
         ("bexp", ("(", "aexp", "cmp", "aexp", ")")): lambda word, c: c[2](c[1], c[3]),
         ("cmp", ("=",)): lambda word, c: Eq,
         ("cmp", (">",)): lambda word, c: Gt,
-        ("aexp", ("x",)): lambda word, c: X(),
+        ("aexp", ("x",)): lambda word, c: _X,
         ("aexp", ("numeral",)): lambda word, c: Num(int(word)),
         ("aexp", ("(", "aexp", "+", "aexp", ")")): lambda word, c: Add(c[1], c[3]),
         ("aexp", ("(", "aexp", "%", "aexp", ")")): lambda word, c: Mod(c[1], c[3]),
@@ -98,6 +98,10 @@ And = _node("And", "left right")
 Or = _node("Or", "left right")
 Eq = _node("Eq", "left right")
 Gt = _node("Gt", "left right")
+
+# The one x leaf that parse and the bucket actions share: records are
+# immutable, and a field-less record's __new__ is a Python call.
+_X = X()
 
 # nth_program makes one per call; like every record, it costs about half a
 # frozen dataclass to build.
@@ -143,7 +147,7 @@ def parse(text: str) -> QProgram:
             raise ParseError(pos, _STARTS[context])
         start, pos = pos, pos + 1
         if c == "x":
-            node = X()
+            node = _X
         else:
             while chars[pos] in _DIGITS:
                 pos += 1

@@ -223,6 +223,9 @@ def test_search_reports_negations(run):
 def test_decide_gap_audit(run):
     code, out, _ = run("decide", "fbar(3) is 1", "--pack", "5", "--format", "json-lines")
     assert code == 0 and json.loads(out)["decision"] == "Derivable"
+    assert run("decide", "(w+1)+1 > w") == (0, "statement: (w+1)+1 > w, decision: Derivable\n", "")
+    assert run("decide", "w > w") == (0, "statement: w > w, decision: NotDerivable\n", "")
+    assert run("decide", "int(w+(v+2))")[1] == "statement: int(w+(v+2)), decision: Derivable\n"
     code, out, _ = run("gap", "--pack", "5", "--xmax", "8", "--format", "json-lines")
     assert [json.loads(l)["x"] for l in out.splitlines()] == [6, 7, 8]
     code, out, _ = run("gap", "--pack", "5", "--xmax", "5", "--format", "json-lines")

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -31,10 +32,11 @@ from proofbench.proof_search import (
     audit_consistency,
     audit_soundness,
     completeness_gap,
+    decide,
     decide_fbar,
     search,
 )
-from proofbench.proof_search import _decode, _key, _reconstruct
+from proofbench.proof_search import _decode, _key, _reconstruct, _search_literal, _search_structured
 from proofbench.qlang import fbar_truth
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "paper_3_1.drv"
@@ -120,6 +122,21 @@ def test_statement_vars_of_deep_terms_in_first_appearance_order():
 def test_time_limited_search_terminates():
     verdict = search(PACK5, FbarAtom(9, 1), SearchBudget(max_seconds=0.1), SearchMode.STRUCTURED)
     assert isinstance(verdict, Exhausted)
+
+
+def test_underivable_candidate_budgeted_search_returns_at_once():
+    started = time.perf_counter()
+    verdict = search(EMPTY, parse_statement("w > w"), SearchBudget(max_candidates=10**9), SearchMode.STRUCTURED)
+    elapsed = time.perf_counter() - started
+    assert verdict == Exhausted(10**9)
+    assert elapsed < 1.0, f"took {elapsed:.1f}s, budget 1s"
+
+
+@pytest.mark.parametrize("mode", list(SearchMode))
+def test_time_limited_search_still_enumerates_underivable_targets(mode):
+    budget = SearchBudget(max_candidates=10**9, max_seconds=0.05)
+    verdict = search(EMPTY, parse_statement("w > w"), budget, mode)
+    assert isinstance(verdict, Exhausted) and 0 < verdict.candidates < 10**9
 
 
 # -- literal mode ---------------------------------------------------------------------
@@ -245,6 +262,55 @@ def test_search_agrees_with_the_static_decider():
                 assert isinstance(verdict, Exhausted), (x, bit)
 
 
+_LEAVES = st.sampled_from([Var("w"), Var("v"), Num(0), Num(1), Num(2)])
+
+
+@st.composite
+def _wrapped(draw, base=_LEAVES):
+    """A drawn base term wrapped in 0-3 (...)+1 layers."""
+    term = draw(base)
+    for _ in range(draw(st.integers(0, 3))):
+        term = Sum(term, Num(1))
+    return term
+
+
+@st.composite
+def _orderings(draw):
+    rhs = draw(_wrapped())
+    lhs = draw(st.one_of(_wrapped(), _wrapped(st.just(rhs))))  # the second may be derivable
+    return Greater(lhs, rhs)
+
+
+_TARGETS = st.one_of(
+    _wrapped().map(IntTyping),
+    st.tuples(_wrapped(), _wrapped()).map(lambda parts: IntTyping(Sum(*parts))),
+    _orderings(),
+    st.tuples(st.integers(1, 8), st.integers(0, 1)).map(lambda xb: FbarAtom(*xb)),
+)
+_PACKS = st.sampled_from([EMPTY, PACK5, AxiomPack(5, PACK5.entries | {(2, 0), (2, 1)})])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TARGETS, _PACKS, st.integers(300, 3000), st.sampled_from(list(SearchMode)))
+def test_decide_agrees_with_both_search_loops(target, pack, max_candidates, mode):
+    budget = SearchBudget(max_candidates=max_candidates)
+    header = statement_vars(target)
+    ids: dict = {}
+    goals = {_key(target, ids)}
+    negation = negate_fbar(target) if isinstance(target, FbarAtom) else None
+    if negation is not None:
+        goals.add(negation)
+    run = _search_structured if mode is SearchMode.STRUCTURED else _search_literal
+    found, _, candidates = run(pack, header, ids, goals, budget, time.monotonic())
+    verdict = search(pack, target, budget, mode)
+    assert verdict.candidates == candidates
+    if found is not None:  # a found goal is derivable
+        assert decide(pack, target if found == _key(target, ids) else negation) == DERIVABLE
+    if decide(pack, target) == NOT_DERIVABLE and (negation is None or decide(pack, negation) == NOT_DERIVABLE):
+        assert found is None and candidates == max_candidates
+        assert verdict == Exhausted(max_candidates)
+
+
 def test_search_halts_with_the_correct_bit_on_covered_indices():
     pack = make_axiom_pack(25)
     for x in range(1, 26):
@@ -276,6 +342,39 @@ def test_decide_fbar_examples():
     assert decide_fbar(PACK5, FbarAtom(3, 1 - true_bit)) == NOT_DERIVABLE
     assert decide_fbar(PACK5, FbarAtom(9, 0)) == NOT_DERIVABLE
     assert decide_fbar(PACK5, FbarAtom(9, 1)) == NOT_DERIVABLE
+
+
+@pytest.mark.parametrize(
+    "text, decision",
+    [
+        ("int(w)", DERIVABLE),
+        ("int(w+(v+2))", DERIVABLE),
+        ("w+1 > w", DERIVABLE),
+        ("(w+1)+1 > w", DERIVABLE),
+        ("((1+1)+1)+1 > 1+1", DERIVABLE),
+        ("w > w", NOT_DERIVABLE),
+        ("w > w+1", NOT_DERIVABLE),
+        ("(w+1)+1 > v", NOT_DERIVABLE),
+        ("(w+2)+1 > w", NOT_DERIVABLE),
+        ("w+(0+1) > w", NOT_DERIVABLE),
+        ("1 > 0", NOT_DERIVABLE),
+        ("fbar(3) is 1", decide_fbar(PACK5, FbarAtom(3, 1))),
+        ("fbar(9) is 0", NOT_DERIVABLE),
+    ],
+)
+def test_decide_examples(text, decision):
+    assert decide(PACK5, parse_statement(text)) == decision
+
+
+def test_decide_reads_deep_orderings_without_recursion():
+    deep = "(" * 498 + "w" + "+1)" * 498 + "+1"
+    assert decide(EMPTY, parse_statement(f"{deep} > w")) == DERIVABLE
+    assert decide(EMPTY, parse_statement(f"{deep} > (w+1)+1")) == DERIVABLE
+    assert decide(EMPTY, parse_statement(f"{deep} > v")) == NOT_DERIVABLE
+    assert decide(EMPTY, Greater(nested_sum(10_000), nested_sum(9_999))) == DERIVABLE
+    assert decide(EMPTY, Greater(nested_sum(10_000), nested_sum(10_000))) == NOT_DERIVABLE
+    with pytest.raises(ValueError):
+        decide(EMPTY, "not a statement")
 
 
 def test_decide_fbar_rejects_non_fbar_statements():
