@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -318,6 +319,30 @@ def test_the_whole_bucketed_flipped_diagonal_matches_its_digests():
     bits = "".join(str(fbar_truth(x)) for x in range(1, 64_447))
     for length, (lo, hi, digest) in FLIPPED_DIAGONAL_DIGESTS.items():
         assert hashlib.sha256(bits[lo - 1:hi].encode()).hexdigest() == digest, length
+
+
+# sha256 of the "x text bit" lines of _descended_indices(), as recorded
+# before the descent shared chart columns between lookups
+DESCENDED_LINES_DIGEST = "8e7f41033d30bb8762840a5d194a3ba79a9a22db42962661d9d3ed3fd83ff43c"
+
+
+def _descended_indices():
+    """200 seeded indices of each program length 8-10, the first and last of
+    them, in shuffled order."""
+    rng = random.Random(14)  # firsts[L]: the index of the first program of length L
+    firsts = {8: 64_447, 9: 844_449, 10: 10_455_099, 11: 124_727_109}
+    indices = [64_447, 124_727_108]
+    for length in (8, 9, 10):
+        indices += [rng.randrange(firsts[length], firsts[length + 1]) for _ in range(200)]
+    rng.shuffle(indices)
+    return indices
+
+
+def test_descended_programs_and_bits_match_their_digest(monkeypatch):
+    g = QLANG_GRAMMAR
+    monkeypatch.setattr(qlang, "QLANG_GRAMMAR", Grammar(g.alphabet, g.start, g.productions, g.actions))
+    lines = "".join(f"{x} {nth_program(x).source} {fbar_truth(x)}\n" for x in _descended_indices())
+    assert hashlib.sha256(lines.encode()).hexdigest() == DESCENDED_LINES_DIGEST
 
 
 def test_programs_parse_back_to_their_source():
