@@ -33,13 +33,18 @@ remembered and served by descent instead.
 
 A longer length is found by prefix descent over an Earley chart that
 carries derivation counts (Earley, CACM 1970; recursive ranking as in
-Hickey & Cohen, SIAM J. Comput. 1983): at each position one probe counts,
-for every next terminal, the words that extend the committed prefix, and
-committing the chosen terminal appends one column.  Counts for the
-committed prefix are kept from probe to probe, so a word of length L costs
-L probes and L column extensions.  The descent builds no derivation, so
-grammar_derivation returns None for such a word.  recognizes runs the same
-chart over all but the last symbol of the word and probes for that symbol.
+Hickey & Cohen, SIAM J. Comput. 1983).  At each position the terminals the
+last column awaits are taken in alphabet order, and the words that extend
+the committed prefix with each are counted only until they pass the
+offset left, which picks the next symbol; committing it appends one
+column.  A column and the counts read from it depend only on the prefix it
+follows, so those of prefixes of at most three symbols are kept on the
+grammar and shared by every later descent (at most 160 columns for
+Q-lang); longer ones last one descent.  A word of length L costs at most
+L - 1 column extensions, and each position counts only the terminals up to
+the one it picks.  The descent builds no derivation, so grammar_derivation
+returns None for such a word.  recognizes runs the same chart over all but
+the last symbol of the word and counts the words that end with that one.
 
 Grammars must be epsilon-free and contain no unit-production cycles; both
 restrictions are enforced at construction time and keep the length dynamic
@@ -60,6 +65,10 @@ _UNBOUNDED = None  # sentinel for "no finite maximum word length"
 # bucket; the lists kept while building one may hold at most 4x as many
 # entries in all, and a length whose build would exceed that is descended.
 _BUCKET_WORDS = 500_000
+
+# The chart columns of prefixes of at most this many symbols, with their
+# counts, are kept on the grammar and shared by every later descent.
+_SHARED_PREFIX = 3
 
 
 class UnknownSymbolError(ValueError):
@@ -202,6 +211,7 @@ class Grammar:
         self._buckets: dict = {}
         self._unbucketed: set = set()  # lengths whose bucket build exceeded its cell budget
         self._cum: list[int] = [0]  # _cum[L] = number of words shorter than L
+        self._prefix_columns: dict = {}  # prefix -> (its chart column, that column's _up memo)
 
     # -- validation -------------------------------------------------------
 
@@ -306,14 +316,16 @@ class Grammar:
     # -- caches and recognition ---------------------------------------------
 
     def cache_sizes(self) -> dict:
-        """Cached bucket lengths, bucketed words, and the count memo's entries,
-        split into (production suffix, length) and (symbol, length) keys."""
+        """Cached bucket lengths, bucketed words, the count memo's entries,
+        split into (production suffix, length) and (symbol, length) keys, and
+        the shared chart columns of short prefixes."""
         seq = sum(len(key) == 3 for key in self._counts)
         return {
             "bucket_lengths": len(self._buckets),
             "bucket_words": sum(map(len, self._buckets.values())),
             "count_seq": seq,
             "count_sym": len(self._counts) - seq,
+            "prefix_columns": len(self._prefix_columns),
         }
 
     def recognizes(self, word: str, max_entries: int = 1_000_000) -> bool:
@@ -322,8 +334,10 @@ class Grammar:
             return False
         chart = _Chart(self, max_entries)
         for c in word[:-1]:
+            if c not in chart.columns[-1]:
+                return False  # no item awaits c, so no word starts with this prefix
             chart.commit(c)
-        return chart.probe(0).get(word[-1], 0) > 0
+        return chart._up(word[-1], len(word) - 1, 0) > 0
 
 
 def _length_dp(grammar: Grammar, memo: dict, keep, zero, terminal, empty, join):
@@ -445,20 +459,25 @@ class _Chart:
     number of derivations of rhs[:dot] =>* prefix[origin:n], grouped by the
     item's next symbol rhs[dot].  Completed items are folded into the items
     waiting for them while the column is built, so no column stores one.
-    Columns never change once built, so every _up entry (which reads only
-    columns at or before its own) stays valid as the prefix grows.
+    Columns never change once built, and an _up entry reads only columns at
+    or before its own, so column i and its _up entries depend on prefix[:i]
+    alone: those of prefixes of at most _SHARED_PREFIX symbols are kept on
+    the grammar and shared with every later chart, and longer ones stay
+    private to this chart.
     """
 
     def __init__(self, grammar: Grammar, max_entries: int):
         self.grammar = grammar
         _, self._count_seq = _counter(grammar, max_entries)
-        self.columns: list[dict] = []
-        self._ups: dict = {}
-        self._add_column({}, {grammar.start})
+        root = grammar._prefix_columns.get("")
+        if root is None:
+            root = grammar._prefix_columns[""] = (self._column({}, {grammar.start}, 0), {})
+        self.prefix = ""
+        self.columns: list[dict] = [root[0]]
+        self._ups: list[dict] = [root[1]]  # _ups[i][(sym, r)] = _up(sym, i, r)
 
-    def _add_column(self, items: dict, awaited) -> None:
-        """Append a column holding items plus the predictions for awaited."""
-        n = len(self.columns)
+    def _column(self, items: dict, awaited, n: int) -> dict:
+        """Column n: items plus the predictions for awaited."""
         column: dict = {}
         for (lhs, rhs, dot, origin), w in items.items():
             column.setdefault(rhs[dot], []).append((lhs, rhs, dot, origin, w))
@@ -471,10 +490,22 @@ class _Chart:
         for nt in predicted:
             for rhs in self.grammar.productions[nt]:
                 column.setdefault(rhs[0], []).append((nt, rhs, 0, n, 1))
-        self.columns.append(column)
+        return column
 
     def commit(self, c: str) -> None:
-        """Extend the prefix by c: scan, complete, predict."""
+        """Extend the prefix by c, reusing a shared column if there is one."""
+        self.prefix += c
+        shared = self.grammar._prefix_columns
+        entry = shared.get(self.prefix)
+        if entry is None:
+            entry = (self._scan(c), {})
+            if len(self.prefix) <= _SHARED_PREFIX:
+                shared[self.prefix] = entry
+        self.columns.append(entry[0])
+        self._ups.append(entry[1])
+
+    def _scan(self, c: str) -> dict:
+        """The column after the committed prefix and c: scan, complete, predict."""
         prods = self.grammar.productions
         rank = self.grammar._unit_rank
         items: dict = {}
@@ -503,19 +534,7 @@ class _Chart:
             w = done[(a, -neg_origin)]
             for lhs, rhs, dot, origin, v in self.columns[-neg_origin].get(a, ()):
                 advance(lhs, rhs, dot + 1, origin, v * w)
-        self._add_column(items, {rhs[dot] for _, rhs, dot, _ in items if rhs[dot] in prods})
-
-    def probe(self, r: int) -> dict:
-        """For each next terminal c, the derivations of words prefix + c + s, |s| = r."""
-        prods = self.grammar.productions
-        n = len(self.columns) - 1
-        counts = {}
-        for sym in self.columns[n]:
-            if sym not in prods:
-                total = self._up(sym, n, r)
-                if total:
-                    counts[sym] = total
-        return counts
+        return self._column(items, {rhs[dot] for _, rhs, dot, _ in items if rhs[dot] in prods}, len(self.columns))
 
     def _up(self, sym: str, i: int, r: int) -> int:
         """Ways to derive a sym at prefix[i:] and then r more symbols after it.
@@ -523,13 +542,13 @@ class _Chart:
         Sums, over the items of column i awaiting sym, the item's inside
         count times the ways to complete it and all its ancestors.
         """
-        key = (sym, i, r)
-        total = self._ups.get(key)
+        ups = self._ups[i]
+        total = ups.get((sym, r))
         if total is None:
             total = int(sym == self.grammar.start and i == 0 and r == 0)
             for lhs, rhs, dot, origin, w in self.columns[i].get(sym, ()):
                 total += w * self._complete(lhs, rhs, dot + 1, origin, r)
-            self._ups[key] = total
+            ups[(sym, r)] = total
         return total
 
     def _complete(self, lhs, rhs, dot, origin, r) -> int:
@@ -572,25 +591,29 @@ def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> st
     """The k-th valid word (0-based) of the grammar in length-then-lex order.
 
     Equivalent to filtering the raw stream through the grammar's recognizer
-    and taking element k, but computed from length counts directly.
+    and taking element k, but computed from length counts directly.  Past
+    the bucket, each position counts the words that continue the prefix
+    with each awaited terminal in alphabet order, stopping at the first
+    whose count exceeds the offset left; the chart starts from the columns
+    the grammar shares for prefixes of at most _SHARED_PREFIX symbols.
     """
     length, j, bucket = _locate(grammar, k, max_entries)
     if bucket is not None:
         return bucket[j][0]
     chart = _Chart(grammar, max_entries)
-    word = []
     for n in range(length):
-        counts = chart.probe(length - n - 1)
+        if n:
+            chart.commit(c)  # the symbol chosen at position n - 1
+        column = chart.columns[n]
         for c in grammar.alphabet.symbols:
-            m = counts.get(c, 0)
-            if j < m:
-                break
-            j -= m
+            if c in column:  # else no item awaits c and no word continues with it
+                m = chart._up(c, n, length - n - 1)
+                if j < m:
+                    break
+                j -= m
         else:
             raise AssertionError("prefix descent exhausted the alphabet; counts are inconsistent")
-        chart.commit(c)
-        word.append(c)
-    return "".join(word)
+    return chart.prefix + c
 
 
 def grammar_derivation(grammar: Grammar, k: int):

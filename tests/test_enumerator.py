@@ -224,6 +224,27 @@ def test_counts_buckets_and_descent_agree_with_the_oracle(prods):
         assert [grammar_unrank(descended, k) for k in range(len(words))] == words
 
 
+@settings(max_examples=100, deadline=None)
+@given(_small_grammars(), st.data())
+def test_one_grammar_descends_and_recognizes_in_any_order(prods, data):
+    # the shared prefix columns must never carry counts across prefixes or lengths
+    ab = Alphabet.from_string("ab")
+    try:
+        g = Grammar(ab, "S", prods)
+    except GrammarError:
+        return
+    words = [w for n in range(7) for w in sorted(derive_words(prods, "S", n), key=lambda w: shortlex_key("ab", w))]
+    ranks = st.integers(0, len(words) - 1) if words else st.nothing()
+    asks = data.draw(st.lists(st.one_of(ranks, st.text("ab", min_size=1, max_size=6)), max_size=40))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumerator, "_BUCKET_WORDS", 0)
+        for ask in asks:
+            if isinstance(ask, int):
+                assert grammar_unrank(g, ask) == words[ask]
+            else:
+                assert g.recognizes(ask) == (ask in words)
+
+
 def test_grammar_unrank_lists_words_in_shortlex_order():
     prods = {"S": [["a", "S", "b"], ["a", "b"], ["c"]]}
     g = _grammar(prods)

@@ -285,12 +285,26 @@ def test_grammar_reports_its_cache_sizes(monkeypatch, capsys):
     g = QLANG_GRAMMAR
     cold = Grammar(g.alphabet, g.start, g.productions, g.actions)
     monkeypatch.setattr(qlang, "QLANG_GRAMMAR", cold)
-    assert cold.cache_sizes() == {"bucket_lengths": 0, "bucket_words": 0, "count_seq": 0, "count_sym": 0}
+    assert cold.cache_sizes() == {
+        "bucket_lengths": 0, "bucket_words": 0, "count_seq": 0, "count_sym": 0, "prefix_columns": 0,
+    }
     assert nth_program(5000).source == "(x=655)"
     sizes = cold.cache_sizes()
     assert list(sizes) == sorted(sizes)
-    assert sizes == {"bucket_lengths": 1, "bucket_words": WORDS_PER_LENGTH[7], "count_seq": 110, "count_sym": 27}
+    assert sizes == {
+        "bucket_lengths": 1, "bucket_words": WORDS_PER_LENGTH[7],
+        "count_seq": 110, "count_sym": 27, "prefix_columns": 0,
+    }
     assert capsys.readouterr() == ("", "")
+
+
+def test_past_bucket_lookups_share_one_column_per_short_prefix():
+    g = Grammar(QLANG_GRAMMAR.alphabet, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions)
+    words = [grammar_unrank(g, x - 1) for x in _descended_indices()[:300]]
+    prefixes = {word[:n] for word in words for n in range(4)}
+    assert g.cache_sizes()["prefix_columns"] == len(prefixes)
+    assert [grammar_unrank(g, x - 1) for x in _descended_indices()[:300]] == words
+    assert g.cache_sizes()["prefix_columns"] == len(prefixes)
 
 
 def test_programs_are_immutable_tuple_records_equal_to_their_parse():
