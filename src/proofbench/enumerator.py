@@ -505,7 +505,7 @@ class _Chart:
         self._ups.append(entry[1])
 
     def _scan(self, c: str) -> dict:
-        """The column after the committed prefix and c: scan, complete, predict."""
+        """The column that scanning c from the last one gives: scan, complete, predict."""
         prods = self.grammar.productions
         rank = self.grammar._unit_rank
         items: dict = {}

@@ -300,10 +300,11 @@ def test_grammar_reports_its_cache_sizes(monkeypatch, capsys):
 
 def test_past_bucket_lookups_share_one_column_per_short_prefix():
     g = Grammar(QLANG_GRAMMAR.alphabet, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions)
-    words = [grammar_unrank(g, x - 1) for x in _descended_indices()[:300]]
+    ranks = [x - 1 for x in _descended_indices()[:300]]
+    words = [grammar_unrank(g, k) for k in ranks]
     prefixes = {word[:n] for word in words for n in range(4)}
     assert g.cache_sizes()["prefix_columns"] == len(prefixes)
-    assert [grammar_unrank(g, x - 1) for x in _descended_indices()[:300]] == words
+    assert [grammar_unrank(g, k) for k in ranks] == words
     assert g.cache_sizes()["prefix_columns"] == len(prefixes)
 
 
