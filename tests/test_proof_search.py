@@ -39,6 +39,8 @@ from proofbench.proof_search import (
 from proofbench.proof_search import _decode, _key, _reconstruct, _search_literal, _search_structured
 from proofbench.qlang import fbar_truth
 
+from oracles import literal_search
+
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "paper_3_1.drv"
 
 EMPTY = make_axiom_pack(0)
@@ -266,18 +268,18 @@ _LEAVES = st.sampled_from([Var("w"), Var("v"), Num(0), Num(1), Num(2)])
 
 
 @st.composite
-def _wrapped(draw, base=_LEAVES):
-    """A drawn base term wrapped in 0-3 (...)+1 layers."""
+def _wrapped(draw, base=_LEAVES, layers=3):
+    """A drawn base term wrapped in 0 to layers (...)+1 layers."""
     term = draw(base)
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, layers))):
         term = Sum(term, Num(1))
     return term
 
 
 @st.composite
-def _orderings(draw):
-    rhs = draw(_wrapped())
-    lhs = draw(st.one_of(_wrapped(), _wrapped(st.just(rhs))))  # the second may be derivable
+def _orderings(draw, leaves=_LEAVES, layers=3):
+    rhs = draw(_wrapped(leaves, layers))
+    lhs = draw(st.one_of(_wrapped(leaves, layers), _wrapped(st.just(rhs), layers)))  # the second may be derivable
     return Greater(lhs, rhs)
 
 
@@ -309,6 +311,21 @@ def test_decide_agrees_with_both_search_loops(target, pack, max_candidates, mode
     if decide(pack, target) == NOT_DERIVABLE and (negation is None or decide(pack, negation) == NOT_DERIVABLE):
         assert found is None and candidates == max_candidates
         assert verdict == Exhausted(max_candidates)
+
+
+_ORACLE_LEAVES = st.sampled_from([Var("w"), Var("v"), Var("a"), Var("p"), Num(0), Num(1), Num(2)])
+_ORACLE_TARGETS = st.one_of(
+    _wrapped(_ORACLE_LEAVES, 2).map(IntTyping),
+    _orderings(_ORACLE_LEAVES, 2),
+    st.tuples(st.integers(1, 8), st.integers(0, 1)).map(lambda xb: FbarAtom(*xb)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ORACLE_TARGETS, _PACKS, st.integers(1, 3000))
+def test_literal_search_agrees_with_the_brute_force_oracle(target, pack, max_candidates):
+    verdict = search(pack, target, SearchBudget(max_candidates=max_candidates), SearchMode.LITERAL)
+    assert (type(verdict).__name__, verdict.candidates) == literal_search(pack, target, max_candidates)
 
 
 def test_search_halts_with_the_correct_bit_on_covered_indices():
