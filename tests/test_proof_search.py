@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proofbench.enumerator import grammar_unrank
 from proofbench.pi_system import (
     Accept,
     AxiomPack,
@@ -36,7 +37,15 @@ from proofbench.proof_search import (
     decide_fbar,
     search,
 )
-from proofbench.proof_search import _decode, _key, _reconstruct, _search_literal, _search_structured
+from proofbench.proof_search import (
+    _decode,
+    _key,
+    _literal_alphabet,
+    _literal_grammar,
+    _reconstruct,
+    _search_literal,
+    _search_structured,
+)
 from proofbench.qlang import fbar_truth
 
 from oracles import literal_search
@@ -136,9 +145,17 @@ def test_underivable_candidate_budgeted_search_returns_at_once():
 
 @pytest.mark.parametrize("mode", list(SearchMode))
 def test_time_limited_search_still_enumerates_underivable_targets(mode):
-    budget = SearchBudget(max_candidates=10**9, max_seconds=0.05)
+    # literal mode covers 10**9 ranks of w > w in about a millisecond, so it gets no candidate limit
+    max_candidates = 10**9 if mode is SearchMode.STRUCTURED else None
+    budget = SearchBudget(max_candidates=max_candidates, max_seconds=0.05)
+    started = time.perf_counter()
     verdict = search(EMPTY, parse_statement("w > w"), budget, mode)
-    assert isinstance(verdict, Exhausted) and 0 < verdict.candidates < 10**9
+    elapsed = time.perf_counter() - started
+    assert isinstance(verdict, Exhausted) and 0 < verdict.candidates
+    if mode is SearchMode.STRUCTURED:
+        assert verdict.candidates < 10**9
+    else:
+        assert elapsed < 1.0, f"took {elapsed:.1f}s, budget 1s"
 
 
 # -- literal mode ---------------------------------------------------------------------
@@ -160,6 +177,36 @@ def test_literal_search_derives_negations_too():
 def test_literal_search_exhausts_exactly_at_the_budget():
     verdict = search(PACK5, FbarAtom(9, 0), candidates_budget(3000), SearchMode.LITERAL)
     assert verdict == Exhausted(3000)
+
+
+def test_literal_search_without_a_proof_term_returns_at_once():
+    # no string proves either bit of an index the pack lacks, so none is tried, even with time to spare
+    started = time.perf_counter()
+    verdict = search(PACK5, FbarAtom(9, 0), SearchBudget(max_seconds=10), SearchMode.LITERAL)
+    assert verdict == Exhausted(0)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_literal_search_reaches_far_ranks():
+    target = parse_statement("((w+1)+1)+1 > w")
+    verdict = search(EMPTY, target, candidates_budget(10**29), SearchMode.LITERAL)
+    assert isinstance(verdict, DerivedTarget)
+    assert verdict.candidates == 73_389_433_684_872_703_995_529_139_647
+    assert len(verdict.derivation.lines) == 9
+    assert check_derivation(EMPTY, verdict.derivation, target) == Accept()
+    started = time.perf_counter()
+    assert search(EMPTY, parse_statement("(w+1)+1 > w"), candidates_budget(2_000_000), SearchMode.LITERAL) == Exhausted(
+        2_000_000
+    )
+    assert time.perf_counter() - started < 1.0
+
+
+def test_literal_proof_grammar_unranks_past_its_bucket_budget():
+    # rank 499,001 lies at length 30, whose 381,732 words fill one bucket (a bucket holds at most 500,000)
+    target = parse_statement("(((((w+1)+1)+1)+1)+1)+1 > w")
+    ids: dict = {}
+    grammar = _literal_grammar(EMPTY, ids, {_key(target, ids)}, _literal_alphabet(("w",)))
+    assert grammar_unrank(grammar, 499_001) == "abbbbbbbbbpwpwpwpwpwpwpwpwpwpw"
 
 
 def test_literal_search_handles_compound_targets():
