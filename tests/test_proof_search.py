@@ -179,6 +179,16 @@ def test_literal_search_exhausts_exactly_at_the_budget():
     assert verdict == Exhausted(3000)
 
 
+@pytest.mark.parametrize("pack, text", [(EMPTY, "int(w)"), (PACK5, "fbar(3) is 0"), (EMPTY, "w+1 > w")])
+def test_literal_search_counts_the_proof_string_within_its_budget(pack, text):
+    target = parse_statement(text)
+    found = search(pack, target, candidates_budget(10**6), SearchMode.LITERAL)
+    assert search(pack, target, candidates_budget(found.candidates), SearchMode.LITERAL) == found
+    assert search(pack, target, candidates_budget(found.candidates - 1), SearchMode.LITERAL) == Exhausted(
+        found.candidates - 1
+    )
+
+
 def test_literal_search_without_a_proof_term_returns_at_once():
     # no string proves either bit of an index the pack lacks, so none is tried, even with time to spare
     started = time.perf_counter()
@@ -201,7 +211,7 @@ def test_literal_search_reaches_far_ranks():
     assert time.perf_counter() - started < 1.0
 
 
-def test_literal_proof_grammar_unranks_past_its_bucket_budget():
+def test_literal_proof_grammar_unranks_a_six_layer_ordering():
     # rank 499,001 lies at length 30, whose 381,732 words fill one bucket (a bucket holds at most 500,000)
     target = parse_statement("(((((w+1)+1)+1)+1)+1)+1 > w")
     ids: dict = {}
