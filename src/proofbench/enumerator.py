@@ -20,7 +20,7 @@ unambiguous; every grammar shipped in this package is, and the test suite
 checks this against a brute-force oracle.
 
 grammar_unrank finds the word's length from cumulative counts, then the
-word itself in one of two ways.  A length with at most 500,000 words is
+word itself in one of two ways.  A length with at most 100,000 words is
 materialized once, sorted and indexed, which is cheapest when many words of
 one short length are asked for; grammar_derivation hands out such a word
 with its value, for Q-lang its syntax tree, so no Q-lang program of length
@@ -64,7 +64,7 @@ _UNBOUNDED = None  # sentinel for "no finite maximum word length"
 # A length with at most this many words is unranked from its materialized
 # bucket; the lists kept while building one may hold at most 4x as many
 # entries in all, and a length whose build would exceed that is descended.
-_BUCKET_WORDS = 500_000
+_BUCKET_WORDS = 100_000
 
 # The chart columns of prefixes of at most this many symbols, with their
 # counts, are kept on the grammar and shared by every later descent.

@@ -23,9 +23,9 @@ built only for the lines of a returned proof, walking the tags from the goal.
 The stream is deterministic, duplicate-free, and eventually contains every
 derivable statement, so a sufficient budget finds every derivable target.
 
-``literal`` enumerates proof terms as raw strings in shortlex order over a
+``literal`` counts proof terms as raw strings in shortlex order over a
 small alphabet, and every string counts as a candidate tried, though the
-vast majority decode to nothing.  The encoding is positional:
+vast majority are no proof.  The encoding is positional:
 
     p<var>          premise int(var), for a variable of the target
     c<numeral>.     axiom int(numeral)
@@ -35,29 +35,29 @@ vast majority decode to nothing.  The encoding is positional:
     r<P><P>         from proofs of a > b and b > c, conclude a > c
 
 (When a hand-built pack carries both bits for the same index, F picks bit 0.)
-Proof terms are prefix notation, so one left-to-right pass with a stack of
-open rules decodes a string.  Each finished sub-proof is keyed and tagged as
-structured search keys and tags its statements, in the same per-search term
-table, so a candidate is goal-tested by key and no statement is built for it.
+Only a string that proves a goal can end the search, and by the subformula
+property below such a proof uses only the goal's own subterms.  That fixes
+the first one in shortlex order, so literal mode builds it and takes its
+rank; the strings before it are counted but never generated:
 
-Only a string that is a proof of a goal can end the search, and by the
-subformula property below those are words of a small grammar over the goal's
-own leaves (an fbar goal's language is one word, or none):
+    int(t)    the one term I(t): p<var> for a variable, c<numeral>. for a
+              numeral, b I(l) I(r) for a sum l+r.
+    fbar      F<i>. when the pack has a bit of i, and no term otherwise.
+    a > c     with a = a0, a1, ..., ak = c, each a(i-1) being ai+1: every
+              proof makes the same k A1 steps over the same int proofs and
+              joins them by k - 1 R1 steps, so all proofs have one length.
+              The letter a sorts before r, so the first opens each split
+              with its A1 step: r a I(a1) r a I(a2) ... a I(ak).  When a is
+              not c wrapped in (...)+1 layers, there is no term.
 
-    int     -> b int int | p<var> | c<numeral>.    one p or c per leaf
-    order   -> a int | r order order               for an ordering goal
-    fbar    -> F<i>.                               if the pack has a bit of i
-
-So literal mode walks that grammar's words with grammar_unrank, whose
-shortlex order over the same alphabet is the strings' order, and decodes
-only them: a word's string rank counts the strings before it, which are
-counted but never generated.  Every derivable statement has a proof term, so
-literal mode is exhaustive in the limit as well; it finds the 9-line proof
-of ((w+1)+1)+1 > w at rank 7.3 * 10**28 in about 0.3 s on a 2-vCPU x86-64
-VM with Python 3.11.  Found proofs in either mode are rebuilt into
-derivation files with shared sub-proofs deduplicated, then re-checked before
-the verdict is returned; a verdict never carries a derivation the checker
-would reject.
+The origin tags of the term's sub-proofs are written as it is built, keyed
+as structured search keys its statements.  Every derivable statement has a
+proof term, so literal mode is exhaustive in the limit as well; it finds the
+12-line proof of (((w+1)+1)+1)+1 > w at rank 8.9 * 10**48 in about 0.2 ms
+on a 2-vCPU x86-64 VM with Python 3.11.  Found proofs in either mode are
+rebuilt into derivation files with shared sub-proofs deduplicated, then
+re-checked before the verdict is returned; a verdict never carries a
+derivation the checker would reject.
 
 Derivability does not need search at all, for any statement shape, once the
 statement's own variables count as declared (as search declares them):
@@ -83,11 +83,10 @@ bits) violations.
 from __future__ import annotations
 
 import enum
-import itertools
 import time
 from collections import deque
 
-from .enumerator import Alphabet, Grammar, grammar_unrank, rank
+from .enumerator import Alphabet, rank
 from .pi_system import (
     Accept,
     AxiomInstance,
@@ -199,31 +198,39 @@ def _reconstruct(header, origins, goal) -> Derivation:
     return Derivation(tuple(header), tuple(lines))
 
 
+def _layers(ids: dict, lhs: int, rhs: int):
+    """The term ids [lhs, a1, ..., rhs] when lhs is rhs wrapped in k >= 1
+    (...)+1 layers, each the id of the next one's term plus 1; else None.
+    Read off the term ids: from rhs's id, step to the id of (cur)+1 while ids
+    has one, until lhs's id is reached.  A sum's id is larger than its
+    parts', so the walk ends within len(ids) steps."""
+    one = ids.get(("n", 1))
+    chain = [rhs]
+    while chain[-1] is not None:
+        chain.append(ids.get((chain[-1], one)))
+        if chain[-1] == lhs:
+            return chain[::-1]
+    return None
+
+
 def _derivable(pack: AxiomPack, key, ids: dict) -> bool:
     """Whether the statement keyed key in ids is derivable (see the module
-    docstring).  An ordering a > c is read off the term ids: from c's id, step
-    to the id of (cur)+1 while ids has one, until a's id is reached.  A sum's
-    id is larger than its parts', so the walk ends within len(ids) steps."""
+    docstring)."""
     if type(key) is int:
         return True
     if type(key) is tuple:
-        lhs, cur = key
-        one = ids.get(("n", 1))
-        while cur is not None:
-            cur = ids.get((cur, one))
-            if cur == lhs:
-                return True
-        return False
+        return _layers(ids, *key) is not None
     return (key.x, key.bit) in pack.entries
 
 
-def _verdict(pack, target, derivation, candidates):
+def _verdict(pack, derivation, candidates, derived_target: bool):
+    """The verdict for a found derivation, after the checker accepts it.
+    Whether it derives the target is read off the found key, since a deep
+    target compared with the rebuilt goal by == would recurse."""
     goal = derivation.lines[-1].statement
     if not isinstance(check_derivation(pack, derivation, goal), Accept):
         raise RuntimeError("search produced a derivation the checker rejects")
-    if goal == target:
-        return DerivedTarget(derivation, candidates)
-    return DerivedNegation(derivation, candidates)
+    return (DerivedTarget if derived_target else DerivedNegation)(derivation, candidates)
 
 
 # -- structured mode -----------------------------------------------------------
@@ -297,7 +304,6 @@ def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: S
 # -- literal mode ----------------------------------------------------------------
 
 _LITERAL_BASE = "0123456789.Fabcpr"
-_ARITY = {"a": 1, "b": 2, "r": 2}
 
 
 def _literal_alphabet(header) -> Alphabet:
@@ -305,99 +311,64 @@ def _literal_alphabet(header) -> Alphabet:
     return Alphabet.from_string(_LITERAL_BASE + extra)
 
 
-def _decode(text: str, pack: AxiomPack, header, ids: dict, origins: dict):
-    """Decode one proof term in one left-to-right pass; return its key or None.
-
-    Proof terms are prefix notation, so a rule letter waits on the stack until
-    its operands are done.  Each finished sub-proof gives the key _key would
-    give its conclusion, and its origin tag goes into origins in post-order.
-    """
-    term_id = ids.setdefault
-    stack: list = []  # open rules: [letter, operand keys so far...]
-    pos, end = 0, len(text)
-    while pos < end:
-        head = text[pos]
-        pos += 1
-        if head in _ARITY:
-            stack.append([head])
-            continue
-        if head == "p":
-            if pos == end or text[pos] not in header:
-                return None
-            key, tag = term_id(("v", text[pos]), len(ids)), ("premise", text[pos])
-            pos += 1
-        elif head == "c" or head == "F":  # a numeral: digits, no leading zero, then "."
-            dot = text.find(".", pos)
-            digits = text[pos:dot]
-            if dot < 0 or not digits.isdigit() or (digits[0] == "0" and len(digits) > 1):
-                return None
-            value, pos = int(digits), dot + 1
-            if head == "c":
-                key, tag = term_id(("n", value), len(ids)), ("A3", value)
-            else:
-                bit = 0 if (value, 0) in pack.entries else 1
-                if value < 1 or (value, bit) not in pack.entries:
-                    return None
-                key, tag = FbarAtom(value, bit), ("FBAR", value, bit)
+def _int_proof(keys: list, term: int, origins: dict) -> str:
+    """The one proof term of int(t), t the term of id term (keys[i] is the
+    key of id i), tagging the id of each of t's subterms in origins."""
+    out: list = []
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        key = keys[term]
+        if key[0] == "v":
+            out.append("p" + key[1])
+            origins[term] = ("premise", key[1])
+        elif key[0] == "n":
+            out.append(f"c{key[1]}.")
+            origins[term] = ("A3", key[1])
         else:
-            return None
-        while True:  # record the finished sub-proof, then each rule it completes
-            origins[key] = tag
-            if not stack:
-                return key if pos == end else None
-            rule = stack[-1]
-            rule.append(key)
-            if len(rule) <= _ARITY[rule[0]]:
-                break
-            stack.pop()
-            letter, first, second = rule[0], rule[1], rule[-1]  # "a" has one operand
-            if letter == "a" and type(first) is int:
-                key, tag = (term_id((first, term_id(("n", 1), len(ids))), len(ids)), first), ("A1", first)
-            elif letter == "b" and type(first) is int and type(second) is int:
-                key, tag = term_id((first, second), len(ids)), ("A2", first, second)
-            elif letter == "r" and type(first) is tuple and type(second) is tuple and first[1] == second[0]:
-                key, tag = (first[0], second[1]), ("R1", first, second)
-            else:
-                return None
-    return None
+            out.append("b")
+            origins[term] = ("A2", *key)
+            stack += reversed(key)
+    return "".join(out)
 
 
-def _literal_grammar(pack: AxiomPack, ids: dict, goals: set, alphabet: Alphabet):
-    """The proof terms that could conclude a goal, as a Grammar over the
-    literal alphabet, or None when no string is one (an fbar index that the
-    pack lacks).  By the subformula property (module docstring), every proof
-    of a goal uses only the goal's own leaves, which are the leaf keys of ids.
-    Nonterminal names are words, since every single character is a terminal."""
-    goal = next(iter(goals))  # the goals share one shape
-    if isinstance(goal, FbarAtom):
-        if (goal.x, 0) not in pack.entries and (goal.x, 1) not in pack.entries:
-            return None
-        return Grammar(alphabet, "fbar", {"fbar": (("F", *str(goal.x), "."),)})
-    leaves = [("p", key[1]) if key[0] == "v" else ("c", *str(key[1]), ".") for key in ids if type(key[0]) is str]
-    productions = {"int": (("b", "int", "int"), *leaves)}
-    if type(goal) is tuple:
-        productions["order"] = (("a", "int"), ("r", "order", "order"))
-        return Grammar(alphabet, "order", productions)
-    return Grammar(alphabet, "int", productions)
+def _ordering_proof(ids: dict, goal: tuple, origins: dict):
+    """The first proof term of the ordering keyed goal in shortlex order
+    (module docstring), tagging its sub-proofs in origins, or None when the
+    ordering has no proof."""
+    chain = _layers(ids, *goal)
+    if chain is None:
+        return None
+    keys, rhs, out = list(ids), goal[1], []
+    for outer, inner in zip(chain, chain[1:]):
+        if inner != rhs:  # R1 joins outer > inner to inner > rhs
+            out.append("r")
+            origins[outer, rhs] = ("R1", (outer, inner), (inner, rhs))
+        out.append("a" + _int_proof(keys, inner, origins))
+        origins[outer, inner] = ("A1", inner)
+    return "".join(out)
 
 
 def _search_literal(pack: AxiomPack, header, ids: dict, goals: set, budget: SearchBudget, started: float):
-    alphabet = _literal_alphabet(header)
-    grammar = _literal_grammar(pack, ids, goals, alphabet)
+    """Build a goal's first proof term and count it by its rank; no other
+    string is generated, and the clock is not read."""
     limit = budget.max_candidates
-    if grammar is None:  # no string is a proof: with no candidate limit, none is tried
+    goal = next(iter(goals))  # the goals share one shape
+    origins: dict = {}
+    if isinstance(goal, FbarAtom):
+        goal = FbarAtom(goal.x, 0 if (goal.x, 0) in pack.entries else 1)
+        word = f"F{goal.x}." if (goal.x, goal.bit) in pack.entries else None
+        origins[goal] = ("FBAR", goal.x, goal.bit)
+    elif type(goal) is int:
+        word = _int_proof(list(ids), goal, origins)
+    else:
+        word = _ordering_proof(ids, goal, origins)
+    if word is None:  # no string is a proof: with no candidate limit, none is tried
         return None, None, limit or 0
-    for k in itertools.count():  # an fbar grammar's one word is a proof, so k stays within the language
-        word = grammar_unrank(grammar, k)
-        r = rank(alphabet, word)  # the strings skipped before word count as tried
-        if limit is not None and r >= limit:
-            return None, None, limit
-        if budget.max_seconds is not None and time.monotonic() - started >= budget.max_seconds:
-            return None, None, r
-        origins: dict = {}
-        key = _decode(word, pack, header, ids, origins)
-        if key in goals:
-            return key, origins, r + 1  # candidate n is the string of rank n - 1
+    r = rank(_literal_alphabet(header), word)  # the strings before word count as tried
+    if limit is not None and r >= limit:
+        return None, None, limit
+    return goal, origins, r + 1  # candidate n is the string of rank n - 1
 
 
 def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
@@ -410,17 +381,16 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     Both candidate streams are infinite, so a search for a target that
     decide rejects (for an fbar target, both bits) can only end at its
     budget.  With a candidate limit and no time limit, search returns that
-    Exhausted(max_candidates) at once, without enumerating.  A budget with a
-    time limit still enumerates, and so does every derivable target.
+    Exhausted(max_candidates) at once, without enumerating.  Under a time
+    limit, structured search still enumerates.
 
     In literal mode the candidate count is a shortlex rank: the rank of the
     proof's string plus one, as if every string before it had been tried.
-    The strings between two words of the proof grammar (module docstring)
-    are counted but never generated, and the clock is checked once per word,
-    so a time-limited search reports the rank of the first word not tried.
-    An fbar index that the pack lacks has no proof term at all, so a
-    literal search of it with no candidate limit returns Exhausted(0) at
-    once.
+    Literal search builds that one string (module docstring) and reads no
+    clock, so a time limit changes nothing for a derivable target.  An
+    underivable target has no proof term at all, so a literal search of it
+    returns Exhausted(max_candidates), or Exhausted(0) with no candidate
+    limit, at once.
 
     For the targets that enumerate, memory grows linearly with the candidate
     budget: structured search keeps every candidate (its origin tag, its
@@ -435,7 +405,8 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     started = time.monotonic()
     header = statement_vars(target)
     ids: dict = {}  # term ids: ("v", name), ("n", value) or (left id, right id) -> id
-    goals = {_key(target, ids)}
+    target_key = _key(target, ids)
+    goals = {target_key}
     if isinstance(target, FbarAtom):
         goals.add(negate_fbar(target))
     if budget.max_seconds is None and not any(_derivable(pack, goal, ids) for goal in goals):
@@ -444,7 +415,7 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     found, origins, candidates = run(pack, header, ids, goals, budget, started)
     if found is None:
         return Exhausted(candidates)
-    return _verdict(pack, target, _reconstruct(header, origins, found), candidates)
+    return _verdict(pack, _reconstruct(header, origins, found), candidates, found == target_key)
 
 
 # -- static decidability and audits ---------------------------------------------

@@ -102,6 +102,19 @@ def test_deep_nesting_is_a_domain_error_not_a_traceback(tmp_path, argv, file_tex
     assert proc.stderr == "error: input nested too deeply\n"
 
 
+def test_literal_search_derives_a_400_level_target():
+    # the verdict is read off the found key: comparing this deep a target by == would recurse
+    term = "(" * 400 + "w" + "+1)" * 400
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "proofbench.cli", "search", f"int({term})", "--mode", "literal",
+         "--budget", "1" + "0" * 3000, "--format", "json-lines"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["verdict"] == "DerivedTarget"
+
+
 # -- enumeration commands -----------------------------------------------------------
 
 def test_enumerate_json_lines(run):

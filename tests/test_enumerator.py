@@ -300,6 +300,19 @@ def test_grammar_unrank_through_an_indirect_cycle():
     assert grammar_unrank(g, 10) == "c" * 10 + "a" + "b" * 10
 
 
+def test_literal_proof_grammar_unranks_a_six_layer_ordering():
+    # the proof terms of orderings over w and 1, in literal search's alphabet; rank 499,001 lies
+    # at length 30, whose 381,732 words are more than a bucket holds, so it is reached by descent
+    alphabet = Alphabet.from_string("0123456789.Fabcprw")
+    productions = {
+        "int": [["b", "int", "int"], ["p", "w"], ["c", "1", "."]],
+        "order": [["a", "int"], ["r", "order", "order"]],
+    }
+    g = Grammar(alphabet, "order", productions)
+    assert grammar_unrank(g, 499_001) == "abbbbbbbbbpwpwpwpwpwpwpwpwpwpw"
+    assert grammar_count(g, 30) == 381_732 and 30 not in g._buckets
+
+
 def test_recognizes():
     g = _grammar({"S": [["a", "S", "b"], ["a", "b"]]}, alphabet=Alphabet.from_string("ab"))
     assert g.recognizes("aabb")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofbench.enumerator import grammar_unrank
 from proofbench.pi_system import (
     Accept,
     AxiomPack,
@@ -38,11 +37,7 @@ from proofbench.proof_search import (
     search,
 )
 from proofbench.proof_search import (
-    _decode,
     _key,
-    _literal_alphabet,
-    _literal_grammar,
-    _reconstruct,
     _search_literal,
     _search_structured,
 )
@@ -143,19 +138,11 @@ def test_underivable_candidate_budgeted_search_returns_at_once():
     assert elapsed < 1.0, f"took {elapsed:.1f}s, budget 1s"
 
 
-@pytest.mark.parametrize("mode", list(SearchMode))
+@pytest.mark.parametrize("mode", [SearchMode.STRUCTURED])  # literal search never enumerates
 def test_time_limited_search_still_enumerates_underivable_targets(mode):
-    # literal mode covers 10**9 ranks of w > w in about a millisecond, so it gets no candidate limit
-    max_candidates = 10**9 if mode is SearchMode.STRUCTURED else None
-    budget = SearchBudget(max_candidates=max_candidates, max_seconds=0.05)
-    started = time.perf_counter()
+    budget = SearchBudget(max_candidates=10**9, max_seconds=0.05)
     verdict = search(EMPTY, parse_statement("w > w"), budget, mode)
-    elapsed = time.perf_counter() - started
-    assert isinstance(verdict, Exhausted) and 0 < verdict.candidates
-    if mode is SearchMode.STRUCTURED:
-        assert verdict.candidates < 10**9
-    else:
-        assert elapsed < 1.0, f"took {elapsed:.1f}s, budget 1s"
+    assert isinstance(verdict, Exhausted) and 0 < verdict.candidates < 10**9
 
 
 # -- literal mode ---------------------------------------------------------------------
@@ -190,11 +177,12 @@ def test_literal_search_counts_the_proof_string_within_its_budget(pack, text):
 
 
 def test_literal_search_without_a_proof_term_returns_at_once():
-    # no string proves either bit of an index the pack lacks, so none is tried, even with time to spare
-    started = time.perf_counter()
-    verdict = search(PACK5, FbarAtom(9, 0), SearchBudget(max_seconds=10), SearchMode.LITERAL)
-    assert verdict == Exhausted(0)
-    assert time.perf_counter() - started < 1.0
+    # no string proves an underivable target, so none is tried, even with time to spare
+    for pack, text, max_seconds in [(PACK5, "fbar(9) is 0", 10), (EMPTY, "w > w", 0.05)]:
+        started = time.perf_counter()
+        verdict = search(pack, parse_statement(text), SearchBudget(max_seconds=max_seconds), SearchMode.LITERAL)
+        assert verdict == Exhausted(0), text
+        assert time.perf_counter() - started < 1.0, text
 
 
 def test_literal_search_reaches_far_ranks():
@@ -211,12 +199,31 @@ def test_literal_search_reaches_far_ranks():
     assert time.perf_counter() - started < 1.0
 
 
-def test_literal_proof_grammar_unranks_a_six_layer_ordering():
-    # rank 499,001 lies at length 30, whose 381,732 words fill one bucket (a bucket holds at most 500,000)
-    target = parse_statement("(((((w+1)+1)+1)+1)+1)+1 > w")
-    ids: dict = {}
-    grammar = _literal_grammar(EMPTY, ids, {_key(target, ids)}, _literal_alphabet(("w",)))
-    assert grammar_unrank(grammar, 499_001) == "abbbbbbbbbpwpwpwpwpwpwpwpwpwpw"
+def test_literal_search_reaches_ranks_past_any_walk():
+    target = parse_statement("(((w+1)+1)+1)+1 > w")
+    verdict = search(EMPTY, target, candidates_budget(10**60), SearchMode.LITERAL)
+    assert verdict.candidates == 8_912_368_381_280_375_357_593_167_034_818_586_340_595_230_578_111
+    assert isinstance(verdict, DerivedTarget) and len(verdict.derivation.lines) == 12
+    assert check_derivation(EMPTY, verdict.derivation, target) == Accept()
+
+
+def test_literal_search_builds_a_fifty_layer_ordering():
+    target = Greater(nested_sum(50), Var("w"))
+    started = time.perf_counter()
+    verdict = search(EMPTY, target, SearchBudget(max_seconds=1), SearchMode.LITERAL)
+    elapsed = time.perf_counter() - started
+    assert isinstance(verdict, DerivedTarget) and len(verdict.derivation.lines) == 150
+    # the count has about 6,400 digits, past str()'s limit, so no assertion may format it
+    assert verdict.candidates.bit_length() == 21_263
+    assert elapsed < 0.1, f"took {elapsed:.3f}s, budget 0.1s"
+    assert check_derivation(EMPTY, verdict.derivation, target) == Accept()
+
+
+def test_search_reads_the_verdict_of_a_deep_target_off_its_key():
+    # the rebuilt goal and a separately built target this deep would recurse when compared by ==
+    target = IntTyping(nested_sum(499))
+    verdict = search(EMPTY, target, SearchBudget(max_seconds=1), SearchMode.LITERAL)
+    assert isinstance(verdict, DerivedTarget) and len(verdict.derivation.lines) == 501
 
 
 def test_literal_search_handles_compound_targets():
@@ -224,57 +231,6 @@ def test_literal_search_handles_compound_targets():
     verdict = search(EMPTY, target, candidates_budget(10**6), SearchMode.LITERAL)
     assert isinstance(verdict, DerivedTarget)
     assert check_derivation(EMPTY, verdict.derivation, target) == Accept()
-
-
-HEADER = ("w", "a", "p")  # variables named like rule letters still read as variables after p
-
-_INT_PROOFS = st.recursive(  # (proof term of int(t), t)
-    st.one_of(
-        st.sampled_from(HEADER).map(lambda v: ("p" + v, Var(v))),
-        st.integers(0, 120).map(lambda n: (f"c{n}.", Num(n))),
-    ),
-    lambda sub: st.tuples(sub, sub).map(lambda pq: ("b" + pq[0][0] + pq[1][0], Sum(pq[0][1], pq[1][1]))),
-    max_leaves=6,
-)
-
-
-@st.composite
-def _ordering_proofs(draw):
-    """A proof term of t_k > t_0, where t_i+1 is t_(i+1): k A1 steps joined by R1 in a drawn bracketing."""
-    text, t = draw(_INT_PROOFS)
-    ints, terms = [], [t]  # ints[i] proves int(t_i)
-    for _ in range(draw(st.integers(1, 4))):
-        ints.append(text)
-        text, t = "b" + text + "c1.", Sum(t, Num(1))
-        terms.append(t)
-
-    def proof(hi, lo):  # of t_hi > t_lo
-        if hi - lo == 1:
-            return "a" + ints[lo]
-        mid = draw(st.integers(lo + 1, hi - 1))
-        return "r" + proof(hi, mid) + proof(mid, lo)
-
-    return proof(len(ints), 0), Greater(terms[-1], terms[0])
-
-
-_PROOF_TERMS = st.one_of(
-    _INT_PROOFS.map(lambda proof: (proof[0], IntTyping(proof[1]))),
-    _ordering_proofs(),
-    st.sampled_from(sorted(PACK5.entries)).map(lambda entry: (f"F{entry[0]}.", FbarAtom(*entry))),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_PROOF_TERMS)
-def test_literal_decoder_reads_every_well_typed_proof_term(case):
-    text, statement = case
-    ids, origins = {}, {}
-    key = _decode(text, PACK5, HEADER, ids, origins)
-    assert key == _key(statement, ids)
-    assert check_derivation(PACK5, _reconstruct(HEADER, origins, key), statement) == Accept()
-    # a proof term is read whole: a proper prefix or a trailing sub-proof leaves no proof
-    assert _decode(text[:-1], PACK5, HEADER, {}, {}) is None
-    assert _decode(text + "c0.", PACK5, HEADER, {}, {}) is None
 
 
 # -- invariants across modes -------------------------------------------------------------
