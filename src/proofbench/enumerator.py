@@ -37,14 +37,16 @@ Hickey & Cohen, SIAM J. Comput. 1983).  At each position the terminals the
 last column awaits are taken in alphabet order, and the words that extend
 the committed prefix with each are counted only until they pass the
 offset left, which picks the next symbol; committing it appends one
-column.  A column and the counts read from it depend only on the prefix it
-follows, so those of prefixes of at most three symbols are kept on the
-grammar and shared by every later descent (at most 160 columns for
-Q-lang); longer ones last one descent.  A word of length L costs at most
-L - 1 column extensions, and each position counts only the terminals up to
-the one it picks.  The descent builds no derivation, so grammar_derivation
-returns None for such a word.  recognizes runs the same chart over all but
-the last symbol of the word and counts the words that end with that one.
+column.  A column and the counts read from it depend only on its items and
+the columns before it, so the grammar interns these chart states by their
+items and their parent state (hash-consing) and caches each scan between
+two of them; later descents reuse them, and prefixes such as "(1" and "(2"
+share one state.  At most 2,048 states and scans are kept; past that, new
+columns last one descent.  A word of length L costs at most L - 1 column
+extensions, and each position counts only the terminals up to the one it
+picks.  The descent builds no derivation, so grammar_derivation returns
+None for such a word.  recognizes runs the same chart over all but the last
+symbol of the word and counts the words that end with that one.
 
 Grammars must be epsilon-free and contain no unit-production cycles; both
 restrictions are enforced at construction time and keep the length dynamic
@@ -66,9 +68,9 @@ _UNBOUNDED = None  # sentinel for "no finite maximum word length"
 # entries in all, and a length whose build would exceed that is descended.
 _BUCKET_WORDS = 100_000
 
-# The chart columns of prefixes of at most this many symbols, with their
-# counts, are kept on the grammar and shared by every later descent.
-_SHARED_PREFIX = 3
+# A grammar interns at most this many chart states and moves between them;
+# a state built once the table is full stays private to its chart.
+_CHART_TABLE = 2048
 
 
 class UnknownSymbolError(ValueError):
@@ -141,18 +143,22 @@ def unrank(alphabet: Alphabet, k: int) -> str:
 def rank(alphabet: Alphabet, s: str) -> int:
     """Position of s in length-then-lex order; inverse of unrank."""
     n = len(alphabet)
-    index = alphabet._index
-    offset, block = 0, 1
-    for _ in range(len(s)):
-        offset += block
-        block *= n
-    pos = 0
-    for i, ch in enumerate(s):
-        d = index.get(ch)
-        if d is None:
-            raise UnknownSymbolError(i, ch)
-        pos = pos * n + d
-    return offset + pos
+    digits = [alphabet._index.get(ch) for ch in s]
+    if None in digits:
+        i = digits.index(None)
+        raise UnknownSymbolError(i, s[i])
+    return ((n ** len(s) - 1) // (n - 1) if n > 1 else len(s)) + _value(digits, n)
+
+
+def _value(digits: list, n: int) -> int:
+    """The base-n number digits spell, its halves joined by a power of n: near-linear time."""
+    if len(digits) > 64:
+        half = len(digits) // 2
+        return _value(digits[:half], n) * n ** (len(digits) - half) + _value(digits[half:], n)
+    value = 0
+    for d in digits:
+        value = value * n + d
+    return value
 
 
 def stream(alphabet: Alphabet, from_: int, count: int) -> list[str]:
@@ -211,7 +217,8 @@ class Grammar:
         self._buckets: dict = {}
         self._unbucketed: set = set()  # lengths whose bucket build exceeded its cell budget
         self._cum: list[int] = [0]  # _cum[L] = number of words shorter than L
-        self._prefix_columns: dict = {}  # prefix -> (its chart column, that column's _up memo)
+        self._states: dict = {}  # (parent id, items), or None for the root -> (id, column, _up memo)
+        self._moves: dict = {}  # (state id, terminal) -> the state its scan gives
 
     # -- validation -------------------------------------------------------
 
@@ -318,14 +325,15 @@ class Grammar:
     def cache_sizes(self) -> dict:
         """Cached bucket lengths, bucketed words, the count memo's entries,
         split into (production suffix, length) and (symbol, length) keys, and
-        the shared chart columns of short prefixes."""
+        the interned chart states and the moves between them."""
         seq = sum(len(key) == 3 for key in self._counts)
         return {
             "bucket_lengths": len(self._buckets),
             "bucket_words": sum(map(len, self._buckets.values())),
+            "chart_moves": len(self._moves),
+            "chart_states": len(self._states),
             "count_seq": seq,
             "count_sym": len(self._counts) - seq,
-            "prefix_columns": len(self._prefix_columns),
         }
 
     def recognizes(self, word: str, max_entries: int = 1_000_000) -> bool:
@@ -460,53 +468,61 @@ class _Chart:
     item's next symbol rhs[dot].  Completed items are folded into the items
     waiting for them while the column is built, so no column stores one.
     Columns never change once built, and an _up entry reads only columns at
-    or before its own, so column i and its _up entries depend on prefix[:i]
-    alone: those of prefixes of at most _SHARED_PREFIX symbols are kept on
-    the grammar and shared with every later chart, and longer ones stay
-    private to this chart.
+    or before its own.  So two columns with equal items and counts after the
+    same parent state are one state, _up memo included: the grammar interns
+    states by (parent id, items) and caches each scan as a move.
     """
 
     def __init__(self, grammar: Grammar, max_entries: int):
         self.grammar = grammar
         _, self._count_seq = _counter(grammar, max_entries)
-        root = grammar._prefix_columns.get("")
+        root = grammar._states.get(None)
         if root is None:
-            root = grammar._prefix_columns[""] = (self._column({}, {grammar.start}, 0), {})
+            root = grammar._states[None] = (0, self._column({}, 0, {grammar.start}), {})
         self.prefix = ""
-        self.columns: list[dict] = [root[0]]
-        self._ups: list[dict] = [root[1]]  # _ups[i][(sym, r)] = _up(sym, i, r)
+        self._id = root[0]  # None once a state is private: nothing after it is interned
+        self.columns: list[dict] = [root[1]]
+        self._ups: list[dict] = [root[2]]  # _ups[i][(sym, r)] = _up(sym, i, r)
 
-    def _column(self, items: dict, awaited, n: int) -> dict:
-        """Column n: items plus the predictions for awaited."""
+    def _column(self, items: dict, n: int, roots=()) -> dict:
+        """Column n: items plus the predictions for what they, or roots, await."""
         column: dict = {}
         for (lhs, rhs, dot, origin), w in items.items():
             column.setdefault(rhs[dot], []).append((lhs, rhs, dot, origin, w))
-        corners = self.grammar._corners
-        predicted, frontier = set(awaited), list(awaited)
+        corners, prods = self.grammar._corners, self.grammar.productions
+        predicted = {sym for sym in column if sym in prods}.union(roots)
+        frontier = list(predicted)
         while frontier:  # close the awaited nonterminals over their left corners
             for nxt in corners[frontier.pop()] - predicted:
                 predicted.add(nxt)
                 frontier.append(nxt)
         for nt in predicted:
-            for rhs in self.grammar.productions[nt]:
+            for rhs in prods[nt]:
                 column.setdefault(rhs[0], []).append((nt, rhs, 0, n, 1))
         return column
 
     def commit(self, c: str) -> None:
-        """Extend the prefix by c, reusing a shared column if there is one."""
+        """Extend the prefix by c, reusing an interned state if there is one."""
         self.prefix += c
-        shared = self.grammar._prefix_columns
-        entry = shared.get(self.prefix)
-        if entry is None:
-            entry = (self._scan(c), {})
-            if len(self.prefix) <= _SHARED_PREFIX:
-                shared[self.prefix] = entry
-        self.columns.append(entry[0])
-        self._ups.append(entry[1])
+        states, moves = self.grammar._states, self.grammar._moves
+        state = moves.get((self._id, c))
+        if state is None:
+            items = self._scan(c)
+            key = (self._id, frozenset(items.items()))
+            state = states.get(key)
+            if state is None:
+                full = self._id is None or len(states) + len(moves) >= _CHART_TABLE
+                state = (None if full else len(states), self._column(items, len(self.columns)), {})
+                if not full:
+                    states[key] = state
+            if self._id is not None and len(states) + len(moves) < _CHART_TABLE:
+                moves[(self._id, c)] = state
+        self._id = state[0]
+        self.columns.append(state[1])
+        self._ups.append(state[2])
 
     def _scan(self, c: str) -> dict:
-        """The column that scanning c from the last one gives: scan, complete, predict."""
-        prods = self.grammar.productions
+        """The items that scanning c from the last column gives: scan, then complete."""
         rank = self.grammar._unit_rank
         items: dict = {}
         done: dict = {}  # (lhs, origin) -> derivations of lhs =>* prefix[origin:n+1]
@@ -534,7 +550,7 @@ class _Chart:
             w = done[(a, -neg_origin)]
             for lhs, rhs, dot, origin, v in self.columns[-neg_origin].get(a, ()):
                 advance(lhs, rhs, dot + 1, origin, v * w)
-        return self._column(items, {rhs[dot] for _, rhs, dot, _ in items if rhs[dot] in prods}, len(self.columns))
+        return items
 
     def _up(self, sym: str, i: int, r: int) -> int:
         """Ways to derive a sym at prefix[i:] and then r more symbols after it.
@@ -594,8 +610,8 @@ def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> st
     and taking element k, but computed from length counts directly.  Past
     the bucket, each position counts the words that continue the prefix
     with each awaited terminal in alphabet order, stopping at the first
-    whose count exceeds the offset left; the chart starts from the columns
-    the grammar shares for prefixes of at most _SHARED_PREFIX symbols.
+    whose count exceeds the offset left; committing a symbol reuses the
+    chart state that an earlier descent reached by it, if one was interned.
     """
     length, j, bucket = _locate(grammar, k, max_entries)
     if bucket is not None:

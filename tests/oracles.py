@@ -25,6 +25,16 @@ def shortlex_strings(symbols, count):
     return out
 
 
+def shortlex_rank(symbols, word):
+    """Position of word in shortlex order: every shorter word, one length at a
+    time, then its digits read left to right."""
+    n = len(symbols)
+    value = 0
+    for ch in word:
+        value = value * n + symbols.index(ch)
+    return sum(n**length for length in range(len(word))) + value
+
+
 def shortlex_key(symbols, word):
     index = {s: i for i, s in enumerate(symbols)}
     return (len(word), tuple(index[c] for c in word))

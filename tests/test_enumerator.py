@@ -2,7 +2,7 @@ import gc
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proofbench import enumerator, qlang
@@ -21,7 +21,7 @@ from proofbench.enumerator import (
 from proofbench.errors import ResourceLimitError
 from proofbench.qlang import QLANG_ALPHABET, QLANG_GRAMMAR
 
-from oracles import derive_words, shortlex_key, shortlex_strings
+from oracles import derive_words, shortlex_key, shortlex_rank, shortlex_strings
 
 BINARY = Alphabet.from_string("01")
 ABC = Alphabet.from_string("abc")
@@ -100,6 +100,21 @@ def test_unrank_inverts_rank_over_random_alphabets(data):
     alphabet = data.draw(ALPHABETS)
     word = "".join(data.draw(st.lists(st.sampled_from(alphabet.symbols), max_size=40)))
     assert unrank(alphabet, rank(alphabet, word)) == word
+
+
+@st.composite
+def _alphabets_and_words(draw):
+    alphabet = draw(ALPHABETS)
+    return alphabet, "".join(draw(st.lists(st.sampled_from(alphabet.symbols), max_size=300)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_alphabets_and_words())
+@example((Alphabet("a"), "a" * 200))  # past the divide-and-conquer leaf, over one symbol
+@example((ABC, "cab" * 100))
+def test_rank_agrees_with_the_left_to_right_oracle(case):
+    alphabet, word = case
+    assert rank(alphabet, word) == shortlex_rank(alphabet.symbols, word)
 
 
 def test_stream_is_strictly_increasing_in_shortlex():
@@ -198,10 +213,10 @@ def test_cold_count_of_a_long_qlang_length():
 
 
 @st.composite
-def _small_grammars(draw):
-    """Epsilon-free grammars of 2-4 nonterminals over ab, right-hand sides of 1-3 symbols."""
+def _small_grammars(draw, terminals="ab"):
+    """Epsilon-free grammars of 2-4 nonterminals over terminals, right-hand sides of 1-3 symbols."""
     nonterminals = ["S", "T", "U", "V"][: draw(st.integers(2, 4))]
-    symbol = st.one_of(st.sampled_from("ab"), st.sampled_from(nonterminals))  # terminals half the time
+    symbol = st.one_of(st.sampled_from(terminals), st.sampled_from(nonterminals))  # terminals half the time
     rhs = st.lists(symbol, min_size=1, max_size=3)
     return {nt: draw(st.lists(rhs, min_size=1, max_size=3)) for nt in nonterminals}
 
@@ -243,6 +258,52 @@ def test_one_grammar_descends_and_recognizes_in_any_order(prods, data):
                 assert grammar_unrank(g, ask) == words[ask]
             else:
                 assert g.recognizes(ask) == (ask in words)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_grammars("abcD"), st.data())
+def test_chart_states_shared_by_different_prefixes_stay_exact(prods, data):
+    # D -> b | c lets b and c play one role, as Q-lang's digits do, so the
+    # chart after a prefix ending in b is interned as the one ending in c
+    prods = dict(prods, D=[["b"], ["c"]])
+    abc = Alphabet.from_string("abc")
+    try:
+        g = Grammar(abc, "S", prods)
+    except GrammarError:
+        return
+    if sum(grammar_count(g, n) for n in range(8)) > 3000:
+        return  # keep the brute-force oracle small
+    words = [w for n in range(8) for w in sorted(derive_words(prods, "S", n), key=lambda w: shortlex_key("abc", w))]
+    ranks = st.integers(0, len(words) - 1) if words else st.nothing()
+    asks = data.draw(st.lists(st.one_of(ranks, st.text("abc", min_size=1, max_size=7)), max_size=40))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumerator, "_BUCKET_WORDS", 0)
+        for ask in asks:
+            if isinstance(ask, int):
+                assert grammar_unrank(g, ask) == words[ask]
+            else:
+                assert g.recognizes(ask) == (ask in words)
+
+
+def test_a_full_chart_table_keeps_descents_and_recognition_exact(monkeypatch):
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 0)
+    monkeypatch.setattr(enumerator, "_CHART_TABLE", 8)
+
+    def fresh():
+        return Grammar(QLANG_ALPHABET, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions)
+
+    rng = random.Random(17)
+    shared = fresh()
+    for _ in range(40):
+        k = rng.randrange(_first_rank(rng.randrange(5, 11) + 1))
+        word = grammar_unrank(shared, k)
+        assert word == grammar_unrank(fresh(), k)
+        i = rng.randrange(len(word))
+        for text in (word, word[:i] + rng.choice(QLANG_ALPHABET.symbols) + word[i + 1 :]):
+            assert shared.recognizes(text) == fresh().recognizes(text)
+        sizes = shared.cache_sizes()
+        assert sizes["chart_states"] + sizes["chart_moves"] <= 8
+    assert sizes["chart_states"] + sizes["chart_moves"] == 8  # the table filled, so later states were private
 
 
 def test_grammar_unrank_lists_words_in_shortlex_order():

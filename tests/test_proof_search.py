@@ -219,6 +219,17 @@ def test_literal_search_builds_a_fifty_layer_ordering():
     assert check_derivation(EMPTY, verdict.derivation, target) == Accept()
 
 
+def test_literal_search_builds_a_two_hundred_layer_ordering():
+    # ranking its 80,399-symbol proof term is near-linear, not quadratic, in its length
+    target = Greater(nested_sum(200), Var("w"))
+    started = time.perf_counter()
+    verdict = search(EMPTY, target, SearchBudget(max_seconds=1), SearchMode.LITERAL)
+    elapsed = time.perf_counter() - started
+    assert isinstance(verdict, DerivedTarget) and len(verdict.derivation.lines) == 600
+    assert verdict.candidates.bit_length() == 335_258  # never formatted: about 100,000 digits
+    assert elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s"
+
+
 def test_search_reads_the_verdict_of_a_deep_target_off_its_key():
     # the rebuilt goal and a separately built target this deep would recurse when compared by ==
     target = IntTyping(nested_sum(499))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofbench import qlang
+from proofbench import enumerator, qlang
 from proofbench.enumerator import Grammar, grammar_count, grammar_derivation, grammar_unrank
 from proofbench.errors import ParseError, ResourceLimitError
 from proofbench.qlang import (
@@ -286,26 +286,29 @@ def test_grammar_reports_its_cache_sizes(monkeypatch, capsys):
     cold = Grammar(g.alphabet, g.start, g.productions, g.actions)
     monkeypatch.setattr(qlang, "QLANG_GRAMMAR", cold)
     assert cold.cache_sizes() == {
-        "bucket_lengths": 0, "bucket_words": 0, "count_seq": 0, "count_sym": 0, "prefix_columns": 0,
+        "bucket_lengths": 0, "bucket_words": 0, "chart_moves": 0, "chart_states": 0, "count_seq": 0, "count_sym": 0,
     }
     assert nth_program(5000).source == "(x=655)"
     sizes = cold.cache_sizes()
     assert list(sizes) == sorted(sizes)
     assert sizes == {
-        "bucket_lengths": 1, "bucket_words": WORDS_PER_LENGTH[7],
-        "count_seq": 110, "count_sym": 27, "prefix_columns": 0,
+        "bucket_lengths": 1, "bucket_words": WORDS_PER_LENGTH[7], "chart_moves": 0, "chart_states": 0,
+        "count_seq": 110, "count_sym": 27,
     }
     assert capsys.readouterr() == ("", "")
 
 
-def test_past_bucket_lookups_share_one_column_per_short_prefix():
+def test_past_bucket_lookups_share_interned_chart_states():
     g = Grammar(QLANG_GRAMMAR.alphabet, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions)
     ranks = [x - 1 for x in _descended_indices()[:300]]
     words = [grammar_unrank(g, k) for k in ranks]
-    prefixes = {word[:n] for word in words for n in range(4)}
-    assert g.cache_sizes()["prefix_columns"] == len(prefixes)
+    sizes = g.cache_sizes()
+    # columns after different prefixes, such as "(1" and "(2", are one state
+    prefixes = {word[:n] for word in words for n in range(1, len(word))}
+    assert 0 < sizes["chart_states"] < len(prefixes) // 10
+    assert sizes["chart_states"] + sizes["chart_moves"] <= enumerator._CHART_TABLE
     assert [grammar_unrank(g, k) for k in ranks] == words
-    assert g.cache_sizes()["prefix_columns"] == len(prefixes)
+    assert g.cache_sizes() == sizes  # the second pass adds no state and no move
 
 
 def test_programs_are_immutable_tuple_records_equal_to_their_parse():
