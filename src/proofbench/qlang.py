@@ -58,17 +58,20 @@ QLANG_GRAMMAR = Grammar(
         "nonzero": tuple((d,) for d in "123456789"),
         "digit": tuple((d,) for d in "0123456789"),
     },
-    actions={  # build each bucketed program's syntax tree; c holds the children's values
-        ("bexp", ("!", "bexp")): lambda word, c: Not(c[1]),
-        ("bexp", ("(", "bexp", "&", "bexp", ")")): lambda word, c: And(c[1], c[3]),
-        ("bexp", ("(", "bexp", "|", "bexp", ")")): lambda word, c: Or(c[1], c[3]),
-        ("bexp", ("(", "aexp", "cmp", "aexp", ")")): lambda word, c: c[2](c[1], c[3]),
+    # build each bucketed program's syntax tree; c holds the children's values.
+    # A node validates nothing, so tuple.__new__ builds it without the record
+    # class's Python-level __new__ (see records).
+    actions={
+        ("bexp", ("!", "bexp")): lambda word, c: tuple.__new__(Not, (c[1],)),
+        ("bexp", ("(", "bexp", "&", "bexp", ")")): lambda word, c: tuple.__new__(And, (c[1], c[3])),
+        ("bexp", ("(", "bexp", "|", "bexp", ")")): lambda word, c: tuple.__new__(Or, (c[1], c[3])),
+        ("bexp", ("(", "aexp", "cmp", "aexp", ")")): lambda word, c: tuple.__new__(c[2], (c[1], c[3])),
         ("cmp", ("=",)): lambda word, c: Eq,
         ("cmp", (">",)): lambda word, c: Gt,
         ("aexp", ("x",)): lambda word, c: _X,
-        ("aexp", ("numeral",)): lambda word, c: Num(int(word)),
-        ("aexp", ("(", "aexp", "+", "aexp", ")")): lambda word, c: Add(c[1], c[3]),
-        ("aexp", ("(", "aexp", "%", "aexp", ")")): lambda word, c: Mod(c[1], c[3]),
+        ("aexp", ("numeral",)): lambda word, c: tuple.__new__(Num, (int(word),)),
+        ("aexp", ("(", "aexp", "+", "aexp", ")")): lambda word, c: tuple.__new__(Add, (c[1], c[3])),
+        ("aexp", ("(", "aexp", "%", "aexp", ")")): lambda word, c: tuple.__new__(Mod, (c[1], c[3])),
     },
 )
 
@@ -103,8 +106,7 @@ Gt = _node("Gt", "left right")
 # immutable, and a field-less record's __new__ is a Python call.
 _X = X()
 
-# nth_program makes one per call; like every record, it costs about half a
-# frozen dataclass to build.
+# nth_program makes one per call; fbar_truth, diagonal and table make none.
 QProgram = record("QProgram", "source ast")
 
 
@@ -242,26 +244,69 @@ def _beval(node, x: int) -> bool:
     return _aeval(left, x) > _aeval(right, x)
 
 
+# Q-lang is total and pure, so evaluating both operands of & and | gives the
+# bit that short-circuiting gives.
+_APPLY = {
+    Add: lambda a, b: a + b,
+    Mod: lambda a, b: a % b if b else 0,
+    And: lambda a, b: a and b,
+    Or: lambda a, b: a or b,
+    Eq: lambda a, b: a == b,
+    Gt: lambda a, b: a > b,
+}
+
+
+def _stack_eval(node, x: int):
+    """_beval/_aeval from an explicit stack, for a tree too deep to recurse on."""
+    values, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is X:
+            values.append(x)
+        elif kind is Num:
+            values.append(node[0])
+        elif kind is type:  # a node class, its operands' values on top, the left one last
+            if node is Not:
+                values[-1] = not values[-1]
+            else:
+                left = values.pop()
+                values[-1] = _APPLY[node](left, values[-1])
+        else:
+            stack.append(kind)
+            stack += node  # the right operand is popped, so valued, first
+    return values[0]
+
+
 def evaluate(program: QProgram, x: int) -> int:
-    """Run a program on a positive integer; always returns 0 or 1."""
+    """Run a program on a positive integer; always returns 0 or 1, at any
+    nesting depth.  Internally any (source, tree) pair serves as the program."""
     if x < 1:
         raise ValueError("inputs are positive integers")
-    return 1 if _beval(program.ast, x) else 0
+    try:
+        return 1 if _beval(program[1], x) else 0
+    except RecursionError:
+        return 1 if _stack_eval(program[1], x) else 0
 
 
 # -- the enumerated program list ------------------------------------------
 
+def _program(i: int):
+    """Program i as a (source, tree) pair: its bucket entry for a length
+    <= 7 (i <= 64,446), else the parse of the word that prefix descent finds."""
+    return grammar_derivation(QLANG_GRAMMAR, i - 1) or parse(grammar_unrank(QLANG_GRAMMAR, i - 1))
+
+
 def nth_program(i: int) -> QProgram:
     """The i-th valid program (1-based) in length-then-lex order.
 
-    A program of length <= 7 (i <= 64,446) comes with the syntax tree that
-    QLANG_GRAMMAR's actions built alongside its bucket, so it is not parsed;
-    a longer one is found by prefix descent and then parsed.
+    A program of length <= 7 comes with the syntax tree that QLANG_GRAMMAR's
+    actions built alongside its bucket, so it is not parsed.
     """
     if i < 1:
         raise ValueError("program indices start at 1")
-    derivation = grammar_derivation(QLANG_GRAMMAR, i - 1)
-    return QProgram(*derivation) if derivation else parse(grammar_unrank(QLANG_GRAMMAR, i - 1))
+    program = _program(i)
+    return program if type(program) is QProgram else QProgram(*program)
 
 
 class BitTable(record("BitTable", "rows cols cells")):
@@ -290,8 +335,8 @@ def table(n: int, m: int, max_cells: int = 1_000_000) -> BitTable:
         rows=n,
         cols=m,
         cells=tuple(
-            tuple(evaluate(nth_program(i), x) for x in range(1, m + 1))
-            for i in range(1, n + 1)
+            tuple(evaluate(program, x) for x in range(1, m + 1))
+            for program in map(_program, range(1, n + 1))
         ),
     )
 
@@ -304,7 +349,7 @@ def diagonal(n: int, max_cells: int = 1_000_000) -> list[int]:
         raise ResourceLimitError(
             f"diagonal of {n} cells exceeds the budget of {max_cells}", budget="max_cells", limit=max_cells, attempted=n
         )
-    return [evaluate(nth_program(i), i) for i in range(1, n + 1)]
+    return [evaluate(_program(i), i) for i in range(1, n + 1)]
 
 
 def diagonal_flip(bits) -> list[int]:
@@ -318,7 +363,8 @@ def diagonal_flip(bits) -> list[int]:
 
 
 def fbar_truth(x: int) -> int:
-    """The x-th flipped-diagonal bit: 1 - (program x on input x)."""
+    """The x-th flipped-diagonal bit: 1 - (program x on input x).  It
+    evaluates the (source, tree) pair and builds no QProgram."""
     if x < 1:
         raise ValueError("inputs are positive integers")
-    return 1 - evaluate(nth_program(x), x)
+    return 1 - evaluate(_program(x), x)

@@ -78,17 +78,21 @@ DEEP = 10_000
 DEEP_TERM = "(" * DEEP + "w" + "+1)" * DEEP
 
 
+DEEP_ERROR = (1, "", "error: input nested too deeply\n")
+
+
 @pytest.mark.parametrize(
-    "argv, file_text",
+    "argv, file_text, expected",
     [
-        (("qlang", "eval", "{file}", "--x", "1"), "!" * DEEP + "(x=x)\n"),
-        (("search", f"{DEEP_TERM} > w", "--budget", "10"), None),
-        (("decide", f"{DEEP_TERM} > w"), None),
-        (("check", "{file}"), f"vars: w\ntarget: {DEEP_TERM} > w\n1. int(w) [premise]\n"),
+        # Q-lang is total at any depth: a valid program evaluates
+        (("qlang", "eval", "{file}", "--x", "1"), "!" * DEEP + "(x=x)\n", (0, "x: 1, output: 1\n", "")),
+        (("search", f"{DEEP_TERM} > w", "--budget", "10"), None, DEEP_ERROR),
+        (("decide", f"{DEEP_TERM} > w"), None, DEEP_ERROR),
+        (("check", "{file}"), f"vars: w\ntarget: {DEEP_TERM} > w\n1. int(w) [premise]\n", DEEP_ERROR),
     ],
     ids=["qlang-eval", "search", "decide", "check"],
 )
-def test_deep_nesting_is_a_domain_error_not_a_traceback(tmp_path, argv, file_text):
+def test_deep_nesting_is_a_domain_error_not_a_traceback(tmp_path, argv, file_text, expected):
     # run as a real process: an escaping exception would print a traceback
     source = tmp_path / "deep.txt"
     if file_text is not None:
@@ -98,8 +102,7 @@ def test_deep_nesting_is_a_domain_error_not_a_traceback(tmp_path, argv, file_tex
     proc = subprocess.run(
         [sys.executable, "-m", "proofbench.cli", *argv], capture_output=True, text=True, env=env, timeout=120
     )
-    assert proc.returncode == 1
-    assert proc.stderr == "error: input nested too deeply\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 def test_literal_search_derives_a_400_level_target():
@@ -177,6 +180,11 @@ def test_qlang_eval_from_file_and_stdin(run, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("((x%2)=0)\n"))
     code, out, _ = run("qlang", "eval", "-", "--x", "4", "--format", "json-lines")
     assert code == 0 and json.loads(out)["output"] == 1
+
+
+def test_qlang_eval_runs_a_hundred_thousand_level_program(run, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("!" * 100_001 + "((x%3)>(1+x))\n"))
+    assert run("qlang", "eval", "-", "--x", "5", "--format", "json-lines") == (0, '{"output": 1, "x": 5}\n', "")
 
 
 def test_qlang_nth(run):

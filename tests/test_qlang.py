@@ -233,6 +233,23 @@ def test_every_program_is_total_with_bit_output():
             assert evaluate(program, x) in (0, 1)
 
 
+def test_evaluate_is_total_at_any_depth():
+    # past the recursion limit evaluate walks the tree from an explicit stack
+    assert evaluate(parse("!" * 10_000 + "(x=x)"), 1) == 1
+    assert evaluate(parse("!" * 10_001 + "((x%3)>(1+x))"), 5) == 1
+    assert evaluate(parse("(" + "(" * 5_000 + "x" + "%0)" * 5_000 + "=0)"), 7) == 1
+    assert evaluate(parse("(" * 5_000 + "(x>1)" + "&(x=x))" * 2_500 + "|(x=2))" * 2_500), 1) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_trees(True, 6), st.integers(1, 10**9).map(lambda i: nth_program(i).ast)),
+    st.one_of(st.sampled_from((1, 2, 7, 10**6)), st.integers(1, 10**12)),
+)
+def test_the_stack_walk_agrees_with_evaluate(ast, x):
+    assert (1 if qlang._stack_eval(ast, x) else 0) == evaluate(qlang.QProgram(pretty(ast), ast), x)
+
+
 # -- enumeration of programs ---------------------------------------------------------
 
 def test_program_counts_per_length_match_oracle():
