@@ -182,11 +182,6 @@ def test_qlang_eval_from_file_and_stdin(run, tmp_path, monkeypatch):
     assert code == 0 and json.loads(out)["output"] == 1
 
 
-def test_qlang_eval_runs_a_hundred_thousand_level_program(run, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("!" * 100_001 + "((x%3)>(1+x))\n"))
-    assert run("qlang", "eval", "-", "--x", "5", "--format", "json-lines") == (0, '{"output": 1, "x": 5}\n', "")
-
-
 def test_qlang_nth(run):
     code, out, _ = run("qlang", "nth", "1", "--format", "json-lines")
     assert json.loads(out) == {"i": 1, "program": "(x=x)"}

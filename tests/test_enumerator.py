@@ -233,8 +233,11 @@ def test_counts_buckets_and_descent_agree_with_the_oracle(symbols, data):
         g = Grammar(alphabet, "S", prods)
     except GrammarError:
         return
+    counts = [grammar_count(g, length) for length in range(7)]
+    if sum(counts) > 3000:
+        return  # keep the brute-force oracle small and each bucket within its cell budget
     expected = [sorted(derive_words(prods, "S", length), key=lambda w: shortlex_key(symbols, w)) for length in range(7)]
-    assert [grammar_count(g, length) for length in range(7)] == list(map(len, expected))
+    assert counts == list(map(len, expected))
     assert [[word for word, _ in enumerator._bucket(g, length)] for length in range(7)] == expected
     words = [word for same_length in expected for word in same_length]
     with pytest.MonkeyPatch.context() as patch:

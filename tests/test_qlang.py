@@ -236,7 +236,7 @@ def test_every_program_is_total_with_bit_output():
 def test_evaluate_is_total_at_any_depth():
     # past the recursion limit evaluate walks the tree from an explicit stack
     assert evaluate(parse("!" * 10_000 + "(x=x)"), 1) == 1
-    assert evaluate(parse("!" * 10_001 + "((x%3)>(1+x))"), 5) == 1
+    assert evaluate(parse("!" * 100_001 + "((x%3)>(1+x))"), 5) == 1
     assert evaluate(parse("(" + "(" * 5_000 + "x" + "%0)" * 5_000 + "=0)"), 7) == 1
     assert evaluate(parse("(" * 5_000 + "(x>1)" + "&(x=x))" * 2_500 + "|(x=2))" * 2_500), 1) == 0
 
