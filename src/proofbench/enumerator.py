@@ -33,20 +33,21 @@ remembered and served by descent instead.
 
 A longer length is found by prefix descent over an Earley chart that
 carries derivation counts (Earley, CACM 1970; recursive ranking as in
-Hickey & Cohen, SIAM J. Comput. 1983).  At each position the terminals the
-last column awaits are taken in alphabet order, and the words that extend
-the committed prefix with each are counted only until they pass the
-offset left, which picks the next symbol; committing it appends one
-column.  A column and the counts read from it depend only on its items and
-the columns before it, so the grammar interns these chart states by their
-items and their parent state (hash-consing) and caches each scan between
-two of them; later descents reuse them, and prefixes such as "(1" and "(2"
-share one state.  At most 2,048 states and scans are kept; past that, new
-columns last one descent.  A word of length L costs at most L - 1 column
-extensions, and each position counts only the terminals up to the one it
-picks.  The descent builds no derivation, so grammar_derivation returns
-None for such a word.  recognizes runs the same chart over all but the last
-symbol of the word and counts the words that end with that one.
+Hickey & Cohen, SIAM J. Comput. 1983).  A column and the counts read from
+it depend only on its items and the columns before it, so the grammar
+interns these chart states by their items and their parent state
+(hash-consing) and caches each scan between two of them; later descents
+reuse them, and prefixes such as "(1" and "(2" share one state.  At most
+2,048 states and scans are kept; past that, new columns last one descent.
+For each number of symbols still to come, a state keeps the terminals its
+column awaits, in alphabet order, with running totals of the words that
+continue the prefix with each; one bisection at the offset left picks the
+next symbol.  Totals are added only until one passes the offset, so no
+visit counts a terminal past the one it picks.  A word of length L costs
+at most L - 1 column extensions.  The descent builds no derivation, so
+grammar_derivation returns None for such a word.  recognizes runs the same
+chart over all but the last symbol of the word and counts the words that
+end with that one.
 
 Grammars must be epsilon-free and contain no unit-production cycles; both
 restrictions are enforced at construction time and keep the length dynamic
@@ -217,7 +218,7 @@ class Grammar:
         self._buckets: dict = {}
         self._unbucketed: set = set()  # lengths whose bucket build exceeded its cell budget
         self._cum: list[int] = [0]  # _cum[L] = number of words shorter than L
-        self._states: dict = {}  # (parent id, items), or None for the root -> (id, column, _up memo)
+        self._states: dict = {}  # (parent id, items), or None for the root -> (id, column, count memo)
         self._moves: dict = {}  # (state id, terminal) -> the state its scan gives
 
     # -- validation -------------------------------------------------------
@@ -324,12 +325,14 @@ class Grammar:
 
     def cache_sizes(self) -> dict:
         """Cached bucket lengths, bucketed words, the count memo's entries,
-        split into (production suffix, length) and (symbol, length) keys, and
-        the interned chart states and the moves between them."""
+        split into (production suffix, length) and (symbol, length) keys, the
+        interned chart states, the entries of their count memos (descent
+        tables included) and the moves between them."""
         seq = sum(len(key) == 3 for key in self._counts)
         return {
             "bucket_lengths": len(self._buckets),
             "bucket_words": sum(map(len, self._buckets.values())),
+            "chart_counts": sum(len(ups) for _, _, ups in self._states.values()),
             "chart_moves": len(self._moves),
             "chart_states": len(self._states),
             "count_seq": seq,
@@ -475,7 +478,7 @@ class _Chart:
     waiting for them while the column is built, so no column stores one.
     Columns never change once built, and an _up entry reads only columns at
     or before its own.  So two columns with equal items and counts after the
-    same parent state are one state, _up memo included: the grammar interns
+    same parent state are one state, count memo included: the grammar interns
     states by (parent id, items) and caches each scan as a move.
     """
 
@@ -488,7 +491,7 @@ class _Chart:
         self.prefix = ""
         self._id = root[0]  # None once a state is private: nothing after it is interned
         self.columns: list[dict] = [root[1]]
-        self._ups: list[dict] = [root[2]]  # _ups[i][(sym, r)] = _up(sym, i, r)
+        self._ups: list[dict] = [root[2]]  # _ups[i][(sym, r)] = _up(sym, i, r); [r] a descent table
 
     def _column(self, items: dict, n: int, roots=()) -> dict:
         """Column n: items plus the predictions for what they, or roots, await."""
@@ -614,10 +617,10 @@ def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> st
 
     Equivalent to filtering the raw stream through the grammar's recognizer
     and taking element k, but computed from length counts directly.  Past
-    the bucket, each position counts the words that continue the prefix
-    with each awaited terminal in alphabet order, stopping at the first
-    whose count exceeds the offset left; committing a symbol reuses the
-    chart state that an earlier descent reached by it, if one was interned.
+    the bucket, each position bisects the chart state's running totals of
+    the words that continue the prefix with each awaited terminal, adding
+    totals only until one exceeds the offset left; committing a symbol
+    reuses the chart state an earlier descent reached by it, if interned.
     """
     length, j, bucket = _locate(grammar, k, max_entries)
     if bucket is not None:
@@ -626,15 +629,19 @@ def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> st
     for n in range(length):
         if n:
             chart.commit(c)  # the symbol chosen at position n - 1
-        column = chart.columns[n]
-        for c in grammar.alphabet.symbols:
-            if c in column:  # else no item awaits c and no word continues with it
-                m = chart._up(c, n, length - n - 1)
-                if j < m:
-                    break
-                j -= m
-        else:
-            raise AssertionError("prefix descent exhausted the alphabet; counts are inconsistent")
+        r, ups = length - n - 1, chart._ups[n]
+        table = ups.get(r)  # an int key, unlike the memo's (sym, r) keys
+        if table is None:
+            column = chart.columns[n]
+            table = ups[r] = ([t for t in grammar.alphabet.symbols if t in column], [0])
+        awaited, totals = table
+        while totals[-1] <= j:  # count on only until the running total passes j
+            if len(totals) > len(awaited):
+                raise AssertionError("prefix descent exhausted the alphabet; counts are inconsistent")
+            totals.append(totals[-1] + chart._up(awaited[len(totals) - 1], n, r))
+        i = bisect.bisect_right(totals, j)  # past equal totals: terminals with no word here
+        c = awaited[i - 1]
+        j -= totals[i - 1]
     return chart.prefix + c
 
 

@@ -313,6 +313,35 @@ def test_a_full_chart_table_keeps_descents_and_recognition_exact(monkeypatch):
     assert sizes["chart_states"] + sizes["chart_moves"] == 8  # the table filled, so later states were private
 
 
+def test_descent_skips_awaited_terminals_with_no_words(monkeypatch):
+    # "a" is awaited at position 0 but has no word of length 3: its running
+    # total equals the one before it, and the bisection must step past it
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 0)
+    ab, prods = Alphabet.from_string("ab"), {"S": [["a"], ["b", "b", "b"]]}
+    assert grammar_unrank(Grammar(ab, "S", prods), 1) == "bbb"
+    g = Grammar(ab, "S", prods)
+    assert [grammar_unrank(g, k) for k in (1, 0, 1)] == ["bbb", "a", "bbb"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_grammars())
+def test_descents_into_complete_tables_agree_with_the_oracle(prods):
+    # descending ranks fill each table before lower ranks bisect inside it
+    ab = Alphabet.from_string("ab")
+    try:
+        g = Grammar(ab, "S", prods)
+    except GrammarError:
+        return
+    if sum(grammar_count(g, n) for n in range(7)) > 3000:
+        return  # keep the brute-force oracle small
+    words = [w for n in range(7) for w in sorted(derive_words(prods, "S", n), key=lambda w: shortlex_key("ab", w))]
+    ranks = range(len(words) - 1, -1, -1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumerator, "_BUCKET_WORDS", 0)
+        assert [grammar_unrank(g, k) for k in ranks] == [words[k] for k in ranks]
+        assert [grammar_unrank(g, k) for k in range(len(words))] == words
+
+
 def test_grammar_unrank_lists_words_in_shortlex_order():
     prods = {"S": [["a", "S", "b"], ["a", "b"], ["c"]]}
     g = _grammar(prods)

@@ -303,14 +303,15 @@ def test_grammar_reports_its_cache_sizes(monkeypatch, capsys):
     cold = Grammar(g.alphabet, g.start, g.productions, g.actions)
     monkeypatch.setattr(qlang, "QLANG_GRAMMAR", cold)
     assert cold.cache_sizes() == {
-        "bucket_lengths": 0, "bucket_words": 0, "chart_moves": 0, "chart_states": 0, "count_seq": 0, "count_sym": 0,
+        "bucket_lengths": 0, "bucket_words": 0, "chart_counts": 0, "chart_moves": 0, "chart_states": 0,
+        "count_seq": 0, "count_sym": 0,
     }
     assert nth_program(5000).source == "(x=655)"
     sizes = cold.cache_sizes()
     assert list(sizes) == sorted(sizes)
     assert sizes == {
-        "bucket_lengths": 1, "bucket_words": WORDS_PER_LENGTH[7], "chart_moves": 0, "chart_states": 0,
-        "count_seq": 110, "count_sym": 27,
+        "bucket_lengths": 1, "bucket_words": WORDS_PER_LENGTH[7], "chart_counts": 0, "chart_moves": 0,
+        "chart_states": 0, "count_seq": 110, "count_sym": 27,
     }
     assert capsys.readouterr() == ("", "")
 
