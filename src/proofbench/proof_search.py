@@ -16,12 +16,12 @@ popping an ordering joins it with previously processed orderings through R1
 via indexes on the shared middle term; and one fresh numeral axiom int(0),
 int(1), ... is injected per pop so that every numeral is eventually
 available.  Each *new* statement is one candidate, goal-tested on arrival.
-Terms are interned per search to integer ids (a sum is keyed by its parts'
-ids), so the worklist, dedup table, indexes and origin tags hold int(t) as
-t's id and a > b as a pair of ids, and no term tree is hashed; statements are
-built only for the lines of a returned proof, walking the tags from the goal.
 The stream is deterministic, duplicate-free, and eventually contains every
 derivable statement, so a sufficient budget finds every derivable target.
+Only R1 can repeat a candidate (it adds two or more +1 layers, A1 one), so
+only its premises are kept; other rules are read off the keys (_key).  The
+int k popped after u0, ..., u(m-1) queues its 2m + 1 A2 pairs (k, u0),
+(u0, k), ..., (k, k) as one block, and a pop interns only the pair it takes.
 
 ``literal`` counts proof terms as raw strings in shortlex order over a
 small alphabet, and every string counts as a candidate tried, though the
@@ -50,14 +50,13 @@ rank; the strings before it are counted but never generated:
               with its A1 step: r a I(a1) r a I(a2) ... a I(ak).  When a is
               not c wrapped in (...)+1 layers, there is no term.
 
-The origin tags of the term's sub-proofs are written as it is built, keyed
-as structured search keys its statements.  Every derivable statement has a
-proof term, so literal mode is exhaustive in the limit as well; it finds the
-12-line proof of (((w+1)+1)+1)+1 > w at rank 8.9 * 10**48 in about 0.2 ms
-on a 2-vCPU x86-64 VM with Python 3.11.  Found proofs in either mode are
-rebuilt into derivation files with shared sub-proofs deduplicated, then
-re-checked before the verdict is returned; a verdict never carries a
-derivation the checker would reject.
+Its R1 steps are recorded as it is built, as in structured search.  Every
+derivable statement has a proof term, so literal mode is exhaustive in the
+limit as well; it finds the 12-line proof of (((w+1)+1)+1)+1 > w at rank
+8.9 * 10**48 in about 0.2 ms on a 2-vCPU x86-64 VM with Python 3.11.  Found
+proofs in either mode are rebuilt into derivation files with shared
+sub-proofs deduplicated, then re-checked before the verdict is returned; a
+verdict never carries a derivation the checker would reject.
 
 Derivability does not need search at all, for any statement shape, once the
 statement's own variables count as declared (as search declares them):
@@ -156,12 +155,10 @@ def _key(statement, ids: dict):
     return tuple(out) if isinstance(statement, Greater) else out[0]
 
 
-def _reconstruct(header, origins, goal) -> Derivation:
-    """Rebuild a derivation file from origin tags, deduplicating sub-proofs.
-
-    A tag is a rule and its premises' keys in origins (or its variable,
-    numeral or pack entry); a line states the rule's conclusion from them.
-    """
+def _reconstruct(header, ids: dict, r1: dict, goal) -> Derivation:
+    """Rebuild a derivation file from the goal's key, deduplicating sub-proofs.
+    r1 holds R1's premises; every other rule is read off its conclusion's key."""
+    keys = list(ids)  # keys[i] is the key of term id i
     lines: list = []
     index_of: dict = {}
     stack = [goal]
@@ -170,29 +167,32 @@ def _reconstruct(header, origins, goal) -> Derivation:
         if key in index_of:
             stack.pop()
             continue
-        kind, *args = origins[key]
-        if kind in ("A1", "A2", "R1"):
-            pending = [premise for premise in args if premise not in index_of]
-            if pending:  # prove the premises first, in order
-                stack.extend(reversed(pending))
-                continue
-            first, second = (lines[index_of[p] - 1].statement for p in (args[0], args[-1]))  # A1: one premise
+        premises = ()  # an fbar atom is FBAR, ("v", name) a premise, ("n", value) A3
+        if type(key) is tuple:
+            premises = r1.get(key, key[1:])  # R1, else A1 from int(rhs)
+        elif type(key) is int and type(keys[key][0]) is int:
+            premises = keys[key]  # A2 from its parts
+        pending = [premise for premise in premises if premise not in index_of]
+        if pending:  # prove the premises first, in order
+            stack.extend(reversed(pending))
+            continue
         stack.pop()
-        if kind == "premise":
-            stmt, just = IntTyping(Var(args[0])), Premise()
-        elif kind == "A3":
-            stmt, just = IntTyping(Num(args[0])), AxiomInstance("A3", (("c", Num(args[0])),))
-        elif kind == "FBAR":
-            stmt, just = FbarAtom(*args), AxiomInstance("FBAR", (("i", Num(args[0])),))
-        elif kind == "A1":
-            t = first.term
+        proved = [lines[index_of[premise] - 1].statement for premise in premises]
+        if isinstance(key, FbarAtom):
+            stmt, just = key, AxiomInstance("FBAR", (("i", Num(key.x)),))
+        elif type(key) is tuple and key in r1:
+            stmt = Greater(proved[0].lhs, proved[1].rhs)
+            just = RuleApplication("R1", tuple(index_of[premise] for premise in premises))
+        elif type(key) is tuple:
+            t = proved[0].term
             stmt, just = Greater(Sum(t, Num(1)), t), AxiomInstance("A1", (("t", t),))
-        elif kind == "A2":
-            t1, t2 = first.term, second.term
+        elif premises:
+            t1, t2 = proved[0].term, proved[1].term
             stmt, just = IntTyping(Sum(t1, t2)), AxiomInstance("A2", (("t1", t1), ("t2", t2)))
-        else:  # R1
-            stmt = Greater(first.lhs, second.rhs)
-            just = RuleApplication("R1", tuple(index_of[premise] for premise in args))
+        elif keys[key][0] == "v":
+            stmt, just = IntTyping(Var(keys[key][1])), Premise()
+        else:
+            stmt, just = IntTyping(Num(keys[key][1])), AxiomInstance("A3", (("c", Num(keys[key][1])),))
         index_of[key] = len(lines) + 1
         lines.append(Line(len(lines) + 1, stmt, just))
     return Derivation(tuple(header), tuple(lines))
@@ -235,32 +235,35 @@ def _verdict(pack, derivation, candidates, derived_target: bool):
 
 # -- structured mode -----------------------------------------------------------
 
-class _Found(Exception):
-    def __init__(self, key):
-        self.key = key
-
-class _BudgetHit(Exception):
-    pass
+class _Stop(Exception):
+    """Ends structured search; its one argument is the found goal, or None."""
 
 
 def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: SearchBudget, started: float):
     term_id = ids.setdefault  # term_id(key, len(ids)) interns key
-    origins: dict = {}
+    limit = budget.max_candidates or float("inf")
+    r1: dict = {}  # R1 conclusion -> its two premises
     queue: deque = deque()
     candidates = 0
 
-    def emit(key, tag):
+    def push(entry, n=1, found=None):
+        """Queue entry as n more candidates; stop at the budget, or at found, the last."""
         nonlocal candidates
-        if key in origins:
-            return
-        if budget.max_candidates is not None and candidates >= budget.max_candidates:
-            raise _BudgetHit
-        candidates += 1
-        origins[key] = tag
-        queue.append(key)
-        if key in goals:
-            raise _Found(key)
+        end = candidates + n
+        candidates = min(end, limit)
+        if end > limit or found is not None:
+            raise _Stop(found if end <= limit else None)
+        queue.append(entry)
 
+    def emit(key, premises=None):
+        if premises:  # an R1 conclusion, the one kind of candidate that can repeat
+            if key in r1:
+                return
+            r1[key] = premises
+        push(key, 1, key if key in goals else None)
+
+    goal = next(iter(goals))  # the goals share one shape
+    left, right = list(ids)[goal] if type(goal) is int else (None, None)  # a leaf's left, "v" or "n", is no id
     ints_seen: list = []
     greater_by_lhs: dict = {}
     greater_by_rhs: dict = {}
@@ -269,36 +272,41 @@ def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: S
 
     try:
         for name in header:
-            emit(term_id(("v", name), len(ids)), ("premise", name))
+            emit(term_id(("v", name), len(ids)))
         for i, bit in sorted(pack.entries):
-            emit(FbarAtom(i, bit), ("FBAR", i, bit))
+            emit(FbarAtom(i, bit))
         while True:
             if budget.max_seconds is not None and time.monotonic() - started >= budget.max_seconds:
-                return None, origins, candidates
+                return None, r1, candidates
             # the numeral stream keeps the worklist fed even from empty seeds
-            emit(term_id(("n", next_numeral), len(ids)), ("A3", next_numeral))
+            emit(term_id(("n", next_numeral), len(ids)))
             next_numeral += 1
             key = queue.popleft()
+            if type(key) is list:  # a block [k, m, next offset]: take that pair, put back the rest
+                k, m, at = key
+                if at < 2 * m:
+                    queue.appendleft([k, m, at + 1])
+                u = ints_seen[at // 2]
+                key = term_id((k, u) if at % 2 == 0 else (u, k), len(ids))
             if type(key) is int:
-                emit((term_id((key, one), len(ids)), key), ("A1", key))
-                for u in ints_seen:
-                    emit(term_id((key, u), len(ids)), ("A2", key, u))
-                    emit(term_id((u, key), len(ids)), ("A2", u, key))
-                emit(term_id((key, key), len(ids)), ("A2", key, key))
-                ints_seen.append(key)
+                emit((term_id((key, one), len(ids)), key))
+                m = len(ints_seen)
+                ints_seen.append(key)  # so the block's last pair, at 2m, is (key, key)
+                at = 2 * m + 1  # the offset of goal l+r, if key is the later of l, r
+                if key in (left, right) and left in ints_seen and right in ints_seen:
+                    at = 2 * ints_seen.index(right) if key == left else 2 * ints_seen.index(left) + 1
+                push([key, m, 0], min(at, 2 * m) + 1, goal if at <= 2 * m else None)
             elif type(key) is tuple:
                 lhs, rhs = key
                 for other in greater_by_lhs.get(rhs, ()):
-                    emit((lhs, other[1]), ("R1", key, other))
+                    emit((lhs, other[1]), (key, other))
                 for other in greater_by_rhs.get(lhs, ()):
-                    emit((other[0], rhs), ("R1", other, key))
+                    emit((other[0], rhs), (other, key))
                 greater_by_lhs.setdefault(lhs, []).append(key)
                 greater_by_rhs.setdefault(rhs, []).append(key)
             # fbar atoms feed no rule; they were goal-tested on arrival
-    except _BudgetHit:
-        return None, origins, candidates
-    except _Found as found:
-        return found.key, origins, candidates
+    except _Stop as stop:
+        return stop.args[0], r1, candidates
 
 
 # -- literal mode ----------------------------------------------------------------
@@ -311,30 +319,26 @@ def _literal_alphabet(header) -> Alphabet:
     return Alphabet.from_string(_LITERAL_BASE + extra)
 
 
-def _int_proof(keys: list, term: int, origins: dict) -> str:
+def _int_proof(keys: list, term: int) -> str:
     """The one proof term of int(t), t the term of id term (keys[i] is the
-    key of id i), tagging the id of each of t's subterms in origins."""
+    key of id i)."""
     out: list = []
     stack = [term]
     while stack:
-        term = stack.pop()
-        key = keys[term]
+        key = keys[stack.pop()]
         if key[0] == "v":
             out.append("p" + key[1])
-            origins[term] = ("premise", key[1])
         elif key[0] == "n":
             out.append(f"c{key[1]}.")
-            origins[term] = ("A3", key[1])
         else:
             out.append("b")
-            origins[term] = ("A2", *key)
             stack += reversed(key)
     return "".join(out)
 
 
-def _ordering_proof(ids: dict, goal: tuple, origins: dict):
+def _ordering_proof(ids: dict, goal: tuple, r1: dict):
     """The first proof term of the ordering keyed goal in shortlex order
-    (module docstring), tagging its sub-proofs in origins, or None when the
+    (module docstring), recording its R1 steps in r1, or None when the
     ordering has no proof."""
     chain = _layers(ids, *goal)
     if chain is None:
@@ -343,9 +347,8 @@ def _ordering_proof(ids: dict, goal: tuple, origins: dict):
     for outer, inner in zip(chain, chain[1:]):
         if inner != rhs:  # R1 joins outer > inner to inner > rhs
             out.append("r")
-            origins[outer, rhs] = ("R1", (outer, inner), (inner, rhs))
-        out.append("a" + _int_proof(keys, inner, origins))
-        origins[outer, inner] = ("A1", inner)
+            r1[outer, rhs] = ((outer, inner), (inner, rhs))
+        out.append("a" + _int_proof(keys, inner))
     return "".join(out)
 
 
@@ -354,21 +357,20 @@ def _search_literal(pack: AxiomPack, header, ids: dict, goals: set, budget: Sear
     string is generated, and the clock is not read."""
     limit = budget.max_candidates
     goal = next(iter(goals))  # the goals share one shape
-    origins: dict = {}
+    r1: dict = {}
     if isinstance(goal, FbarAtom):
         goal = FbarAtom(goal.x, 0 if (goal.x, 0) in pack.entries else 1)
         word = f"F{goal.x}." if (goal.x, goal.bit) in pack.entries else None
-        origins[goal] = ("FBAR", goal.x, goal.bit)
     elif type(goal) is int:
-        word = _int_proof(list(ids), goal, origins)
+        word = _int_proof(list(ids), goal)
     else:
-        word = _ordering_proof(ids, goal, origins)
+        word = _ordering_proof(ids, goal, r1)
     if word is None:  # no string is a proof: with no candidate limit, none is tried
         return None, None, limit or 0
     r = rank(_literal_alphabet(header), word)  # the strings before word count as tried
     if limit is not None and r >= limit:
         return None, None, limit
-    return goal, origins, r + 1  # candidate n is the string of rank n - 1
+    return goal, r1, r + 1  # candidate n is the string of rank n - 1
 
 
 def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
@@ -392,12 +394,10 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     returns Exhausted(max_candidates), or Exhausted(0) with no candidate
     limit, at once.
 
-    For the targets that enumerate, memory grows linearly with the candidate
-    budget: structured search keeps every candidate (its origin tag, its
-    terms and its worklist entry), about 250-280 bytes each, and only the
-    budget bounds them.  An exhausted search
-    of ((w+1)+1)+1 > w peaked at 121 MB RSS at 400,000 candidates and about
-    500 MB at 2,000,000; a budget of 10,000,000 needs about 2.5 GB.
+    Structured search keeps what it pops, not every candidate: about
+    3 * sqrt(candidates) interned terms.  An exhausted search of
+    ((w+1)+1)+1 > w at 10,000,000 candidates takes about 10 ms on a 2-vCPU
+    x86-64 VM, in a process that peaks at about 16 MB RSS.
     """
     if not can_form(target):
         raise ValueError(f"not a statement of the system: {target!r}")
@@ -412,10 +412,10 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     if budget.max_seconds is None and not any(_derivable(pack, goal, ids) for goal in goals):
         return Exhausted(budget.max_candidates)
     run = _search_structured if mode is SearchMode.STRUCTURED else _search_literal
-    found, origins, candidates = run(pack, header, ids, goals, budget, started)
+    found, r1, candidates = run(pack, header, ids, goals, budget, started)
     if found is None:
         return Exhausted(candidates)
-    return _verdict(pack, _reconstruct(header, origins, found), candidates, found == target_key)
+    return _verdict(pack, _reconstruct(header, ids, r1, found), candidates, found == target_key)
 
 
 # -- static decidability and audits ---------------------------------------------

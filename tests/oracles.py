@@ -2,14 +2,34 @@
 
 Everything here is deliberately naive and independent of the library's
 algorithms: shortlex listing by generate-in-order, grammar word listing
-by expanding leftmost derivations with a minimum-length bound, and literal
-proof search by decoding every string in turn.  Slow, small, and obviously
-correct is the point.
+by expanding leftmost derivations with a minimum-length bound, literal
+proof search by decoding every string in turn, and structured search by the
+given-clause loop that stores every candidate with an origin tag.  Slow,
+small, and obviously correct is the point.
 """
 
 import itertools
+import time
+from collections import deque
 
-from proofbench.pi_system import FbarAtom, Greater, IntTyping, Num, Sum, Var
+from proofbench.pi_system import (
+    AxiomInstance,
+    AxiomPack,
+    Derivation,
+    FbarAtom,
+    Greater,
+    IntTyping,
+    Line,
+    Num,
+    Premise,
+    RuleApplication,
+    Sum,
+    Var,
+    derivation_file_text,
+    negate_fbar,
+    statement_vars,
+)
+from proofbench.proof_search import SearchBudget, _key
 
 
 def shortlex_strings(symbols, count):
@@ -162,3 +182,137 @@ def literal_search(pack, target, max_candidates):
             if proof[0] == negation:
                 return "DerivedNegation", n
     return "Exhausted", max_candidates
+
+
+# -- structured proof search ---------------------------------------------------
+
+def _reconstruct(header, origins, goal) -> Derivation:
+    """Rebuild a derivation file from origin tags, deduplicating sub-proofs.
+
+    A tag is a rule and its premises' keys in origins (or its variable,
+    numeral or pack entry); a line states the rule's conclusion from them.
+    """
+    lines: list = []
+    index_of: dict = {}
+    stack = [goal]
+    while stack:
+        key = stack[-1]
+        if key in index_of:
+            stack.pop()
+            continue
+        kind, *args = origins[key]
+        if kind in ("A1", "A2", "R1"):
+            pending = [premise for premise in args if premise not in index_of]
+            if pending:  # prove the premises first, in order
+                stack.extend(reversed(pending))
+                continue
+            first, second = (lines[index_of[p] - 1].statement for p in (args[0], args[-1]))  # A1: one premise
+        stack.pop()
+        if kind == "premise":
+            stmt, just = IntTyping(Var(args[0])), Premise()
+        elif kind == "A3":
+            stmt, just = IntTyping(Num(args[0])), AxiomInstance("A3", (("c", Num(args[0])),))
+        elif kind == "FBAR":
+            stmt, just = FbarAtom(*args), AxiomInstance("FBAR", (("i", Num(args[0])),))
+        elif kind == "A1":
+            t = first.term
+            stmt, just = Greater(Sum(t, Num(1)), t), AxiomInstance("A1", (("t", t),))
+        elif kind == "A2":
+            t1, t2 = first.term, second.term
+            stmt, just = IntTyping(Sum(t1, t2)), AxiomInstance("A2", (("t1", t1), ("t2", t2)))
+        else:  # R1
+            stmt = Greater(first.lhs, second.rhs)
+            just = RuleApplication("R1", tuple(index_of[premise] for premise in args))
+        index_of[key] = len(lines) + 1
+        lines.append(Line(len(lines) + 1, stmt, just))
+    return Derivation(tuple(header), tuple(lines))
+
+
+class _Found(Exception):
+    def __init__(self, key):
+        self.key = key
+
+class _BudgetHit(Exception):
+    pass
+
+
+def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: SearchBudget, started: float):
+    term_id = ids.setdefault  # term_id(key, len(ids)) interns key
+    origins: dict = {}
+    queue: deque = deque()
+    candidates = 0
+
+    def emit(key, tag):
+        nonlocal candidates
+        if key in origins:
+            return
+        if budget.max_candidates is not None and candidates >= budget.max_candidates:
+            raise _BudgetHit
+        candidates += 1
+        origins[key] = tag
+        queue.append(key)
+        if key in goals:
+            raise _Found(key)
+
+    ints_seen: list = []
+    greater_by_lhs: dict = {}
+    greater_by_rhs: dict = {}
+    one = term_id(("n", 1), len(ids))
+    next_numeral = 0
+
+    try:
+        for name in header:
+            emit(term_id(("v", name), len(ids)), ("premise", name))
+        for i, bit in sorted(pack.entries):
+            emit(FbarAtom(i, bit), ("FBAR", i, bit))
+        while True:
+            if budget.max_seconds is not None and time.monotonic() - started >= budget.max_seconds:
+                return None, origins, candidates
+            # the numeral stream keeps the worklist fed even from empty seeds
+            emit(term_id(("n", next_numeral), len(ids)), ("A3", next_numeral))
+            next_numeral += 1
+            key = queue.popleft()
+            if type(key) is int:
+                emit((term_id((key, one), len(ids)), key), ("A1", key))
+                for u in ints_seen:
+                    emit(term_id((key, u), len(ids)), ("A2", key, u))
+                    emit(term_id((u, key), len(ids)), ("A2", u, key))
+                emit(term_id((key, key), len(ids)), ("A2", key, key))
+                ints_seen.append(key)
+            elif type(key) is tuple:
+                lhs, rhs = key
+                for other in greater_by_lhs.get(rhs, ()):
+                    emit((lhs, other[1]), ("R1", key, other))
+                for other in greater_by_rhs.get(lhs, ()):
+                    emit((other[0], rhs), ("R1", other, key))
+                greater_by_lhs.setdefault(lhs, []).append(key)
+                greater_by_rhs.setdefault(rhs, []).append(key)
+            # fbar atoms feed no rule; they were goal-tested on arrival
+    except _BudgetHit:
+        return None, origins, candidates
+    except _Found as found:
+        return found.key, origins, candidates
+
+
+def structured_search(pack, target, max_candidates):
+    """Structured search by the stored-candidate loop: (verdict name,
+    candidates, derivation file text or None).
+
+    Every candidate is kept with a tag naming its rule and premises, each A2
+    pair is interned as it is emitted, and the proof is rebuilt by walking
+    the tags from the found goal.  No statement shape is decided first, so
+    an underivable target runs to its budget.
+    """
+    header = statement_vars(target)
+    ids: dict = {}
+    target_key = _key(target, ids)
+    goals = {target_key}
+    if isinstance(target, FbarAtom):
+        goals.add(negate_fbar(target))
+    budget = SearchBudget(max_candidates=max_candidates)
+    found, origins, candidates = _search_structured(pack, header, ids, goals, budget, time.monotonic())
+    if found is None:
+        return "Exhausted", candidates, None
+    goal = target if found == target_key else negate_fbar(target)
+    text = derivation_file_text(_reconstruct(header, origins, found), goal)
+    return ("DerivedTarget" if found == target_key else "DerivedNegation"), candidates, text

@@ -1,8 +1,11 @@
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proofbench.pi_system import (
@@ -43,7 +46,7 @@ from proofbench.proof_search import (
 )
 from proofbench.qlang import fbar_truth
 
-from oracles import literal_search
+from oracles import literal_search, structured_search
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "paper_3_1.drv"
 
@@ -140,9 +143,29 @@ def test_underivable_candidate_budgeted_search_returns_at_once():
 
 @pytest.mark.parametrize("mode", [SearchMode.STRUCTURED])  # literal search never enumerates
 def test_time_limited_search_still_enumerates_underivable_targets(mode):
-    budget = SearchBudget(max_candidates=10**9, max_seconds=0.05)
+    # each int pop adds a block of A2 pairs, so the count grows about quadratically per pop
+    budget = SearchBudget(max_candidates=10**30, max_seconds=0.05)
     verdict = search(EMPTY, parse_statement("w > w"), budget, mode)
-    assert isinstance(verdict, Exhausted) and 0 < verdict.candidates < 10**9
+    assert isinstance(verdict, Exhausted) and 0 < verdict.candidates < 10**30
+
+
+def test_structured_search_memory_does_not_grow_with_the_budget():
+    # in a child process, so its peak RSS is the search's alone; storing every candidate took about 2.3 GB
+    code = (
+        "import resource\n"
+        "from proofbench.pi_system import make_axiom_pack, parse_statement\n"
+        "from proofbench.proof_search import SearchBudget, SearchMode, search\n"
+        "target = parse_statement('((w+1)+1)+1 > w')\n"
+        "print(search(make_axiom_pack(0), target, SearchBudget(10**7), SearchMode.STRUCTURED))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    verdict, max_rss_kb = proc.stdout.splitlines()
+    assert verdict == "Exhausted(candidates=10000000)"
+    assert int(max_rss_kb) < 100 * 1024, f"peak RSS {int(max_rss_kb) // 1024} MB, bound 100 MB"
 
 
 # -- literal mode ---------------------------------------------------------------------
@@ -350,6 +373,25 @@ _ORACLE_TARGETS = st.one_of(
 def test_literal_search_agrees_with_the_brute_force_oracle(target, pack, max_candidates):
     verdict = search(pack, target, SearchBudget(max_candidates=max_candidates), SearchMode.LITERAL)
     assert (type(verdict).__name__, verdict.candidates) == literal_search(pack, target, max_candidates)
+
+
+@settings(max_examples=200, deadline=None)
+@example(parse_statement("(0+1)+1 > 0"), EMPTY, 9_035)  # found at its budget, by R1
+@given(
+    _TARGETS,
+    st.sampled_from([EMPTY, PACK5, make_axiom_pack(20), AxiomPack(5, PACK5.entries | {(2, 0), (2, 1)})]),
+    st.one_of(st.integers(1, 20_000), st.integers(10_000, 20_000)),  # the first leans to small budgets
+)
+def test_structured_search_agrees_with_the_stored_candidate_oracle(target, pack, max_candidates):
+    verdict = search(pack, target, SearchBudget(max_candidates=max_candidates), SearchMode.STRUCTURED)
+    text = None
+    if not isinstance(verdict, Exhausted):
+        goal = target if isinstance(verdict, DerivedTarget) else negate_fbar(target)
+        text = derivation_file_text(verdict.derivation, goal)
+    assert (type(verdict).__name__, verdict.candidates, text) == structured_search(pack, target, max_candidates)
+    if text is not None and verdict.candidates > 1:  # one candidate fewer runs out just before the proof
+        shorter = SearchBudget(max_candidates=verdict.candidates - 1)
+        assert search(pack, target, shorter, SearchMode.STRUCTURED) == Exhausted(verdict.candidates - 1)
 
 
 def test_search_halts_with_the_correct_bit_on_covered_indices():
