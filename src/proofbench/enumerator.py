@@ -20,16 +20,13 @@ unambiguous; every grammar shipped in this package is, and the test suite
 checks this against a brute-force oracle.
 
 grammar_unrank finds the word's length from cumulative counts, then the
-word itself in one of two ways.  A length with at most 100,000 words is
-materialized once, sorted and indexed, which is cheapest when many words of
-one short length are asked for; grammar_derivation hands out such a word
-with its value, for Q-lang its syntax tree, so no Q-lang program of length
-<= 7 is ever parsed.  Nearly every container a build makes survives it
-(about 135,000 for Q-lang's lengths 5-7), so a build pauses the garbage
-collector, whose generational passes would only walk the growing heap
-again: on a 2-vCPU x86-64 VM with Python 3.11 that cuts those builds from
-about 0.21 s to 0.12 s.  A length whose build outgrows its cell budget is
-remembered and served by descent instead.
+word itself in one of two ways.  The lengths before the first with more
+than 100,000 words are kept in one list in rank order, each appended after
+every shorter one when a rank in it is first asked for; grammar_derivation
+hands out rank k's entry, word and value, in about 0.1 us (2-vCPU x86-64
+VM, Python 3.11), and a cold fbar_truth sweep of Q-lang's 64,446 programs
+of length <= 7 takes 0.15-0.19 s.  A length whose build outgrows its cell
+budget ends the list; it and every longer length are descended.
 
 A longer length is found by prefix descent over an Earley chart that
 carries derivation counts (Earley, CACM 1970; recursive ranking as in
@@ -215,8 +212,8 @@ class Grammar:
             raise GrammarError("every action must be keyed by a production (nonterminal, rhs)")
         # memoization caches; contents are pure functions of the grammar
         self._counts: dict = {}
-        self._buckets: dict = {}
-        self._unbucketed: set = set()  # lengths whose bucket build exceeded its cell budget
+        self._ranked: list = []  # the (word, value) pairs of every bucketed length, in rank order
+        self._bucket_end = float("inf")  # the rank where the bucketed lengths end, once known
         self._cum: list[int] = [0]  # _cum[L] = number of words shorter than L
         self._states: dict = {}  # (parent id, items), or None for the root -> (id, column, count memo)
         self._moves: dict = {}  # (state id, terminal) -> the state its scan gives
@@ -324,14 +321,14 @@ class Grammar:
     # -- caches and recognition ---------------------------------------------
 
     def cache_sizes(self) -> dict:
-        """Cached bucket lengths, bucketed words, the count memo's entries,
-        split into (production suffix, length) and (symbol, length) keys, the
-        interned chart states, the entries of their count memos (descent
-        tables included) and the moves between them."""
+        """The number of lengths up to the longest bucketed word, the bucketed
+        words, the count memo's entries, split into (production suffix, length)
+        and (symbol, length) keys, the interned chart states, the entries of
+        their count memos (descent tables included) and the moves between them."""
         seq = sum(len(key) == 3 for key in self._counts)
         return {
-            "bucket_lengths": len(self._buckets),
-            "bucket_words": sum(map(len, self._buckets.values())),
+            "bucket_lengths": bisect.bisect_left(self._cum, len(self._ranked)),
+            "bucket_words": len(self._ranked),
             "chart_counts": sum(len(ups) for _, _, ups in self._states.values()),
             "chart_moves": len(self._moves),
             "chart_states": len(self._states),
@@ -420,8 +417,8 @@ def grammar_count(grammar: Grammar, length: int, max_entries: int = 1_000_000) -
     return count(grammar.start, length)
 
 
-def _bucket(grammar: Grammar, length: int) -> list:
-    """All (word, value) pairs of the given length, in lex order; cached in grammar._buckets."""
+def _bucket(grammar: Grammar, *lengths: int) -> list:
+    """All (word, value) pairs of the given ascending lengths, in rank order, from one memo."""
     actions = grammar.actions
     memo: dict = {}
     cells = 0
@@ -451,22 +448,21 @@ def _bucket(grammar: Grammar, length: int) -> list:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        bucket = derive(grammar.start, length)
+        buckets = [derive(grammar.start, n) for n in lengths]
     finally:
         memo.clear()  # the DP's two functions form a cycle that would keep it alive
         if enabled:
             gc.enable()
-    # every word here has the same length, so its symbols' ranks sort it; an
-    # ASCII word is ranked as bytes, which translate twice as fast as a str
+    # every word of one length is ranked by its symbols' ranks; an ASCII
+    # word is ranked as bytes, which translate twice as fast as a str
     symbols = "".join(grammar.alphabet.symbols)
     if symbols.isascii():
         ranks = bytes.maketrans(symbols.encode(), bytes(range(len(symbols))))
-        bucket.sort(key=lambda pair: pair[0].encode().translate(ranks))
+        key = lambda pair: pair[0].encode().translate(ranks)
     else:
         order = {ord(s): i for i, s in enumerate(symbols)}
-        bucket.sort(key=lambda pair: pair[0].translate(order))
-    grammar._buckets[length] = bucket
-    return bucket
+        key = lambda pair: pair[0].translate(order)
+    return [pair for bucket in buckets for pair in sorted(bucket, key=key)]
 
 
 class _Chart:
@@ -589,8 +585,7 @@ class _Chart:
 
 
 def _locate(grammar: Grammar, k: int, max_entries: int):
-    """The k-th word's length, its offset among the words of that length, and
-    their bucket, or None for a length with more words than a bucket holds."""
+    """The k-th word's length and its offset among the words of that length."""
     if k < 0:
         raise ValueError("rank must be >= 0")
     cum = grammar._cum
@@ -599,17 +594,29 @@ def _locate(grammar: Grammar, k: int, max_entries: int):
         if grammar._max_word_len is not _UNBOUNDED and length > grammar._max_word_len:
             raise ValueError(f"rank {k} is beyond the language: only {cum[length]} words exist")
         cum.append(cum[length] + grammar_count(grammar, length, max_entries))
+        if cum[-1] - cum[length] > _BUCKET_WORDS:  # no bucket holds it, so the bucketed lengths end before it
+            grammar._bucket_end = min(grammar._bucket_end, cum[length])
         length += 1
     length = bisect.bisect_right(cum, k) - 1
-    bucket = grammar._buckets.get(length)
-    if bucket is None and length not in grammar._unbucketed and cum[length + 1] - cum[length] <= _BUCKET_WORDS:
-        try:
-            bucket = _bucket(grammar, length)
-        except ResourceLimitError as exc:
-            if exc.budget != "bucket_cells":
-                raise
-            grammar._unbucketed.add(length)  # its suffix lists outgrow the budget: descend
-    return length, k - cum[length], bucket
+    return length, k - cum[length]
+
+
+def _bucketed(grammar: Grammar, length: int) -> bool:
+    """Whether grammar._ranked holds the given length once it appends every length up to it that it lacks."""
+    cum, ranked = grammar._cum, grammar._ranked
+    if cum[length] >= grammar._bucket_end:
+        return False
+    lengths = [n for n in range(bisect.bisect_left(cum, len(ranked)), length + 1) if cum[n + 1] > cum[n]]
+    try:
+        ranked += _bucket(grammar, *lengths)
+        return True
+    except ResourceLimitError as exc:
+        if exc.budget != "bucket_cells":
+            raise
+        if len(lengths) > 1:  # the run outgrew its budget: build alone up to the first length that does too
+            return all(_bucketed(grammar, n) for n in lengths)
+        grammar._bucket_end = cum[length]
+        return False
 
 
 def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> str:
@@ -622,9 +629,10 @@ def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> st
     totals only until one exceeds the offset left; committing a symbol
     reuses the chart state an earlier descent reached by it, if interned.
     """
-    length, j, bucket = _locate(grammar, k, max_entries)
-    if bucket is not None:
-        return bucket[j][0]
+    ranked = grammar._ranked
+    if 0 <= k < len(ranked) or k < grammar._bucket_end and _bucketed(grammar, _locate(grammar, k, max_entries)[0]):
+        return ranked[k][0]
+    length, j = _locate(grammar, k, max_entries)
     chart = _Chart(grammar, max_entries)
     for n in range(length):
         if n:
@@ -648,5 +656,7 @@ def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> st
 def grammar_derivation(grammar: Grammar, k: int):
     """(grammar_unrank(grammar, k), its value under the grammar's actions), or
     None past the bucket, where prefix descent builds no derivation."""
-    _, j, bucket = _locate(grammar, k, 1_000_000)
-    return None if bucket is None else bucket[j]
+    ranked = grammar._ranked
+    if 0 <= k < len(ranked) or k < grammar._bucket_end and _bucketed(grammar, _locate(grammar, k, 1_000_000)[0]):
+        return ranked[k]
+    return None

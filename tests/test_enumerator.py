@@ -407,7 +407,8 @@ def test_literal_proof_grammar_unranks_a_six_layer_ordering():
     }
     g = Grammar(alphabet, "order", productions)
     assert grammar_unrank(g, 499_001) == "abbbbbbbbbpwpwpwpwpwpwpwpwpwpw"
-    assert grammar_count(g, 30) == 381_732 and 30 not in g._buckets
+    assert grammar_count(g, 30) == 381_732 and grammar_derivation(g, 499_001) is None
+    assert g.cache_sizes()["bucket_lengths"] == g.cache_sizes()["bucket_words"] == 0
 
 
 def test_recognizes():
@@ -462,6 +463,55 @@ def test_a_bucket_over_its_cell_budget_falls_back_to_descent(monkeypatch):
     assert grammar_derivation(g, 1) is None
     assert builds == [9]  # the failed length is remembered, not rebuilt
     assert g.cache_sizes()["bucket_lengths"] == g.cache_sizes()["bucket_words"] == 0
+
+
+@pytest.mark.parametrize("asks", [[0, 1, 2, 3], [3, 2, 1, 0]], ids=["ascending", "descending"])
+def test_a_length_over_its_cell_budget_ends_the_bucketed_lengths(asks, monkeypatch):
+    # length 9 keeps 18 cells > 16, as above; lengths 1 and 10 fit alone but
+    # come before and after it, so only length 1 is bucketed, whatever the ask order
+    prods = {"S": [["c"], ["a"] * 8 + ["B"], ["c"] * 10], "B": [["a"], ["b"]]}
+    g = _grammar(prods)
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 4)
+    words = [w for n in range(11) for w in sorted(derive_words(prods, "S", n))]
+    assert words == ["c", "aaaaaaaaa", "aaaaaaaab", "cccccccccc"]
+    assert [grammar_unrank(g, k) for k in asks] == [words[k] for k in asks]
+    assert [grammar_derivation(g, k) for k in range(4)] == [("c", None), None, None, None]
+    assert g.cache_sizes()["bucket_lengths"] == 2 and g.cache_sizes()["bucket_words"] == 1
+
+
+def test_a_run_of_lengths_over_the_budget_together_is_built_one_length_at_a_time(monkeypatch):
+    # lengths 3 and 10 keep 3 and 10 cells alone, 13 > 12 in one memo
+    g = _grammar({"S": [["c"] * 3, ["c"] * 10]})
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 3)
+    builds = []
+    build = enumerator._bucket
+    monkeypatch.setattr(
+        enumerator, "_bucket", lambda grammar, *lengths: builds.append(lengths) or build(grammar, *lengths)
+    )
+    assert grammar_derivation(g, 1) == ("c" * 10, None)
+    assert builds == [(3, 10), (3,), (10,)]
+    assert grammar_derivation(g, 0) == ("ccc", None) and len(builds) == 3
+    assert g.cache_sizes()["bucket_lengths"] == 11 and g.cache_sizes()["bucket_words"] == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_grammars(), st.data())
+def test_bucketed_ranks_list_each_lengths_bucket_in_turn(prods, data):
+    # values that spell their words show a pair's value kept with its word
+    concat = {(nt, tuple(rhs)): lambda word, children: "".join(children) for nt, alts in prods.items() for rhs in alts}
+    try:
+        g = Grammar(Alphabet.from_string("ab"), "S", prods, concat)
+    except GrammarError:
+        return
+    if sum(grammar_count(g, n) for n in range(7)) > 3000:
+        return  # keep each bucket small
+    buckets = [pair for n in range(7) for pair in enumerator._bucket(g, n)]
+    assert enumerator._bucket(g, *range(7)) == buckets  # one memo builds a run of lengths
+    if buckets:  # a first ask past the short lengths appends them all in one build
+        first = data.draw(st.integers(0, len(buckets) - 1))
+        assert grammar_derivation(g, first) == buckets[first]
+    assert [grammar_derivation(g, k) for k in range(len(buckets))] == buckets
+    assert all(word == value for word, value in buckets)
 
 
 def test_only_the_bucket_cell_budget_falls_back_to_descent(monkeypatch):
@@ -568,8 +618,9 @@ def test_nth_program_by_descent_equals_the_bucketed_program(monkeypatch):
     assert all(grammar_derivation(QLANG_GRAMMAR, k) is not None for k in ranks)
     bucketed = [qlang.nth_program(k + 1) for k in ranks]
     monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 0)
-    monkeypatch.setattr(QLANG_GRAMMAR, "_buckets", {})  # a built bucket is served without a recount
-    assert all(grammar_derivation(QLANG_GRAMMAR, k) is None for k in ranks)
+    cold = Grammar(QLANG_ALPHABET, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions, QLANG_GRAMMAR.actions)
+    monkeypatch.setattr(qlang, "QLANG_GRAMMAR", cold)  # a built bucket is served without a recount
+    assert all(grammar_derivation(cold, k) is None for k in ranks)
     assert [qlang.nth_program(k + 1) for k in ranks] == bucketed
 
 

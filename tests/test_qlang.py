@@ -309,11 +309,36 @@ def test_grammar_reports_its_cache_sizes(monkeypatch, capsys):
     assert nth_program(5000).source == "(x=655)"
     sizes = cold.cache_sizes()
     assert list(sizes) == sorted(sizes)
-    assert sizes == {
-        "bucket_lengths": 1, "bucket_words": WORDS_PER_LENGTH[7], "chart_counts": 0, "chart_moves": 0,
+    assert sizes == {  # lengths 0-7 are held, the empty lengths 0-4 among them
+        "bucket_lengths": 8, "bucket_words": sum(WORDS_PER_LENGTH), "chart_counts": 0, "chart_moves": 0,
         "chart_states": 0, "count_seq": 110, "count_sym": 27,
     }
     assert capsys.readouterr() == ("", "")
+
+
+def _cold_qlang(monkeypatch):
+    g = QLANG_GRAMMAR
+    cold = Grammar(g.alphabet, g.start, g.productions, g.actions)
+    monkeypatch.setattr(qlang, "QLANG_GRAMMAR", cold)
+    return cold
+
+
+def test_a_lone_past_bucket_lookup_builds_no_bucket(monkeypatch):
+    # length 8 has more words than a bucket holds, so lengths 5-7 need not be built
+    cold = _cold_qlang(monkeypatch)
+    assert nth_program(64447).source == "(x=1000)"
+    assert cold.cache_sizes()["bucket_words"] == 0
+
+
+def test_programs_asked_out_of_order_are_those_of_a_fresh_grammar(monkeypatch):
+    asks = {5000: "(x=655)", 1: "(x=x)", 64446: "!!(9>9)", 243: "(x=10)"}
+    _cold_qlang(monkeypatch)
+    programs = [nth_program(i) for i in asks]
+    assert [p.source for p in programs] == list(asks.values())
+    assert programs == [parse(source) for source in asks.values()]
+    for i, source in asks.items():
+        _cold_qlang(monkeypatch)
+        assert nth_program(i).source == source
 
 
 def test_past_bucket_lookups_share_interned_chart_states():
