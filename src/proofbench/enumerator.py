@@ -36,6 +36,10 @@ interns these chart states by their items and their parent state
 (hash-consing) and caches each scan between two of them; later descents
 reuse them, and prefixes such as "(1" and "(2" share one state.  At most
 2,048 states and scans are kept; past that, new columns last one descent.
+Terminals that each occur only as a whole right-hand side, of equal
+multisets of nonterminals (Q-lang's 1-9 as nonzero and digit, and = and >
+as cmp), are class-mates: each is awaited only by unit items that complete
+at once with equal counts, so class-mates share one move and one count.
 For each number of symbols still to come, a state keeps the terminals its
 column awaits, in alphabet order, with running totals of the words that
 continue the prefix with each; one bisection at the offset left picks the
@@ -56,6 +60,7 @@ from __future__ import annotations
 import bisect
 import gc
 import heapq
+from collections import Counter
 
 from .errors import ResourceLimitError
 
@@ -212,11 +217,12 @@ class Grammar:
             raise GrammarError("every action must be keyed by a production (nonterminal, rhs)")
         # memoization caches; contents are pure functions of the grammar
         self._counts: dict = {}
+        self._counters: dict = {}  # max_entries -> the counting (sym, seq) over _counts
         self._ranked: list = []  # the (word, value) pairs of every bucketed length, in rank order
         self._bucket_end = float("inf")  # the rank where the bucketed lengths end, once known
         self._cum: list[int] = [0]  # _cum[L] = number of words shorter than L
         self._states: dict = {}  # (parent id, items), or None for the root -> (id, column, count memo)
-        self._moves: dict = {}  # (state id, terminal) -> the state its scan gives
+        self._moves: dict = {}  # (state id, _rep of a terminal) -> the state its scan gives
 
     # -- validation -------------------------------------------------------
 
@@ -252,6 +258,20 @@ class Grammar:
         # Earley prediction: each nonterminal's direct left corners; a chart
         # column closes its awaited set over them
         self._corners = {nt: {rhs[0] for rhs in alts if rhs[0] in prods} for nt, alts in prods.items()}
+
+        # terminal classes (see the module docstring): _rep maps each terminal
+        # to the first of its class in alphabet order
+        lhs_of: dict = {t: [] for t in self.alphabet.symbols}
+        inner = set()  # symbols of longer right-hand sides
+        for nt, alts in prods.items():
+            for rhs in alts:
+                if len(rhs) > 1:
+                    inner.update(rhs)
+                elif rhs[0] in terminal_set:
+                    lhs_of[rhs[0]].append(nt)
+        first: dict = {}  # names need not compare, so a multiset is a frozenset of counts
+        self._rep = {t: t if t in inner else first.setdefault(frozenset(Counter(lhs).items()), t)
+                     for t, lhs in lhs_of.items()}
 
         # minimum derivable length per nonterminal (None = unproductive), as
         # in Knuth's generalization of Dijkstra's algorithm (IPL 1977): pop
@@ -324,7 +344,8 @@ class Grammar:
         """The number of lengths up to the longest bucketed word, the bucketed
         words, the count memo's entries, split into (production suffix, length)
         and (symbol, length) keys, the interned chart states, the entries of
-        their count memos (descent tables included) and the moves between them."""
+        their count memos (descent tables included; class-mates share one
+        count) and the moves between them (one per class of terminals)."""
         seq = sum(len(key) == 3 for key in self._counts)
         return {
             "bucket_lengths": bisect.bisect_left(self._cum, len(self._ranked)),
@@ -345,7 +366,7 @@ class Grammar:
             if c not in chart.columns[-1]:
                 return False  # no item awaits c, so no word starts with this prefix
             chart.commit(c)
-        return chart._up(word[-1], len(word) - 1, 0) > 0
+        return chart._up(self._rep[word[-1]], len(word) - 1, 0) > 0
 
 
 def _length_dp(grammar: Grammar, memo: dict, keep, zero, terminal, empty, join):
@@ -395,18 +416,23 @@ def _length_dp(grammar: Grammar, memo: dict, keep, zero, terminal, empty, join):
 
 
 def _counter(grammar: Grammar, max_entries: int):
-    """The counting (sym, seq) over grammar._counts, at most max_entries entries."""
-    counts = grammar._counts
+    """The counting (sym, seq) over grammar._counts, at most max_entries
+    entries; built once per grammar and budget."""
+    pair = grammar._counters.get(max_entries)
+    if pair is None:
+        counts = grammar._counts
 
-    def keep(key, value):
-        counts[key] = value
-        if len(counts) > max_entries:
-            raise ResourceLimitError(
-                f"grammar count table exceeded {max_entries} entries; raise the budget to continue",
-                budget="max_entries", limit=max_entries, attempted=len(counts),
-            )
+        def keep(key, value):
+            counts[key] = value
+            if len(counts) > max_entries:
+                raise ResourceLimitError(
+                    f"grammar count table exceeded {max_entries} entries; raise the budget to continue",
+                    budget="max_entries", limit=max_entries, attempted=len(counts),
+                )
 
-    return _length_dp(grammar, counts, keep, int, lambda c: 1, 1, lambda lhs, rhs, i, head, tail: head * tail)
+        pair = grammar._counters[max_entries] = _length_dp(
+            grammar, counts, keep, int, lambda c: 1, 1, lambda lhs, rhs, i, head, tail: head * tail)
+    return pair
 
 
 def grammar_count(grammar: Grammar, length: int, max_entries: int = 1_000_000) -> int:
@@ -475,7 +501,9 @@ class _Chart:
     Columns never change once built, and an _up entry reads only columns at
     or before its own.  So two columns with equal items and counts after the
     same parent state are one state, count memo included: the grammar interns
-    states by (parent id, items) and caches each scan as a move.
+    states by (parent id, items) and caches each scan as a move.  Class-mates
+    (Grammar._rep) give equal items and counts, so they share one move and
+    one count.
     """
 
     def __init__(self, grammar: Grammar, max_entries: int):
@@ -507,10 +535,12 @@ class _Chart:
         return column
 
     def commit(self, c: str) -> None:
-        """Extend the prefix by c, reusing an interned state if there is one."""
+        """Extend the prefix by c, reusing an interned state if there is one.
+        A move is keyed by c's class, so one scan serves all its class-mates."""
         self.prefix += c
         states, moves = self.grammar._states, self.grammar._moves
-        state = moves.get((self._id, c))
+        move = (self._id, self.grammar._rep[c])
+        state = moves.get(move)
         if state is None:
             items = self._scan(c)
             key = (self._id, frozenset(items.items()))
@@ -521,7 +551,7 @@ class _Chart:
                 if not full:
                     states[key] = state
             if self._id is not None and len(states) + len(moves) < _CHART_TABLE:
-                moves[(self._id, c)] = state
+                moves[move] = state
         self._id = state[0]
         self.columns.append(state[1])
         self._ups.append(state[2])
@@ -628,12 +658,14 @@ def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> st
     the words that continue the prefix with each awaited terminal, adding
     totals only until one exceeds the offset left; committing a symbol
     reuses the chart state an earlier descent reached by it, if interned.
+    Class-mates share one move and one count, so after "(" the words that
+    continue with each of 1-9 are counted once.
     """
     ranked = grammar._ranked
     if 0 <= k < len(ranked) or k < grammar._bucket_end and _bucketed(grammar, _locate(grammar, k, max_entries)[0]):
         return ranked[k][0]
     length, j = _locate(grammar, k, max_entries)
-    chart = _Chart(grammar, max_entries)
+    chart, rep = _Chart(grammar, max_entries), grammar._rep
     for n in range(length):
         if n:
             chart.commit(c)  # the symbol chosen at position n - 1
@@ -646,7 +678,7 @@ def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> st
         while totals[-1] <= j:  # count on only until the running total passes j
             if len(totals) > len(awaited):
                 raise AssertionError("prefix descent exhausted the alphabet; counts are inconsistent")
-            totals.append(totals[-1] + chart._up(awaited[len(totals) - 1], n, r))
+            totals.append(totals[-1] + chart._up(rep[awaited[len(totals) - 1]], n, r))
         i = bisect.bisect_right(totals, j)  # past equal totals: terminals with no word here
         c = awaited[i - 1]
         j -= totals[i - 1]

@@ -130,6 +130,8 @@ _OPERATORS = {"b": ("=>", "&|"), "a": ("+%", ""), "e": ("=>+%", "&|")}
 
 def parse(text: str) -> QProgram:
     """Parse a program; accepts exactly the words of the Q-lang grammar."""
+    # a node validates nothing, so it is built with tuple.__new__, as
+    # QLANG_GRAMMAR's actions build it, skipping the record's Python-level __new__
     chars = text + "\0"  # the sentinel is outside every expected set
     pending = []  # a [context, left, operator] list per open group, None per pending '!'
     context, pos = "b", 0
@@ -156,17 +158,17 @@ def parse(text: str) -> QProgram:
             if c == "0" and pos - start > 1:
                 expected = ("numeral without a leading zero",)
                 raise ParseError(start, expected if context == "a" else _STARTS["b"] + expected)
-            node = Num(numeral_value(text[start:pos], start))
+            node = tuple.__new__(Num, (numeral_value(text[start:pos], start),))
         boolean = False
         # the operand is complete: apply pending '!' and close every group it ends
         while True:
             while pending and pending[-1] is None:
                 pending.pop()
-                node = Not(node)
+                node = tuple.__new__(Not, (node,))
             if not pending:
                 if pos != len(text):
                     raise ParseError(pos, ("end of input",))
-                return QProgram(text, node)
+                return tuple.__new__(QProgram, (text, node))
             group = pending[-1]
             c = chars[pos]
             if group[2] is None:
@@ -180,7 +182,7 @@ def parse(text: str) -> QProgram:
             if c != ")":
                 raise ParseError(pos, ("')'",))
             pending.pop()
-            node = _NODES[group[2]](group[1], node)
+            node = tuple.__new__(_NODES[group[2]], (group[1], node))
             boolean = group[2] not in "+%"
             pos += 1
 

@@ -292,6 +292,52 @@ def test_chart_states_shared_by_different_prefixes_stay_exact(prods, data):
                 assert g.recognizes(ask) == (ask in words)
 
 
+@pytest.mark.parametrize("a_rules, mates", [([["a"], ["a"], ["b"]], False), ([["a"], ["b"]], True)], ids=["a-twice", "a-once"])
+def test_terminal_classes_compare_multisets_of_left_hand_sides(a_rules, mates, monkeypatch):
+    # under A -> a | a | b an A spans a in two derivations but b in one, so a
+    # and b, though both only ever a whole A, must not share moves or counts
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 0)
+    ab, prods = Alphabet.from_string("ab"), {"S": [["A", "A"]], "A": a_rules}
+    g = Grammar(ab, "S", prods)
+    assert (g._rep["b"] == "a") == mates
+    words = sorted(derive_words(prods, "S", 2), key=lambda w: shortlex_key("ab", w))
+    assert [grammar_unrank(g, k) for k in range(len(words))] == words
+    assert [grammar_unrank(g, k) for k in reversed(range(len(words)))] == words[::-1]
+    assert [g.recognizes(w) for w in ("aa", "ab", "ba", "bb", "a", "aab")] == [True] * 4 + [False] * 2
+
+
+def test_qlang_terminal_classes_are_the_nonzero_digits_and_the_comparisons():
+    rep = QLANG_GRAMMAR._rep
+    assert list(rep) == list(QLANG_ALPHABET.symbols)
+    assert {t: r for t, r in rep.items() if t != r} == {**dict.fromkeys("23456789", "1"), ">": "="}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_grammars("aD"), st.booleans(), st.data())
+def test_class_mates_share_moves_and_counts_exactly(prods, repeat, data):
+    # b and c occur only in D -> b | c, so they are class-mates, scanned and
+    # counted once for both; a repeated D -> b makes them two classes
+    prods = dict(prods, D=[["b"], ["c"]] + [["b"]] * repeat)
+    abc = Alphabet.from_string("abc")
+    try:
+        g = Grammar(abc, "S", prods)
+    except GrammarError:
+        return
+    assert (g._rep["c"] == "b") != repeat
+    if sum(grammar_count(g, n) for n in range(8)) > 3000:
+        return  # keep the brute-force oracle small
+    words = [w for n in range(8) for w in sorted(derive_words(prods, "S", n), key=lambda w: shortlex_key("abc", w))]
+    ranks = st.integers(0, len(words) - 1) if words else st.nothing()
+    asks = data.draw(st.lists(st.one_of(ranks, st.text("abc", min_size=1, max_size=7)), max_size=40))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumerator, "_BUCKET_WORDS", 0)
+        for ask in asks:
+            if isinstance(ask, int):
+                assert grammar_unrank(g, ask) == words[ask]
+            else:
+                assert g.recognizes(ask) == (ask in words)
+
+
 def test_a_full_chart_table_keeps_descents_and_recognition_exact(monkeypatch):
     monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 0)
     monkeypatch.setattr(enumerator, "_CHART_TABLE", 8)
@@ -427,6 +473,17 @@ def test_count_budget_is_enforced():
     assert (info.value.budget, info.value.limit) == ("max_entries", 10)
     assert info.value.attempted > 10
     assert str(info.value) == "grammar count table exceeded 10 entries; raise the budget to continue"
+
+
+def test_a_smaller_count_budget_binds_after_a_larger_one():
+    # the counting functions are cached per budget, not once per grammar
+    g = _grammar({"S": [["a", "S", "b"], ["a", "b"]]}, alphabet=Alphabet.from_string("ab"))
+    grammar_count(g, 3)
+    limit = len(g._counts) + 1
+    with pytest.raises(ResourceLimitError) as info:
+        grammar_count(g, 12, max_entries=limit)
+    assert (info.value.budget, info.value.limit) == ("max_entries", limit)
+    assert grammar_count(g, 12) == 1
 
 
 def test_bucket_budget_is_enforced(monkeypatch):
