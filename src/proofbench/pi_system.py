@@ -143,6 +143,7 @@ def make_axiom_pack(n: int, max_cells: int = 1_000_000) -> AxiomPack:
 
 # The metavariables each axiom schema's substitution must bind, exactly.
 _AXIOM_METAVARS = {"A1": {"t"}, "A2": {"t1", "t2"}, "A3": {"c"}, "FBAR": {"i"}}
+_ONE = Num(1)
 
 
 def _axiom_premises(pack: AxiomPack, instance: AxiomInstance, statement):
@@ -152,12 +153,20 @@ def _axiom_premises(pack: AxiomPack, instance: AxiomInstance, statement):
     binding = dict(instance.subst)
     if binding.keys() != _AXIOM_METAVARS[instance.schema]:
         return None
+    # A1 and A2 compare the stated line's fields, in the order and with the
+    # exact types that == of the instantiated conclusion would
     if instance.schema == "A1":
         t = binding["t"]
-        return (IntTyping(t),) if Greater(Sum(t, Num(1)), t) == statement else None
+        lhs = statement.lhs if type(statement) is Greater else None
+        if type(lhs) is Sum and (t, _ONE, t) == (lhs.left, lhs.right, statement.rhs):
+            return (IntTyping(t),)
+        return None
     if instance.schema == "A2":
         t1, t2 = binding["t1"], binding["t2"]
-        return (IntTyping(t1), IntTyping(t2)) if IntTyping(Sum(t1, t2)) == statement else None
+        term = statement.term if type(statement) is IntTyping else None
+        if type(term) is Sum and (t1, t2) == (term.left, term.right):
+            return (IntTyping(t1), IntTyping(t2))
+        return None
     if instance.schema == "A3":
         c = binding["c"]
         return () if isinstance(c, Num) and IntTyping(c) == statement else None

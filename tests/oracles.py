@@ -3,9 +3,10 @@
 Everything here is deliberately naive and independent of the library's
 algorithms: shortlex listing by generate-in-order, grammar word listing
 by expanding leftmost derivations with a minimum-length bound, literal
-proof search by decoding every string in turn, and structured search by the
-given-clause loop that stores every candidate with an origin tag.  Slow,
-small, and obviously correct is the point.
+proof search by decoding every string in turn, structured search by the
+given-clause loop that stores every candidate with an origin tag, and the
+checker's axiom schemas by == of the instantiated conclusion.  Slow, small,
+and obviously correct is the point.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import time
 from collections import deque
 
 from proofbench.pi_system import (
+    _AXIOM_METAVARS,
     AxiomInstance,
     AxiomPack,
     Derivation,
@@ -182,6 +184,35 @@ def literal_search(pack, target, max_candidates):
             if proof[0] == negation:
                 return "DerivedNegation", n
     return "Exhausted", max_candidates
+
+
+# -- the checker's axiom schemas ------------------------------------------------
+
+def axiom_premises(pack: AxiomPack, instance: AxiomInstance, statement):
+    """The premises an axiom line needs, or None when the written
+    substitution does not produce the stated line: each schema's conclusion
+    is instantiated and compared with the stated line by ==."""
+    binding = dict(instance.subst)
+    if binding.keys() != _AXIOM_METAVARS[instance.schema]:
+        return None
+    if instance.schema == "A1":
+        t = binding["t"]
+        return (IntTyping(t),) if Greater(Sum(t, Num(1)), t) == statement else None
+    if instance.schema == "A2":
+        t1, t2 = binding["t1"], binding["t2"]
+        return (IntTyping(t1), IntTyping(t2)) if IntTyping(Sum(t1, t2)) == statement else None
+    if instance.schema == "A3":
+        c = binding["c"]
+        return () if isinstance(c, Num) and IntTyping(c) == statement else None
+    i = binding["i"]  # FBAR
+    if (
+        isinstance(i, Num)
+        and isinstance(statement, FbarAtom)
+        and statement.x == i.value
+        and (statement.x, statement.bit) in pack.entries
+    ):
+        return ()
+    return None
 
 
 # -- structured proof search ---------------------------------------------------

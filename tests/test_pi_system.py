@@ -32,7 +32,10 @@ from proofbench.pi_system import (
     pretty_statement,
     pretty_term,
 )
+from proofbench.pi_system import _axiom_premises
 from proofbench.qlang import fbar_truth
+
+from oracles import axiom_premises
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "paper_3_1.drv"
 
@@ -310,6 +313,44 @@ def test_fbar_axiom_index_must_match_statement():
     )
     verdict = check_derivation(make_axiom_pack(5), derivation, FbarAtom(3, 1))
     assert verdict == Reject(1, "bad-substitution")
+
+
+# Num(True) == Num(1) under ==, and a plain tuple equals no record
+_AXIOM_LEAVES = st.sampled_from([Var("w"), Var("v"), Num(0), Num(1), Num(True), Num(2), ("w",)])
+_AXIOM_TERMS = st.recursive(_AXIOM_LEAVES, lambda sub: st.builds(Sum, sub, sub), max_leaves=4)
+
+
+@st.composite
+def _axiom_lines(draw):
+    """An A1 or A2 line: a stated line of the schema's shape or not, with
+    swapped terms, and a substitution with the right metavariables or not."""
+    t1, t2 = draw(_AXIOM_TERMS), draw(_AXIOM_TERMS)
+    one = draw(st.sampled_from([Num(1), Num(True), Num(2), Var("w"), (1,)]))
+    statement = draw(st.sampled_from([
+        Greater(Sum(t1, one), t1),
+        Greater(Sum(t1, one), t2),
+        Greater(Sum(one, t1), t1),
+        Greater(t1, Sum(t1, one)),
+        Greater(t1, t2),
+        Greater((t1, one), t1),
+        IntTyping(Sum(t1, t2)),
+        IntTyping(Sum(t2, t1)),
+        IntTyping((t1, t2)),
+        IntTyping(t1),
+        FbarAtom(1, 0),
+    ]))
+    schema = draw(st.sampled_from(["A1", "A2"]))
+    names = draw(st.sampled_from([("t",), ("t1", "t2"), ("t2", "t1"), ("t", "t1"), ("t1",), (), ("t", "t")]))
+    terms = st.one_of(st.sampled_from([t1, t2]), _AXIOM_TERMS)
+    return AxiomInstance(schema, tuple((name, draw(terms)) for name in names)), statement
+
+
+@settings(max_examples=500, deadline=None)
+@given(_axiom_lines())
+def test_axiom_premises_agree_with_comparing_the_instantiated_conclusion(line):
+    instance, statement = line
+    pack = AxiomPack(0, frozenset())
+    assert _axiom_premises(pack, instance, statement) == axiom_premises(pack, instance, statement)
 
 
 W = Var("w")

@@ -106,6 +106,55 @@ def test_structured_search_exhausts_on_uncovered_indices():
     assert verdict == Exhausted(1500)
 
 
+# a hand-built pack larger than most budgets, alternating bits
+PACK1000 = AxiomPack(1000, frozenset((i, i % 2) for i in range(1, 1001)))
+
+
+@pytest.mark.parametrize(
+    "text, max_candidates, expected",
+    [
+        ("fbar(700) is 0", 5_000, ("DerivedTarget", 700)),
+        ("fbar(700) is 0", 700, ("DerivedTarget", 700)),
+        ("fbar(700) is 0", 699, ("Exhausted", 699)),  # a budget that ends one short of the goal's offset
+        ("fbar(700) is 1", 5_000, ("DerivedNegation", 700)),
+        ("fbar(1) is 1", 5_000, ("DerivedTarget", 1)),
+        ("w+1 > w", 1_000, ("Exhausted", 1_000)),  # the budget ends inside the block
+        ("w+1 > w", 1_001, ("Exhausted", 1_001)),  # at its last atom
+        ("w+1 > w", 5_000, ("DerivedTarget", 1_003)),
+        ("int(w+3)", 5_000, ("DerivedTarget", 2_041)),
+        ("int(w+3)", 2_040, ("Exhausted", 2_040)),
+    ],
+)
+def test_structured_search_counts_a_large_pack_as_one_block(text, max_candidates, expected):
+    verdict = search(PACK1000, parse_statement(text), candidates_budget(max_candidates), SearchMode.STRUCTURED)
+    assert (type(verdict).__name__, verdict.candidates) == expected
+
+
+@pytest.mark.parametrize(
+    "entries, text, max_candidates, expected",
+    [
+        ({(1, 0), (0, 1), (2, 1)}, "fbar(1) is 0", 50, "fbar indices are positive integers"),
+        ({(1, 0), (0, 1), (2, 1)}, "w+1 > w", 50, "fbar indices are positive integers"),
+        ({(1, 0), (5, 7)}, "fbar(1) is 0", 50, ("DerivedTarget", 1)),  # found before the bad entry
+        ({(1, 0), (5, 7)}, "w+1 > w", 50, "fbar bits are 0 or 1"),
+        ({(1, 0), (5, 7)}, "w+1 > w", 1, ("Exhausted", 1)),  # the budget ends before the pack
+        ({(1, 0), (5, 7)}, "w+1 > w", 2, "fbar bits are 0 or 1"),  # the entry one past the budget is read
+        ({(1, 0), (5, 7)}, "int(w)", 50, ("DerivedTarget", 1)),  # found in the header
+    ],
+)
+def test_structured_search_fails_on_the_bad_entries_of_a_hand_built_pack_it_reaches(
+    entries, text, max_candidates, expected
+):
+    pack = AxiomPack(len(entries), frozenset(entries))
+    budget = candidates_budget(max_candidates)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            search(pack, parse_statement(text), budget, SearchMode.STRUCTURED)
+    else:
+        verdict = search(pack, parse_statement(text), budget, SearchMode.STRUCTURED)
+        assert (type(verdict).__name__, verdict.candidates) == expected
+
+
 def nested_sum(depth, leaf="w"):
     """leaf+1 wrapped in depth levels: ((leaf+1)+1)..., built without parsing."""
     term = Var(leaf)
@@ -150,14 +199,19 @@ def test_time_limited_search_still_enumerates_underivable_targets(mode):
 
 
 def test_structured_search_memory_does_not_grow_with_the_budget():
-    # in a child process, so its peak RSS is the search's alone; storing every candidate took about 2.3 GB
+    # in a child process, so its peak RSS is the search's alone; storing every candidate took about 2.3 GB.
+    # Linux carries ru_maxrss over exec, so a child spawned by a large test process would report that
+    # process's peak; VmHWM is the peak of the child's own memory, and ru_maxrss the fallback without /proc.
     code = (
-        "import resource\n"
+        "import re, resource\n"
         "from proofbench.pi_system import make_axiom_pack, parse_statement\n"
         "from proofbench.proof_search import SearchBudget, SearchMode, search\n"
         "target = parse_statement('((w+1)+1)+1 > w')\n"
         "print(search(make_axiom_pack(0), target, SearchBudget(10**7), SearchMode.STRUCTURED))\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "try:\n"
+        "    print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1))\n"
+        "except OSError:\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -379,7 +433,13 @@ def test_literal_search_agrees_with_the_brute_force_oracle(target, pack, max_can
 @example(parse_statement("(0+1)+1 > 0"), EMPTY, 9_035)  # found at its budget, by R1
 @given(
     _TARGETS,
-    st.sampled_from([EMPTY, PACK5, make_axiom_pack(20), AxiomPack(5, PACK5.entries | {(2, 0), (2, 1)})]),
+    st.sampled_from([
+        EMPTY,
+        PACK5,
+        make_axiom_pack(20),
+        AxiomPack(5, PACK5.entries | {(2, 0), (2, 1)}),
+        AxiomPack(300, frozenset({(i, i % 2) for i in range(1, 301)} | {(7, 0)})),  # larger than most budgets
+    ]),
     st.one_of(st.integers(1, 20_000), st.integers(10_000, 20_000)),  # the first leans to small budgets
 )
 def test_structured_search_agrees_with_the_stored_candidate_oracle(target, pack, max_candidates):
