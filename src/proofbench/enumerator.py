@@ -12,9 +12,13 @@ grammar_count and grammar_unrank rest on one memoized dynamic program over
 in semiring parsing (Goodman, Computational Linguistics 1999): integers
 count the derivations of each length, and lists of (word, value) pairs hold
 the words of one length, the value being what the grammar's semantic
-actions make of the derivation.  Each split computes its head before its
-tail, and the tail only for a nonzero head, so the memo fills from short
-lengths up; the caller owns the memo and its budget.  Counting is by
+actions make of the derivation.  A production suffix splits at its first
+nonterminal, and the terminals before it are fixed text, so the DP itself
+never values a suffix that starts after a terminal: Q-lang's
+"( aexp cmp aexp )" puts "(" in front of each word of aexp with the rest,
+with no list for "aexp cmp aexp )".  Each split computes its head before
+its tail, and the tail only for a nonzero head, so the memo fills from
+short lengths up; the caller owns the memo and its budget.  Counting is by
 derivation, which equals counting by word exactly when the grammar is
 unambiguous; every grammar shipped in this package is, and the test suite
 checks this against a brute-force oracle.
@@ -25,7 +29,7 @@ than 100,000 words are kept in one list in rank order, each appended after
 every shorter one when a rank in it is first asked for; grammar_derivation
 hands out rank k's entry, word and value, in about 0.1 us (2-vCPU x86-64
 VM, Python 3.11), and a cold fbar_truth sweep of Q-lang's 64,446 programs
-of length <= 7 takes 0.15-0.19 s.  A length whose build outgrows its cell
+of length <= 7 takes 0.08-0.15 s.  A length whose build outgrows its cell
 budget ends the list; it and every longer length are descended.
 
 A longer length is found by prefix descent over an Earley chart that
@@ -324,19 +328,27 @@ class Grammar:
             maxlen[nt] = max(sum(1 if s in terminal_set else maxlen[s] for s in rhs) for rhs in usable[nt])
         self._max_word_len = maxlen.get(self.start, _UNBOUNDED)
 
-        # precomputed minimum lengths for every production suffix
+        # precomputed minimum lengths for every production suffix, and where
+        # the run of terminals that starts it ends: rhs[i:j] are terminals and
+        # rhs[j] is the suffix's first nonterminal, or j == len(rhs)
         suffix_min: dict = {}
+        run_end: dict = {}
         big = 1 << 60
         for nt, alts in prods.items():
             for rhs in alts:
                 acc = 0
-                suffix_min[(rhs, len(rhs))] = 0
+                j = len(rhs)
+                suffix_min[(rhs, j)], run_end[(rhs, j)] = 0, j
                 for i in range(len(rhs) - 1, -1, -1):
                     sym = rhs[i]
-                    m = 1 if sym in terminal_set else (minlen[sym] if minlen[sym] is not None else big)
+                    if sym in terminal_set:
+                        m = 1
+                    else:
+                        m, j = (minlen[sym] if minlen[sym] is not None else big), i
                     acc = min(acc + m, big)
-                    suffix_min[(rhs, i)] = acc
+                    suffix_min[(rhs, i)], run_end[(rhs, i)] = acc, j
         self._suffix_min = suffix_min
+        self._run_end = run_end
 
     # -- caches and recognition ---------------------------------------------
 
@@ -369,46 +381,49 @@ class Grammar:
         return chart._up(self._rep[word[-1]], len(word) - 1, 0) > 0
 
 
-def _length_dp(grammar: Grammar, memo: dict, keep, zero, terminal, empty, join):
+def _length_dp(grammar: Grammar, memo: dict, keep, zero, end, join):
     """(sym, seq): one memoized length-split DP over the caller's algebra.
 
-    sym(s, l) values the derivations of s over l symbols, seq(rhs, i, l, lhs)
-    those of rhs[i:].  The algebra is a fresh zero(), terminal(c), the empty
-    suffix's value, +=, and join(lhs, rhs, i, head, tail) of rhs[i]'s value
-    and rhs[i + 1:]'s (lhs matters only for a whole rhs, i == 0).
+    sym(nt, l) values the derivations of a nonterminal over l symbols,
+    seq(rhs, i, l, lhs) those of rhs[i:].  A run of terminals rhs[i:j] is
+    fixed text in front of the suffix's first nonterminal rhs[j], so a split
+    joins rhs[j]'s value with rhs[j + 1:]'s directly, and no value is made
+    for a suffix that starts after a terminal unless the caller asks for it.
+    The algebra is a fresh zero(), +=, end(lhs, rhs, i), the value of a
+    suffix rhs[i:] of terminals only (at its one length), and
+    join(lhs, rhs, i, j, head, tail) of rhs[j]'s value and rhs[j + 1:]'s
+    behind the run rhs[i:j] (lhs matters only for a whole rhs, i == 0).
     keep(key, value) stores an entry in memo, or declines to, under the
-    caller's budget.  A split computes its head first and its tail only for
-    a nonzero head, so the memo fills from short lengths up and the
-    recursion deepens with the nesting of nonterminals, not the length.
+    caller's budget; a suffix of terminals only is not offered.  A split
+    computes its head first and its tail only for a nonzero head, so the
+    memo fills from short lengths up and the recursion deepens with the
+    nesting of nonterminals, not the length.
     """
-    prods, minlen, suffix_min = grammar.productions, grammar._minlen, grammar._suffix_min
+    prods, minlen = grammar.productions, grammar._minlen
+    suffix_min, run_end = grammar._suffix_min, grammar._run_end
 
-    def sym(s, l):
-        if s not in prods:
-            return terminal(s) if l == 1 else zero()
-        value = memo.get((s, l))
+    def sym(nt, l):
+        value = memo.get((nt, l))
         if value is None:
             value = zero()
-            for rhs in prods[s]:
-                value += seq(rhs, 0, l, s)
-            keep((s, l), value)
+            for rhs in prods[nt]:
+                value += seq(rhs, 0, l, nt)
+            keep((nt, l), value)
         return value
 
     def seq(rhs, i, l, lhs=None):
-        if i == len(rhs):
-            return empty if l == 0 else zero()
         value = memo.get((rhs, i, l))
         if value is None:
+            j = run_end[(rhs, i)]
+            rest = l - (j - i)  # the run rhs[i:j] spans one symbol per terminal
+            if j == len(rhs):
+                return end(lhs, rhs, i) if rest == 0 else zero()
             value = zero()
-            top = l - suffix_min[(rhs, i + 1)]
-            if rhs[i] in prods:
-                first_min = minlen[rhs[i]]  # None: derives nothing
-            else:
-                first_min, top = 1, min(top, 1)  # a terminal spans exactly one symbol
-            for l1 in range(first_min or l + 1, top + 1):
-                head = sym(rhs[i], l1)
+            # minlen is None for a nonterminal that derives nothing
+            for l1 in range(minlen[rhs[j]] or rest + 1, rest - suffix_min[(rhs, j + 1)] + 1):
+                head = sym(rhs[j], l1)
                 if head:
-                    value += join(lhs, rhs, i, head, seq(rhs, i + 1, l - l1))
+                    value += join(lhs, rhs, i, j, head, seq(rhs, j + 1, rest - l1))
             keep((rhs, i, l), value)
         return value
 
@@ -431,7 +446,7 @@ def _counter(grammar: Grammar, max_entries: int):
                 )
 
         pair = grammar._counters[max_entries] = _length_dp(
-            grammar, counts, keep, int, lambda c: 1, 1, lambda lhs, rhs, i, head, tail: head * tail)
+            grammar, counts, keep, int, lambda lhs, rhs, i: 1, lambda lhs, rhs, i, j, head, tail: head * tail)
     return pair
 
 
@@ -461,14 +476,25 @@ def _bucket(grammar: Grammar, *lengths: int) -> list:
             )
         memo[key] = pairs
 
-    def join(lhs, rhs, i, heads, tails):
-        # (word, child values) of a suffix, but (word, act(word, child values)) of a whole rhs
+    # (word, child values) of a suffix, but (word, act(word, child values)) of a
+    # whole rhs; a terminal's value is the terminal, so a run of terminals
+    # rhs[i:j] adds its text to each word and itself to each child tuple
+    def end(lhs, rhs, i):
+        word, run = "".join(rhs[i:]), rhs[i:]
         if i:
-            return [(w + t, (v,) + c) for w, v in heads for t, c in tails]
+            return [(word, run)]
         act = actions.get((lhs, rhs))
-        return [(word, act and act(word, (v,) + c)) for w, v in heads for t, c in tails for word in (w + t,)]
+        return [(word, act and act(word, run))]
 
-    derive, _ = _length_dp(grammar, memo, keep, list, lambda c: [(c, c)], [("", ())], join)
+    def join(lhs, rhs, i, j, heads, tails):
+        text, run = "".join(rhs[i:j]), rhs[i:j]
+        heads = [(text + w, run + (v,)) for w, v in heads]
+        if i:
+            return [(w + t, v + c) for w, v in heads for t, c in tails]
+        act = actions.get((lhs, rhs))
+        return [(word, act and act(word, v + c)) for w, v in heads for t, c in tails for word in (w + t,)]
+
+    derive, _ = _length_dp(grammar, memo, keep, list, end, join)
     # nearly every container the build makes survives it, so a collection
     # would only walk the growing heap again; pause the collector meanwhile
     enabled = gc.isenabled()
@@ -604,8 +630,9 @@ class _Chart:
 
     def _complete(self, lhs, rhs, dot, origin, r) -> int:
         """Ways to finish rhs[dot:], then the ancestors of lhs, with r symbols."""
-        if dot == len(rhs):
-            return self._up(lhs, origin, r)
+        n = len(rhs) - dot
+        if self.grammar._run_end[(rhs, dot)] == len(rhs):  # terminals only: one way, over n symbols
+            return self._up(lhs, origin, r - n) if r >= n else 0
         total = 0
         for r1 in range(self.grammar._suffix_min[(rhs, dot)], r + 1):
             c = self._count_seq(rhs, dot, r1)

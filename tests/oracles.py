@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and independent of the library's
 algorithms: shortlex listing by generate-in-order, grammar word listing
-by expanding leftmost derivations with a minimum-length bound, literal
+by expanding leftmost derivations with a minimum-length bound (and each
+word's tree rebuilt from its derivation's productions), literal
 proof search by decoding every string in turn, structured search by the
 given-clause loop that stores every candidate with an origin tag, and the
 checker's axiom schemas by == of the instantiated conclusion.  Slow, small,
@@ -99,6 +100,36 @@ def derive_words(productions, start, length):
             out.append("".join(form))
 
     rec((start,))
+    return out
+
+
+def derive_trees(productions, start, length):
+    """(word, tree) for every word of exactly `length`, one per leftmost derivation.
+
+    A tree is (nonterminal, children), a terminal child being the terminal
+    itself.  A leftmost derivation expands the nodes of its tree in preorder,
+    so the tree is rebuilt from the productions in the order they were applied.
+    """
+    bound = min_lengths(productions)
+    out = []
+
+    def build(steps):
+        nt, rhs = next(steps)
+        return (nt, tuple(build(steps) if sym in productions else sym for sym in rhs))
+
+    def rec(form, steps):
+        total = sum(bound[s] if s in productions else 1 for s in form)
+        if total > length:
+            return
+        for i, sym in enumerate(form):
+            if sym in productions:
+                for rhs in productions[sym]:
+                    rec(form[:i] + tuple(rhs) + form[i + 1 :], steps + ((sym, tuple(rhs)),))
+                return
+        if len(form) == length:
+            out.append(("".join(form), build(iter(steps))))
+
+    rec((start,), ())
     return out
 
 

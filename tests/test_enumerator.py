@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,7 @@ from proofbench.enumerator import (
 from proofbench.errors import ResourceLimitError
 from proofbench.qlang import QLANG_ALPHABET, QLANG_GRAMMAR
 
-from oracles import derive_words, shortlex_key, shortlex_rank, shortlex_strings
+from oracles import derive_trees, derive_words, shortlex_key, shortlex_rank, shortlex_strings
 
 BINARY = Alphabet.from_string("01")
 ABC = Alphabet.from_string("abc")
@@ -497,20 +498,32 @@ def test_bucket_budget_is_enforced(monkeypatch):
 
 
 def test_bucket_budget_counts_suffix_lists(monkeypatch):
-    # the lists of S and B hold 2 entries each at length 9; the suffixes
-    # a^7 B, ..., a B, B of S's right-hand side keep 8 more lists of 2 entries
-    g = _grammar({"S": [["a"] * 8 + ["B"]], "B": [["a"], ["b"]]})
+    # the lists of S and B hold 2 entries each at length 9 and A's 1; the
+    # suffixes A^7 B, ..., A B, B of S's right-hand side keep 8 more lists of 2
+    g = _grammar({"S": [["A"] * 8 + ["B"]], "A": [["a"]], "B": [["a"], ["b"]]})
     monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 4)
     with pytest.raises(ResourceLimitError) as info:
         enumerator._bucket(g, 9)
-    assert (info.value.limit, info.value.attempted) == (16, 18)
-    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 5)
+    assert (info.value.limit, info.value.attempted) == (16, 17)
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 5)  # S's own list is counted too
+    with pytest.raises(ResourceLimitError) as info:
+        enumerator._bucket(g, 9)
+    assert (info.value.limit, info.value.attempted) == (20, 21)
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 6)
+    assert [word for word, _ in enumerator._bucket(g, 9)] == ["aaaaaaaaa", "aaaaaaaab"]
+
+
+def test_a_run_of_terminals_keeps_no_suffix_lists(monkeypatch):
+    # a^8 is fixed text in front of B, so only the lists of B and S are kept:
+    # 4 cells, where a list per suffix a^7 B, ..., a B, B would take 20
+    g = _grammar({"S": [["a"] * 8 + ["B"]], "B": [["a"], ["b"]]})
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 1)
     assert [word for word, _ in enumerator._bucket(g, 9)] == ["aaaaaaaaa", "aaaaaaaab"]
 
 
 def test_a_bucket_over_its_cell_budget_falls_back_to_descent(monkeypatch):
-    # the grammar of the test above: 2 words of length 9, but 18 cells > 16
-    g = _grammar({"S": [["a"] * 8 + ["B"]], "B": [["a"], ["b"]]})
+    # the first grammar above: 2 words of length 9, but 21 cells > 16
+    g = _grammar({"S": [["A"] * 8 + ["B"]], "A": [["a"]], "B": [["a"], ["b"]]})
     monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 4)
     builds = []
     build = enumerator._bucket
@@ -524,9 +537,9 @@ def test_a_bucket_over_its_cell_budget_falls_back_to_descent(monkeypatch):
 
 @pytest.mark.parametrize("asks", [[0, 1, 2, 3], [3, 2, 1, 0]], ids=["ascending", "descending"])
 def test_a_length_over_its_cell_budget_ends_the_bucketed_lengths(asks, monkeypatch):
-    # length 9 keeps 18 cells > 16, as above; lengths 1 and 10 fit alone but
+    # length 9 keeps 21 cells > 16, as above; lengths 1 and 10 fit alone but
     # come before and after it, so only length 1 is bucketed, whatever the ask order
-    prods = {"S": [["c"], ["a"] * 8 + ["B"], ["c"] * 10], "B": [["a"], ["b"]]}
+    prods = {"S": [["c"], ["A"] * 8 + ["B"], ["c"] * 10], "A": [["a"]], "B": [["a"], ["b"]]}
     g = _grammar(prods)
     monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 4)
     words = [w for n in range(11) for w in sorted(derive_words(prods, "S", n))]
@@ -537,8 +550,8 @@ def test_a_length_over_its_cell_budget_ends_the_bucketed_lengths(asks, monkeypat
 
 
 def test_a_run_of_lengths_over_the_budget_together_is_built_one_length_at_a_time(monkeypatch):
-    # lengths 3 and 10 keep 3 and 10 cells alone, 13 > 12 in one memo
-    g = _grammar({"S": [["c"] * 3, ["c"] * 10]})
+    # lengths 3 and 10 keep 4 and 11 cells alone (C's list in each), 14 > 12 in one memo
+    g = _grammar({"S": [["C"] * 3, ["C"] * 10], "C": [["c"]]})
     monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 3)
     builds = []
     build = enumerator._bucket
@@ -569,6 +582,22 @@ def test_bucketed_ranks_list_each_lengths_bucket_in_turn(prods, data):
         assert grammar_derivation(g, first) == buckets[first]
     assert [grammar_derivation(g, k) for k in range(len(buckets))] == buckets
     assert all(word == value for word, value in buckets)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_grammars())
+def test_bucketed_values_are_built_from_each_derivations_children_in_order(prods):
+    # a value of (lhs, children) shows each terminal of a run as its own child,
+    # where concatenated children could not tell a run passed as one string
+    trees = {(nt, tuple(rhs)): lambda word, children, nt=nt: (nt, children) for nt, alts in prods.items() for rhs in alts}
+    try:
+        g = Grammar(Alphabet.from_string("ab"), "S", prods, trees)
+    except GrammarError:
+        return
+    if sum(grammar_count(g, n) for n in range(7)) > 3000:
+        return  # keep the brute-force oracle small
+    for length in range(7):
+        assert Counter(enumerator._bucket(g, length)) == Counter(derive_trees(prods, "S", length))
 
 
 def test_only_the_bucket_cell_budget_falls_back_to_descent(monkeypatch):

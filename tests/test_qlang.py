@@ -311,7 +311,7 @@ def test_grammar_reports_its_cache_sizes(monkeypatch, capsys):
     assert list(sizes) == sorted(sizes)
     assert sizes == {  # lengths 0-7 are held, the empty lengths 0-4 among them
         "bucket_lengths": 8, "bucket_words": sum(WORDS_PER_LENGTH), "chart_counts": 0, "chart_moves": 0,
-        "chart_states": 0, "count_seq": 110, "count_sym": 27,
+        "chart_states": 0, "count_seq": 63, "count_sym": 27,
     }
     assert capsys.readouterr() == ("", "")
 
