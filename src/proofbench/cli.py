@@ -22,13 +22,15 @@ supplies defaults; keys and their defaults:
     alphabet = binary             default alphabet name for enumerate/rank/unrank
     format = pretty               default output format
     count_table_entries = 1000000 parsed and validated; no command reads it
-    table_cells = 1000000         cell budget for program/input tables
+    table_cells = 1000000         cell budget for program/input tables, and the
+                                  most rows enumerate --count, gap --xmax and
+                                  demo incompleteness --xmax may ask for
     bucket_words = 500000         parsed and validated; no command reads it
     search_candidates = 100000    default search budget (candidates)
 
 count_table_entries and bucket_words are kept so that existing config files
 still load; grammar counting and unranking always run with the library's
-defaults.
+fixed limits (1,000,000 count entries, 100,000-word buckets).
 
 Alphabets are named (``binary``, ``qlang``) or loaded from a file with one
 single-codepoint symbol per line, order significant.
@@ -244,12 +246,22 @@ def _write(text: str):
     sys.stdout.write(text)
 
 
+def _within_cells(option: str, value: int, cfg: GlobalConfig):
+    """Refuse, before any work, an option whose output rows would pass the table_cells budget."""
+    if value > cfg.table_cells:
+        raise ResourceLimitError(
+            f"{option} {value} exceeds the table_cells budget of {cfg.table_cells}",
+            budget="table_cells", limit=cfg.table_cells, attempted=value,
+        )
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 def _cmd_enumerate(args, cfg):
     alphabet = _resolve_alphabet(args.alphabet or cfg.alphabet)
     if args.count < 0 or args.start < 0:
         raise ValueError("--from and --count must be nonnegative")
+    _within_cells("--count", args.count, cfg)
     rows = [
         {"k": args.start + i, "s": s}
         for i, s in enumerate(stream(alphabet, args.start, args.count))
@@ -358,6 +370,7 @@ def _cmd_decide(args, cfg):
 def _cmd_gap(args, cfg):
     from .proof_search import completeness_gap
 
+    _within_cells("--xmax", args.xmax, cfg)
     gap = completeness_gap(_self.make_axiom_pack(args.pack), args.xmax)
     _write(emit_report([{"x": x} for x in gap], _fmt(args, cfg)))
     return 0
@@ -389,6 +402,7 @@ def _cmd_demo(args, cfg):
     from .proof_search import NOT_DERIVABLE, SearchBudget, SearchMode, completeness_gap, decide_fbar
     from .qlang import fbar_truth
 
+    _within_cells("--xmax", args.xmax, cfg)
     pack = _self.make_axiom_pack(args.pack)
     gap = completeness_gap(pack, args.xmax)
     out = []

@@ -4,7 +4,8 @@ Strings over a finite ordered alphabet are ranked first by length, ties
 broken by the alphabet's declared symbol order.  rank/unrank use the closed
 mixed-radix form (offset = sum of |A|^l for l < len, plus the base-|A| lex
 position) with arbitrary-precision integers, so no enumeration loop is ever
-needed to locate a string.
+needed to locate a string.  Both split the digits in halves at a power of
+|A|, not one symbol at a time over one growing integer.
 
 The same order is applied to the valid words of a context-free grammar.
 grammar_count and grammar_unrank rest on one memoized dynamic program over
@@ -64,6 +65,7 @@ from __future__ import annotations
 import bisect
 import gc
 import heapq
+import math
 from collections import Counter
 
 from .errors import ResourceLimitError
@@ -74,6 +76,9 @@ _UNBOUNDED = None  # sentinel for "no finite maximum word length"
 # bucket; the lists kept while building one may hold at most 4x as many
 # entries in all, and a length whose build would exceed that is descended.
 _BUCKET_WORDS = 100_000
+
+# A grammar's count memo holds at most this many entries; a count past it raises.
+_COUNT_ENTRIES = 1_000_000
 
 # A grammar interns at most this many chart states and moves between them;
 # a state built once the table is full stays private to its chart.
@@ -134,17 +139,20 @@ def unrank(alphabet: Alphabet, k: int) -> str:
     if k < 0:
         raise ValueError("rank must be >= 0")
     n = len(alphabet)
-    length, block = 0, 1
-    while k >= block:
-        k -= block
+    if n == 1:
+        return alphabet.symbols[0] * k
+    # the (n**L - 1) // (n - 1) strings shorter than L are at most k exactly
+    # when n**L <= m; m's bit length puts L within one of the largest such
+    m = k * (n - 1) + 1
+    length = int((m.bit_length() - 1) / math.log2(n))
+    power = n ** length
+    while power * n <= m:
+        power *= n
         length += 1
-        block *= n
-    symbols = alphabet.symbols
-    chars = [""] * length
-    for i in range(length - 1, -1, -1):
-        k, d = divmod(k, n)
-        chars[i] = symbols[d]
-    return "".join(chars)
+    while power > m:
+        power //= n
+        length -= 1
+    return _spell(k - (power - 1) // (n - 1), alphabet.symbols, length)
 
 
 def rank(alphabet: Alphabet, s: str) -> int:
@@ -166,6 +174,21 @@ def _value(digits: list, n: int) -> int:
     for d in digits:
         value = value * n + d
     return value
+
+
+def _spell(value: int, symbols: tuple, length: int) -> str:
+    """The length symbols that spell value in base len(symbols), its halves
+    split at a power of the base: the inverse of _value."""
+    n = len(symbols)
+    if length > 64:
+        half = length // 2
+        high, low = divmod(value, n ** (length - half))
+        return _spell(high, symbols, half) + _spell(low, symbols, length - half)
+    chars = [""] * length
+    for i in range(length - 1, -1, -1):
+        value, d = divmod(value, n)
+        chars[i] = symbols[d]
+    return "".join(chars)
 
 
 def stream(alphabet: Alphabet, from_: int, count: int) -> list[str]:
@@ -221,7 +244,7 @@ class Grammar:
             raise GrammarError("every action must be keyed by a production (nonterminal, rhs)")
         # memoization caches; contents are pure functions of the grammar
         self._counts: dict = {}
-        self._counters: dict = {}  # max_entries -> the counting (sym, seq) over _counts
+        self._count_sym, self._count_seq = _counter(self)
         self._ranked: list = []  # the (word, value) pairs of every bucketed length, in rank order
         self._bucket_end = float("inf")  # the rank where the bucketed lengths end, once known
         self._cum: list[int] = [0]  # _cum[L] = number of words shorter than L
@@ -369,11 +392,11 @@ class Grammar:
             "count_sym": len(self._counts) - seq,
         }
 
-    def recognizes(self, word: str, max_entries: int = 1_000_000) -> bool:
+    def recognizes(self, word: str) -> bool:
         """True iff the grammar derives the word."""
         if not word or any(c not in self.alphabet for c in word):
             return False
-        chart = _Chart(self, max_entries)
+        chart = _Chart(self)
         for c in word[:-1]:
             if c not in chart.columns[-1]:
                 return False  # no item awaits c, so no word starts with this prefix
@@ -430,32 +453,28 @@ def _length_dp(grammar: Grammar, memo: dict, keep, zero, end, join):
     return sym, seq
 
 
-def _counter(grammar: Grammar, max_entries: int):
-    """The counting (sym, seq) over grammar._counts, at most max_entries
-    entries; built once per grammar and budget."""
-    pair = grammar._counters.get(max_entries)
-    if pair is None:
-        counts = grammar._counts
+def _counter(grammar: Grammar):
+    """The counting (sym, seq) over grammar._counts, which Grammar builds once.
+    Past _COUNT_ENTRIES entries, read at each store, a count raises."""
+    counts = grammar._counts
 
-        def keep(key, value):
-            counts[key] = value
-            if len(counts) > max_entries:
-                raise ResourceLimitError(
-                    f"grammar count table exceeded {max_entries} entries; raise the budget to continue",
-                    budget="max_entries", limit=max_entries, attempted=len(counts),
-                )
+    def keep(key, value):
+        counts[key] = value
+        if len(counts) > _COUNT_ENTRIES:
+            raise ResourceLimitError(
+                f"grammar count table exceeded {_COUNT_ENTRIES} entries",
+                budget="max_entries", limit=_COUNT_ENTRIES, attempted=len(counts),
+            )
 
-        pair = grammar._counters[max_entries] = _length_dp(
-            grammar, counts, keep, int, lambda lhs, rhs, i: 1, lambda lhs, rhs, i, j, head, tail: head * tail)
-    return pair
+    return _length_dp(grammar, counts, keep, int, lambda lhs, rhs, i: 1, lambda lhs, rhs, i, j, head, tail: head * tail)
 
 
-def grammar_count(grammar: Grammar, length: int, max_entries: int = 1_000_000) -> int:
-    """Number of distinct words of exactly the given length the grammar derives."""
+def grammar_count(grammar: Grammar, length: int) -> int:
+    """Number of distinct words of exactly the given length the grammar derives.
+    The counts persist on the grammar, at most _COUNT_ENTRIES of them."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    count, _ = _counter(grammar, max_entries)
-    return count(grammar.start, length)
+    return grammar._count_sym(grammar.start, length)
 
 
 def _bucket(grammar: Grammar, *lengths: int) -> list:
@@ -532,9 +551,9 @@ class _Chart:
     one count.
     """
 
-    def __init__(self, grammar: Grammar, max_entries: int):
+    def __init__(self, grammar: Grammar):
         self.grammar = grammar
-        _, self._count_seq = _counter(grammar, max_entries)
+        self._count_seq = grammar._count_seq
         root = grammar._states.get(None)
         if root is None:
             root = grammar._states[None] = (0, self._column({}, 0, {grammar.start}), {})
@@ -641,7 +660,7 @@ class _Chart:
         return total
 
 
-def _locate(grammar: Grammar, k: int, max_entries: int):
+def _locate(grammar: Grammar, k: int):
     """The k-th word's length and its offset among the words of that length."""
     if k < 0:
         raise ValueError("rank must be >= 0")
@@ -650,7 +669,7 @@ def _locate(grammar: Grammar, k: int, max_entries: int):
     while cum[length] <= k:
         if grammar._max_word_len is not _UNBOUNDED and length > grammar._max_word_len:
             raise ValueError(f"rank {k} is beyond the language: only {cum[length]} words exist")
-        cum.append(cum[length] + grammar_count(grammar, length, max_entries))
+        cum.append(cum[length] + grammar_count(grammar, length))
         if cum[-1] - cum[length] > _BUCKET_WORDS:  # no bucket holds it, so the bucketed lengths end before it
             grammar._bucket_end = min(grammar._bucket_end, cum[length])
         length += 1
@@ -676,23 +695,24 @@ def _bucketed(grammar: Grammar, length: int) -> bool:
         return False
 
 
-def grammar_unrank(grammar: Grammar, k: int, max_entries: int = 1_000_000) -> str:
+def grammar_unrank(grammar: Grammar, k: int) -> str:
     """The k-th valid word (0-based) of the grammar in length-then-lex order.
 
     Equivalent to filtering the raw stream through the grammar's recognizer
-    and taking element k, but computed from length counts directly.  Past
-    the bucket, each position bisects the chart state's running totals of
+    and taking element k, but computed from length counts directly, under
+    grammar_count's budget.  A bucketed rank is grammar_derivation's word.
+    Past the bucket, each position bisects the chart state's running totals of
     the words that continue the prefix with each awaited terminal, adding
     totals only until one exceeds the offset left; committing a symbol
     reuses the chart state an earlier descent reached by it, if interned.
     Class-mates share one move and one count, so after "(" the words that
     continue with each of 1-9 are counted once.
     """
-    ranked = grammar._ranked
-    if 0 <= k < len(ranked) or k < grammar._bucket_end and _bucketed(grammar, _locate(grammar, k, max_entries)[0]):
-        return ranked[k][0]
-    length, j = _locate(grammar, k, max_entries)
-    chart, rep = _Chart(grammar, max_entries), grammar._rep
+    pair = grammar_derivation(grammar, k)
+    if pair is not None:
+        return pair[0]
+    length, j = _locate(grammar, k)
+    chart, rep = _Chart(grammar), grammar._rep
     for n in range(length):
         if n:
             chart.commit(c)  # the symbol chosen at position n - 1
@@ -716,6 +736,6 @@ def grammar_derivation(grammar: Grammar, k: int):
     """(grammar_unrank(grammar, k), its value under the grammar's actions), or
     None past the bucket, where prefix descent builds no derivation."""
     ranked = grammar._ranked
-    if 0 <= k < len(ranked) or k < grammar._bucket_end and _bucketed(grammar, _locate(grammar, k, 1_000_000)[0]):
+    if 0 <= k < len(ranked) or k < grammar._bucket_end and _bucketed(grammar, _locate(grammar, k)[0]):
         return ranked[k]
     return None

@@ -303,6 +303,21 @@ def test_bad_config_is_exit_64(run, tmp_path):
     assert code == 64 and "mystery" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("gap", "--pack", "3", "--xmax"),
+    ("demo", "incompleteness", "--pack", "3", "--xmax"),
+    ("enumerate", "--count"),
+])
+def test_row_counts_past_table_cells_are_refused(run, tmp_path, command):
+    config = tmp_path / "cells.cfg"
+    config.write_text("table_cells = 10\n", encoding="utf-8")
+    code, out, err = run("--config", str(config), *command, "11")
+    assert (code, out) == (1, "")
+    assert err == f"error: {command[-1]} 11 exceeds the table_cells budget of 10\n"
+    default = run(*command, "10")
+    assert default[0] == 0 and run("--config", str(config), *command, "10") == default
+
+
 def test_config_budget_is_used_by_search(run, tmp_path):
     config = tmp_path / "small.cfg"
     config.write_text("search_candidates = 50\n", encoding="utf-8")

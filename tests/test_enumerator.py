@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -116,6 +117,30 @@ def _alphabets_and_words(draw):
 def test_rank_agrees_with_the_left_to_right_oracle(case):
     alphabet, word = case
     assert rank(alphabet, word) == shortlex_rank(alphabet.symbols, word)
+
+
+@pytest.mark.parametrize("symbols, k", [
+    ("ab", 10**3000 + 12345),  # 9,966 symbols, split at powers of 2 down to 64
+    ("ab", 2**3000 - 1),  # the first word of length 3,000
+    ("αβγ", (3**500 - 1) // 2 - 1),  # the last word of length 499 and the first of 500
+    ("αβγ", (3**500 - 1) // 2),
+    ("a", 5_000),
+])
+def test_unrank_round_trips_past_the_split(symbols, k):
+    alphabet = Alphabet.from_string(symbols)
+    word = unrank(alphabet, k)
+    assert rank(alphabet, word) == shortlex_rank(alphabet.symbols, word) == k
+    if len(symbols) == 1:
+        assert word == symbols * k
+
+
+def test_unrank_of_a_long_word_splits_instead_of_looping():
+    # 99,657 symbols; one divmod per symbol over the shrinking rank took about 2 s
+    ab = Alphabet.from_string("ab")
+    started = time.perf_counter()
+    word = unrank(ab, 10**30000)
+    assert time.perf_counter() - started < 0.5
+    assert len(word) == 99_657 and rank(ab, word) == 10**30000
 
 
 def test_stream_is_strictly_increasing_in_shortlex():
@@ -466,25 +491,15 @@ def test_recognizes():
     assert not g.recognizes("ba")
 
 
-def test_count_budget_is_enforced():
+def test_count_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(enumerator, "_COUNT_ENTRIES", 10)
     prods = {"S": [["a", "S", "b"], ["a", "b"]]}
     g = _grammar(prods, alphabet=Alphabet.from_string("ab"))
     with pytest.raises(ResourceLimitError) as info:
-        grammar_count(g, 4000, max_entries=10)
+        grammar_count(g, 4000)
     assert (info.value.budget, info.value.limit) == ("max_entries", 10)
     assert info.value.attempted > 10
-    assert str(info.value) == "grammar count table exceeded 10 entries; raise the budget to continue"
-
-
-def test_a_smaller_count_budget_binds_after_a_larger_one():
-    # the counting functions are cached per budget, not once per grammar
-    g = _grammar({"S": [["a", "S", "b"], ["a", "b"]]}, alphabet=Alphabet.from_string("ab"))
-    grammar_count(g, 3)
-    limit = len(g._counts) + 1
-    with pytest.raises(ResourceLimitError) as info:
-        grammar_count(g, 12, max_entries=limit)
-    assert (info.value.budget, info.value.limit) == ("max_entries", limit)
-    assert grammar_count(g, 12) == 1
+    assert str(info.value) == "grammar count table exceeded 10 entries"
 
 
 def test_bucket_budget_is_enforced(monkeypatch):
