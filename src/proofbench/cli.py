@@ -155,6 +155,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
+def _all_digits(fn, *args):
+    """fn(*args) with Python's integer-string limit lifted, and restored after.
+    Only a shortlex rank's own conversions lift it: numerals in programs and
+    derivation files keep their documented limit."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:  # an interpreter without the limit
+        return fn(*args)
+    limit = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _rank_int(text: str) -> int:
+    return _all_digits(int, text)
+
+
+_rank_int.__name__ = "int"  # argparse names the type in its usage error
+
+
 def _add_format(sub):
     sub.add_argument("--format", choices=FORMATS, default=None, help="output format")
 
@@ -176,7 +198,7 @@ def build_parser() -> _Parser:
     _add_format(p)
 
     p = commands.add_parser("unrank", help="string at a shortlex position")
-    p.add_argument("k", type=int, help="the rank")
+    p.add_argument("k", type=_rank_int, help="the rank")
     p.add_argument("--alphabet", default=None)
     _add_format(p)
 
@@ -272,7 +294,7 @@ def _cmd_enumerate(args, cfg):
 
 def _cmd_rank(args, cfg):
     alphabet = _resolve_alphabet(args.alphabet or cfg.alphabet)
-    _write(emit_report([{"k": rank(alphabet, args.string)}], _fmt(args, cfg)))
+    _write(_all_digits(emit_report, [{"k": rank(alphabet, args.string)}], _fmt(args, cfg)))
     return 0
 
 

@@ -27,11 +27,15 @@ checks this against a brute-force oracle.
 grammar_unrank finds the word's length from cumulative counts, then the
 word itself in one of two ways.  The lengths before the first with more
 than 100,000 words are kept in one list in rank order, each appended after
-every shorter one when a rank in it is first asked for; grammar_derivation
-hands out rank k's entry, word and value, in about 0.1 us (2-vCPU x86-64
-VM, Python 3.11), and a cold fbar_truth sweep of Q-lang's 64,446 programs
-of length <= 7 takes 0.08-0.15 s.  A length whose build outgrows its cell
-budget ends the list; it and every longer length are descended.
+every shorter one when a rank in it is first asked for.  A build starts
+from the start symbol's pairs of the lengths already listed, so Q-lang's
+"!" in front of a listed program wraps that program's own tree; and it
+moves what it made into the collector's oldest generation, so no young
+collection walks it again.  grammar_derivation hands out rank k's entry,
+word and value, in about 0.1 us (2-vCPU x86-64 VM, Python 3.11), and a
+cold fbar_truth sweep of Q-lang's 64,446 programs of length <= 7 takes
+0.08-0.16 s.  A length whose build outgrows its cell budget ends the list;
+it and every longer length are descended.
 
 A longer length is found by prefix descent over an Earley chart that
 carries derivation counts (Earley, CACM 1970; recursive ranking as in
@@ -514,16 +518,12 @@ def _bucket(grammar: Grammar, *lengths: int) -> list:
         return [(word, act and act(word, v + c)) for w, v in heads for t, c in tails for word in (w + t,)]
 
     derive, _ = _length_dp(grammar, memo, keep, list, end, join)
-    # nearly every container the build makes survives it, so a collection
-    # would only walk the growing heap again; pause the collector meanwhile
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        buckets = [derive(grammar.start, n) for n in lengths]
-    finally:
-        memo.clear()  # the DP's two functions form a cycle that would keep it alive
-        if enabled:
-            gc.enable()
+    # the start symbol's pairs of every length already listed are reused, not
+    # rebuilt, and not counted again; a stable sort keeps the relative order
+    # of an ambiguous grammar's copies of one word, so the result is the same
+    start, cum, ranked = grammar.start, grammar._cum, grammar._ranked
+    for n in range(bisect.bisect_left(cum, len(ranked))):
+        memo[(start, n)] = ranked[cum[n]:cum[n + 1]]
     # every word of one length is ranked by its symbols' ranks; an ASCII
     # word is ranked as bytes, which translate twice as fast as a str
     symbols = "".join(grammar.alphabet.symbols)
@@ -533,7 +533,21 @@ def _bucket(grammar: Grammar, *lengths: int) -> list:
     else:
         order = {ord(s): i for i, s in enumerate(symbols)}
         key = lambda pair: pair[0].translate(order)
-    return [pair for bucket in buckets for pair in sorted(bucket, key=key)]
+    # nearly every container the build makes survives it, so a collection
+    # would only walk it again: pause the collector, then move everything
+    # tracked into the oldest generation at once (freeze, unfreeze), unless
+    # the caller keeps objects frozen or had the collector off
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return [pair for n in lengths for pair in sorted(derive(start, n), key=key)]
+    finally:
+        memo.clear()  # the DP's two functions form a cycle that would keep it alive
+        if enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
 
 
 class _Chart:

@@ -11,6 +11,7 @@ import pytest
 import proofbench.cli as cli
 from proofbench import qlang
 from proofbench.cli import BUILTIN_ALPHABETS, GlobalConfig, emit_report, main
+from proofbench.enumerator import rank
 from proofbench.pi_system import Accept, check_derivation, make_axiom_pack, parse_derivation_file
 from proofbench.proof_search import SearchMode
 from proofbench.qlang import QLANG_ALPHABET
@@ -138,6 +139,24 @@ def test_rank_unrank_round_trip_via_cli(run):
     k = json.loads(out)["k"]
     code, out, _ = run("unrank", str(k), "--alphabet", "binary", "--format", "json-lines")
     assert json.loads(out)["s"] == "010"
+
+
+def test_rank_unrank_round_trip_past_the_integer_string_limit(run, capsys):
+    # a rank of 4,516 digits, past Python's default 4,300, is printed and
+    # read back; the limit is lifted only for the conversion, then restored
+    limit = sys.get_int_max_str_digits()
+    word = "10" * 7500
+    code, out, err = run("rank", word, "--alphabet", "binary", "--format", "csv")
+    assert (code, err) == (0, "")
+    digits = out.splitlines()[1]
+    assert len(digits) > limit and int(digits[-18:]) == rank(BUILTIN_ALPHABETS["binary"], word) % 10**18
+    assert run("unrank", digits, "--alphabet", "binary", "--format", "csv") == (0, f"s\n{word}\n", "")
+    assert run("rank", word, "--alphabet", "binary")[1] == f"k: {digits}\n"
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(SystemExit) as info:
+        main(["unrank", "1.5", "--alphabet", "binary"])
+    assert info.value.code == 64
+    assert capsys.readouterr().err.endswith("error: argument k: invalid int value: '1.5'\n")
 
 
 def test_alphabet_from_file(run, tmp_path):

@@ -643,6 +643,75 @@ def test_bucket_builds_with_the_collector_paused_and_restores_it(enabled, monkey
         gc.enable()
 
 
+def _tree_grammar(prods):
+    trees = {(nt, tuple(rhs)): lambda word, children, nt=nt: (nt, children) for nt, alts in prods.items() for rhs in alts}
+    return Grammar(Alphabet.from_string("ab"), "S", prods, trees)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_grammars())
+@example(BALANCED)  # ambiguous: "abab" has two derivations at length 4, five words at length 6
+def test_lengths_built_one_at_a_time_reuse_the_listed_ones_and_list_the_same_pairs(prods):
+    # each ascending ask builds its length alone, from the start symbol's
+    # listed pairs; ambiguous grammars keep their copies of a word in order
+    try:
+        g = _tree_grammar(prods)
+    except GrammarError:
+        return
+    counts = [grammar_count(g, n) for n in range(7)]
+    if sum(counts) > 3000:
+        return  # keep each bucket small
+    builds = []
+    build = enumerator._bucket
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumerator, "_bucket", lambda grammar, *lengths: builds.append(lengths) or build(grammar, *lengths))
+        pairs = [grammar_derivation(g, k) for k in range(sum(counts))]
+    assert builds == [(n,) for n in range(7) if counts[n]]
+    assert pairs == enumerator._bucket(_tree_grammar(prods), *range(7))
+
+
+def test_a_longer_length_calls_actions_only_for_its_new_top_nodes():
+    calls = []
+    action = lambda word, children: calls.append(word) or word
+    g = Grammar(ABC, "S", {"S": [["a", "S"], ["b"]]}, {("S", ("a", "S")): action, ("S", ("b",)): action})
+    for k in range(6):  # rank k is a^k b, the one word of length k + 1
+        calls.clear()
+        assert grammar_derivation(g, k) == ("a" * k + "b",) * 2
+        assert calls == ["a" * k + "b"]
+
+
+def test_a_qlang_length_wraps_the_listed_trees_of_shorter_ones():
+    g = Grammar(QLANG_ALPHABET, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions, QLANG_GRAMMAR.actions)
+    k = 0
+    for n in (5, 6, 7):  # each length built alone, after the shorter ones
+        assert grammar_derivation(g, k) is not None
+        k += grammar_count(g, n)
+    trees = dict(g._ranked)
+    assert trees["!!(x=x)"].arg is trees["!(x=x)"]
+    assert trees["!(x=x)"].arg is trees["(x=x)"]
+
+
+def test_a_build_leaves_no_young_objects_for_the_collector_to_walk():
+    g = _tree_grammar({"S": [["a", "S"], ["b", "S"], ["a"], ["b"]]})
+    pairs = enumerator._bucket(g, *range(1, 9))
+    built = {id(obj) for pair in pairs for obj in (pair, pair[1])}
+    young = {id(obj) for generation in (0, 1) for obj in gc.get_objects(generation)}
+    assert len(pairs) == 510 and not built & young
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+def test_a_build_leaves_a_callers_frozen_objects_frozen():
+    g = _grammar({"S": [["a", "S"], ["b"]]})
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        assert [word for word, _ in enumerator._bucket(g, 3)] == ["aab"]
+        assert gc.get_freeze_count() == frozen and gc.isenabled()
+    finally:
+        gc.unfreeze()
+
+
 # -- prefix descent against the oracles ----------------------------------------------
 
 DESCENT_GRAMMARS = [
