@@ -188,7 +188,7 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("enumerate", help="list strings in shortlex order")
     p.add_argument("--alphabet", default=None, help="builtin name or symbol file")
-    p.add_argument("--from", dest="start", type=int, default=0, help="first rank (default 0)")
+    p.add_argument("--from", dest="start", type=_rank_int, default=0, help="first rank (default 0)")
     p.add_argument("--count", type=int, required=True, help="how many strings")
     _add_format(p)
 
@@ -284,11 +284,9 @@ def _cmd_enumerate(args, cfg):
     if args.count < 0 or args.start < 0:
         raise ValueError("--from and --count must be nonnegative")
     _within_cells("--count", args.count, cfg)
-    rows = [
-        {"k": args.start + i, "s": s}
-        for i, s in enumerate(stream(alphabet, args.start, args.count))
-    ]
-    _write(emit_report(rows, _fmt(args, cfg)))
+    words = _all_digits(stream, alphabet, args.start, args.count)  # an error may name the rank
+    rows = [{"k": args.start + i, "s": s} for i, s in enumerate(words)]
+    _write(_all_digits(emit_report, rows, _fmt(args, cfg)))
     return 0
 
 
@@ -302,7 +300,7 @@ def _cmd_unrank(args, cfg):
     alphabet = _resolve_alphabet(args.alphabet or cfg.alphabet)
     if args.k < 0:
         raise ValueError("rank must be nonnegative")
-    _write(emit_report([{"s": unrank(alphabet, args.k)}], _fmt(args, cfg)))
+    _write(emit_report([{"s": _all_digits(unrank, alphabet, args.k)}], _fmt(args, cfg)))
     return 0
 
 

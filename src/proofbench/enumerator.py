@@ -26,16 +26,16 @@ checks this against a brute-force oracle.
 
 grammar_unrank finds the word's length from cumulative counts, then the
 word itself in one of two ways.  The lengths before the first with more
-than 100,000 words are kept in one list in rank order, each appended after
-every shorter one when a rank in it is first asked for.  A build starts
-from the start symbol's pairs of the lengths already listed, so Q-lang's
-"!" in front of a listed program wraps that program's own tree; and it
-moves what it made into the collector's oldest generation, so no young
-collection walks it again.  grammar_derivation hands out rank k's entry,
-word and value, in about 0.1 us (2-vCPU x86-64 VM, Python 3.11), and a
-cold fbar_truth sweep of Q-lang's 64,446 programs of length <= 7 takes
-0.08-0.16 s.  A length whose build outgrows its cell budget ends the list;
-it and every longer length are descended.
+than 100,000 words are kept in one list in rank order.  A rank first asked
+for appends each length the list lacks up to its own, one build each.  A
+build starts from the start symbol's pairs of the lengths already listed,
+so Q-lang's "!" in front of a listed program wraps that program's own
+tree; and it moves what it made into the collector's oldest generation, so
+no young collection walks it again.  grammar_derivation hands out rank k's
+entry, word and value, in about 0.1 us (2-vCPU x86-64 VM, Python 3.11),
+and a cold fbar_truth sweep of Q-lang's 64,446 programs of length <= 7
+takes 0.08-0.16 s.  The first length whose build outgrows its cell budget
+ends the list; it and every longer length are descended.
 
 A longer length is found by prefix descent over an Earley chart that
 carries derivation counts (Earley, CACM 1970; recursive ranking as in
@@ -70,6 +70,7 @@ import bisect
 import gc
 import heapq
 import math
+import sys
 from collections import Counter
 
 from .errors import ResourceLimitError
@@ -144,6 +145,8 @@ def unrank(alphabet: Alphabet, k: int) -> str:
         raise ValueError("rank must be >= 0")
     n = len(alphabet)
     if n == 1:
+        if k > sys.maxsize:
+            raise ValueError(f"rank {k} over a one-symbol alphabet is longer than a string can be")
         return alphabet.symbols[0] * k
     # the (n**L - 1) // (n - 1) strings shorter than L are at most k exactly
     # when n**L <= m; m's bit length puts L within one of the largest such
@@ -481,8 +484,8 @@ def grammar_count(grammar: Grammar, length: int) -> int:
     return grammar._count_sym(grammar.start, length)
 
 
-def _bucket(grammar: Grammar, *lengths: int) -> list:
-    """All (word, value) pairs of the given ascending lengths, in rank order, from one memo."""
+def _bucket(grammar: Grammar, length: int) -> list:
+    """All (word, value) pairs of the given length, in rank order."""
     actions = grammar.actions
     memo: dict = {}
     cells = 0
@@ -540,7 +543,7 @@ def _bucket(grammar: Grammar, *lengths: int) -> list:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return [pair for n in lengths for pair in sorted(derive(start, n), key=key)]
+        return sorted(derive(start, length), key=key)
     finally:
         memo.clear()  # the DP's two functions form a cycle that would keep it alive
         if enabled:
@@ -691,24 +694,6 @@ def _locate(grammar: Grammar, k: int):
     return length, k - cum[length]
 
 
-def _bucketed(grammar: Grammar, length: int) -> bool:
-    """Whether grammar._ranked holds the given length once it appends every length up to it that it lacks."""
-    cum, ranked = grammar._cum, grammar._ranked
-    if cum[length] >= grammar._bucket_end:
-        return False
-    lengths = [n for n in range(bisect.bisect_left(cum, len(ranked)), length + 1) if cum[n + 1] > cum[n]]
-    try:
-        ranked += _bucket(grammar, *lengths)
-        return True
-    except ResourceLimitError as exc:
-        if exc.budget != "bucket_cells":
-            raise
-        if len(lengths) > 1:  # the run outgrew its budget: build alone up to the first length that does too
-            return all(_bucketed(grammar, n) for n in lengths)
-        grammar._bucket_end = cum[length]
-        return False
-
-
 def grammar_unrank(grammar: Grammar, k: int) -> str:
     """The k-th valid word (0-based) of the grammar in length-then-lex order.
 
@@ -750,6 +735,19 @@ def grammar_derivation(grammar: Grammar, k: int):
     """(grammar_unrank(grammar, k), its value under the grammar's actions), or
     None past the bucket, where prefix descent builds no derivation."""
     ranked = grammar._ranked
-    if 0 <= k < len(ranked) or k < grammar._bucket_end and _bucketed(grammar, _locate(grammar, k)[0]):
+    if 0 <= k < len(ranked):
         return ranked[k]
-    return None
+    if k < grammar._bucket_end:
+        cum = grammar._cum
+        _locate(grammar, k)  # counts up to k's length, which may end the list before it
+        # one build per length, each the next nonempty one, until the list
+        # reaches k or a build over its budget ends the list
+        while len(ranked) <= k < grammar._bucket_end:
+            n = bisect.bisect_right(cum, len(ranked)) - 1
+            try:
+                ranked += _bucket(grammar, n)
+            except ResourceLimitError as exc:
+                if exc.budget != "bucket_cells":
+                    raise
+                grammar._bucket_end = cum[n]
+    return ranked[k] if k < len(ranked) else None

@@ -125,9 +125,9 @@ class SearchBudget(record("SearchBudget", "max_candidates max_seconds")):
     def __new__(cls, max_candidates: int | None = None, max_seconds: float | None = None):
         if max_candidates is None and max_seconds is None:
             raise ValueError("a search budget needs a candidate or time limit")
-        if max_candidates is not None and max_candidates < 1:
+        if max_candidates is not None and not max_candidates >= 1:
             raise ValueError("candidate limit must be >= 1")
-        if max_seconds is not None and max_seconds <= 0:
+        if max_seconds is not None and not max_seconds > 0:
             raise ValueError("time limit must be positive")
         return tuple.__new__(cls, (max_candidates, max_seconds))
 

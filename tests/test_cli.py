@@ -11,7 +11,7 @@ import pytest
 import proofbench.cli as cli
 from proofbench import qlang
 from proofbench.cli import BUILTIN_ALPHABETS, GlobalConfig, emit_report, main
-from proofbench.enumerator import rank
+from proofbench.enumerator import rank, unrank
 from proofbench.pi_system import Accept, check_derivation, make_axiom_pack, parse_derivation_file
 from proofbench.proof_search import SearchMode
 from proofbench.qlang import QLANG_ALPHABET
@@ -157,6 +157,28 @@ def test_rank_unrank_round_trip_past_the_integer_string_limit(run, capsys):
         main(["unrank", "1.5", "--alphabet", "binary"])
     assert info.value.code == 64
     assert capsys.readouterr().err.endswith("error: argument k: invalid int value: '1.5'\n")
+
+
+def test_enumerate_from_past_the_integer_string_limit(run):
+    # --from 10**4300 - 1 has 4,300 digits and its second row 4,301; a
+    # 4,401-digit --from is read too
+    binary = BUILTIN_ALPHABETS["binary"]
+    code, out, err = run("enumerate", "--from", "9" * 4300, "--count", "2", "--alphabet", "binary", "--format", "csv")
+    words = [unrank(binary, 10**4300 - 1), unrank(binary, 10**4300)]
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["k,s", f"{'9' * 4300},{words[0]}", f"1{'0' * 4300},{words[1]}"]
+    code, out, err = run("enumerate", "--from", "1" + "0" * 4400, "--count", "1", "--alphabet", "binary", "--format", "csv")
+    assert (code, err) == (0, "") and out.splitlines()[1] == f"1{'0' * 4400},{unrank(binary, 10**4400)}"
+
+
+@pytest.mark.parametrize("command", [["unrank", "100000000000000000000"], ["enumerate", "--from", "100000000000000000000", "--count", "2"]])
+def test_a_one_symbol_rank_past_the_longest_string_is_a_domain_error(command, run, tmp_path):
+    # fails before any allocation; ranks between about 10**9 and sys.maxsize would allocate gigabytes
+    alphabet_file = tmp_path / "one.txt"
+    alphabet_file.write_text("a\n", encoding="utf-8")
+    code, out, err = run(*command, "--alphabet", str(alphabet_file))
+    assert (code, out) == (1, "")
+    assert err == "error: rank 100000000000000000000 over a one-symbol alphabet is longer than a string can be\n"
 
 
 def test_alphabet_from_file(run, tmp_path):

@@ -565,17 +565,16 @@ def test_a_length_over_its_cell_budget_ends_the_bucketed_lengths(asks, monkeypat
 
 
 def test_a_run_of_lengths_over_the_budget_together_is_built_one_length_at_a_time(monkeypatch):
-    # lengths 3 and 10 keep 4 and 11 cells alone (C's list in each), 14 > 12 in one memo
+    # lengths 3 and 10 keep 4 and 11 cells alone (C's list in each), under 12,
+    # though 14 > 12 had they shared one memo
     g = _grammar({"S": [["C"] * 3, ["C"] * 10], "C": [["c"]]})
     monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 3)
     builds = []
     build = enumerator._bucket
-    monkeypatch.setattr(
-        enumerator, "_bucket", lambda grammar, *lengths: builds.append(lengths) or build(grammar, *lengths)
-    )
+    monkeypatch.setattr(enumerator, "_bucket", lambda grammar, length: builds.append(length) or build(grammar, length))
     assert grammar_derivation(g, 1) == ("c" * 10, None)
-    assert builds == [(3, 10), (3,), (10,)]
-    assert grammar_derivation(g, 0) == ("ccc", None) and len(builds) == 3
+    assert builds == [3, 10]
+    assert grammar_derivation(g, 0) == ("ccc", None) and len(builds) == 2
     assert g.cache_sizes()["bucket_lengths"] == 11 and g.cache_sizes()["bucket_words"] == 2
 
 
@@ -591,8 +590,7 @@ def test_bucketed_ranks_list_each_lengths_bucket_in_turn(prods, data):
     if sum(grammar_count(g, n) for n in range(7)) > 3000:
         return  # keep each bucket small
     buckets = [pair for n in range(7) for pair in enumerator._bucket(g, n)]
-    assert enumerator._bucket(g, *range(7)) == buckets  # one memo builds a run of lengths
-    if buckets:  # a first ask past the short lengths appends them all in one build
+    if buckets:  # a first ask past the short lengths appends each of them in turn
         first = data.draw(st.integers(0, len(buckets) - 1))
         assert grammar_derivation(g, first) == buckets[first]
     assert [grammar_derivation(g, k) for k in range(len(buckets))] == buckets
@@ -664,10 +662,11 @@ def test_lengths_built_one_at_a_time_reuse_the_listed_ones_and_list_the_same_pai
     builds = []
     build = enumerator._bucket
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(enumerator, "_bucket", lambda grammar, *lengths: builds.append(lengths) or build(grammar, *lengths))
+        patch.setattr(enumerator, "_bucket", lambda grammar, length: builds.append(length) or build(grammar, length))
         pairs = [grammar_derivation(g, k) for k in range(sum(counts))]
-    assert builds == [(n,) for n in range(7) if counts[n]]
-    assert pairs == enumerator._bucket(_tree_grammar(prods), *range(7))
+    assert builds == [n for n in range(7) if counts[n]]
+    # the reference builds each length on a fresh grammar, from no listed pairs
+    assert pairs == [pair for n in range(7) for pair in enumerator._bucket(_tree_grammar(prods), n)]
 
 
 def test_a_longer_length_calls_actions_only_for_its_new_top_nodes():
@@ -693,7 +692,8 @@ def test_a_qlang_length_wraps_the_listed_trees_of_shorter_ones():
 
 def test_a_build_leaves_no_young_objects_for_the_collector_to_walk():
     g = _tree_grammar({"S": [["a", "S"], ["b", "S"], ["a"], ["b"]]})
-    pairs = enumerator._bucket(g, *range(1, 9))
+    assert grammar_derivation(g, 509) is not None  # builds lengths 1-8, one at a time
+    pairs = g._ranked
     built = {id(obj) for pair in pairs for obj in (pair, pair[1])}
     young = {id(obj) for generation in (0, 1) for obj in gc.get_objects(generation)}
     assert len(pairs) == 510 and not built & young

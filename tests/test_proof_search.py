@@ -67,6 +67,10 @@ def test_budget_needs_a_finite_limit():
         SearchBudget(max_candidates=0)
     with pytest.raises(ValueError):
         SearchBudget(max_seconds=0)
+    with pytest.raises(ValueError):  # no comparison ever reaches a NaN limit
+        SearchBudget(max_seconds=float("nan"))
+    with pytest.raises(ValueError):
+        SearchBudget(max_candidates=float("nan"))
     SearchBudget(max_seconds=0.5)
     SearchBudget(max_candidates=1, max_seconds=1)
 
