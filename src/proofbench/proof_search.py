@@ -75,17 +75,16 @@ The same reading gives the subformula property: every proof of a statement
 states only subterms of it, so its leaves are the statement's own.
 
 decide implements that for every shape in time linear in the statement's
-size, and search uses it to return at once when a candidate-budgeted search
-could only run out.  decide_fbar is the fbar case alone, completeness_gap
-lists the indices where neither bit is derivable, and the audits sweep the
-decider for soundness (derivable implies true) and consistency (never both
-bits) violations.
+size, and search uses it to return at once when a search could only run
+out.  decide_fbar is the fbar case alone, completeness_gap lists the indices
+where neither bit is derivable, and the audits sweep the decider for
+soundness (derivable implies true) and consistency (never both bits)
+violations.
 """
 
 from __future__ import annotations
 
 import enum
-import time
 from collections import deque
 
 from .enumerator import Alphabet, rank
@@ -119,17 +118,13 @@ class SearchMode(enum.Enum):
     STRUCTURED = "structured"
 
 
-class SearchBudget(record("SearchBudget", "max_candidates max_seconds")):
+class SearchBudget(record("SearchBudget", "max_candidates")):
     __slots__ = ()
 
-    def __new__(cls, max_candidates: int | None = None, max_seconds: float | None = None):
-        if max_candidates is None and max_seconds is None:
-            raise ValueError("a search budget needs a candidate or time limit")
-        if max_candidates is not None and not max_candidates >= 1:
-            raise ValueError("candidate limit must be >= 1")
-        if max_seconds is not None and not max_seconds > 0:
-            raise ValueError("time limit must be positive")
-        return tuple.__new__(cls, (max_candidates, max_seconds))
+    def __new__(cls, max_candidates: int | None = None):
+        if type(max_candidates) is not int or max_candidates < 1:  # no bool, float, inf or NaN
+            raise ValueError("candidate limit must be an int >= 1")
+        return tuple.__new__(cls, (max_candidates,))
 
 
 DerivedTarget = record("DerivedTarget", "derivation candidates")
@@ -259,11 +254,9 @@ def _check_atoms(entries, reach: int) -> None:
             return
 
 
-def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: SearchBudget, started: float):
+def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: SearchBudget):
     term_id = ids.setdefault  # term_id(key, len(ids)) interns key
-    limit = budget.max_candidates or float("inf")
-    max_seconds = budget.max_seconds
-    monotonic = time.monotonic
+    limit = budget.max_candidates
     r1: dict = {}  # R1 conclusion -> its two premises
     queue: deque = deque()
     popleft, appendleft = queue.popleft, queue.appendleft
@@ -314,8 +307,6 @@ def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: S
             _check_atoms(entries, min(at + 1, n, limit - candidates + 1))
             push(range(n), min(at + 1, n), FbarAtom(*first) if at < n else None)
         while True:
-            if max_seconds is not None and monotonic() - started >= max_seconds:
-                return None, r1, candidates
             # the numeral stream keeps the worklist fed even from empty seeds
             emit(term_id(("n", next_numeral), len(ids)))
             next_numeral += 1
@@ -391,9 +382,9 @@ def _ordering_proof(ids: dict, goal: tuple, r1: dict):
     return "".join(out)
 
 
-def _search_literal(pack: AxiomPack, header, ids: dict, goals: set, budget: SearchBudget, started: float):
+def _search_literal(pack: AxiomPack, header, ids: dict, goals: set, budget: SearchBudget):
     """Build a goal's first proof term and count it by its rank; no other
-    string is generated, and the clock is not read."""
+    string is generated."""
     limit = budget.max_candidates
     goal = next(iter(goals))  # the goals share one shape
     r1: dict = {}
@@ -404,10 +395,10 @@ def _search_literal(pack: AxiomPack, header, ids: dict, goals: set, budget: Sear
         word = _int_proof(list(ids), goal)
     else:
         word = _ordering_proof(ids, goal, r1)
-    if word is None:  # no string is a proof: with no candidate limit, none is tried
-        return None, None, limit or 0
+    if word is None:  # no string is a proof, so every one the budget allows is tried
+        return None, None, limit
     r = rank(_literal_alphabet(header), word)  # the strings before word count as tried
-    if limit is not None and r >= limit:
+    if r >= limit:
         return None, None, limit
     return goal, r1, r + 1  # candidate n is the string of rank n - 1
 
@@ -416,22 +407,17 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     """Dual derivability search: first derivation of target (or, for fbar
     targets, of the opposite bit) wins; Exhausted when the budget runs out.
 
-    Deterministic: identical inputs give identical verdicts and counts
-    (time-limited budgets excepted, since wall clocks differ run to run).
+    Deterministic: the budget counts candidates and search reads no clock,
+    so identical inputs give identical verdicts and counts.
 
     Both candidate streams are infinite, so a search for a target that
     decide rejects (for an fbar target, both bits) can only end at its
-    budget.  With a candidate limit and no time limit, search returns that
-    Exhausted(max_candidates) at once, without enumerating.  Under a time
-    limit, structured search still enumerates.
+    budget: search returns Exhausted(max_candidates) at once, without
+    enumerating.
 
     In literal mode the candidate count is a shortlex rank: the rank of the
     proof's string plus one, as if every string before it had been tried.
-    Literal search builds that one string (module docstring) and reads no
-    clock, so a time limit changes nothing for a derivable target.  An
-    underivable target has no proof term at all, so a literal search of it
-    returns Exhausted(max_candidates), or Exhausted(0) with no candidate
-    limit, at once.
+    Literal search builds that one string (module docstring).
 
     Structured search keeps what it pops, not every candidate: about
     3 * sqrt(candidates) interned terms.  An exhausted search of
@@ -444,17 +430,16 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     if not can_form(target):
         raise ValueError(f"not a statement of the system: {target!r}")
     mode = SearchMode(mode)
-    started = time.monotonic()
     header = statement_vars(target)
     ids: dict = {}  # term ids: ("v", name), ("n", value) or (left id, right id) -> id
     target_key = _key(target, ids)
     goals = {target_key}
     if isinstance(target, FbarAtom):
         goals.add(negate_fbar(target))
-    if budget.max_seconds is None and not any(_derivable(pack, goal, ids) for goal in goals):
+    if not any(_derivable(pack, goal, ids) for goal in goals):
         return Exhausted(budget.max_candidates)
     run = _search_structured if mode is SearchMode.STRUCTURED else _search_literal
-    found, r1, candidates = run(pack, header, ids, goals, budget, started)
+    found, r1, candidates = run(pack, header, ids, goals, budget)
     if found is None:
         return Exhausted(candidates)
     return _verdict(pack, _reconstruct(header, ids, r1, found), candidates, found == target_key)
@@ -510,14 +495,16 @@ class AuditReport(record("AuditReport", "kind queries violations")):
 def audit_soundness(pack: AxiomPack) -> AuditReport:
     """Check that every derivable fbar bit is the true one.
 
-    Sweeps both bits for every x covered by the pack; a violation (x, bit)
-    means fbar(x) is bit is derivable but the flipped-diagonal truth differs.
+    Sweeps both bits for every x in 1..pack.n and every x a pack entry
+    names, in ascending order, so a hand-built pack's entries past n are
+    audited too; a violation (x, bit) means fbar(x) is bit is derivable but
+    the flipped-diagonal truth differs.
     """
     from .qlang import fbar_truth
 
     violations = []
     queries = 0
-    for x in range(1, pack.n + 1):
+    for x in sorted({x for x, _ in pack.entries}.union(range(1, pack.n + 1))):
         truth = fbar_truth(x)
         for bit in (0, 1):
             queries += 1

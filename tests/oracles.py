@@ -11,7 +11,6 @@ and obviously correct is the point.
 """
 
 import itertools
-import time
 from collections import deque
 
 from proofbench.pi_system import (
@@ -298,7 +297,7 @@ class _BudgetHit(Exception):
     pass
 
 
-def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: SearchBudget, started: float):
+def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: SearchBudget):
     term_id = ids.setdefault  # term_id(key, len(ids)) interns key
     origins: dict = {}
     queue: deque = deque()
@@ -328,8 +327,6 @@ def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: S
         for i, bit in sorted(pack.entries):
             emit(FbarAtom(i, bit), ("FBAR", i, bit))
         while True:
-            if budget.max_seconds is not None and time.monotonic() - started >= budget.max_seconds:
-                return None, origins, candidates
             # the numeral stream keeps the worklist fed even from empty seeds
             emit(term_id(("n", next_numeral), len(ids)), ("A3", next_numeral))
             next_numeral += 1
@@ -372,7 +369,7 @@ def structured_search(pack, target, max_candidates):
     if isinstance(target, FbarAtom):
         goals.add(negate_fbar(target))
     budget = SearchBudget(max_candidates=max_candidates)
-    found, origins, candidates = _search_structured(pack, header, ids, goals, budget, time.monotonic())
+    found, origins, candidates = _search_structured(pack, header, ids, goals, budget)
     if found is None:
         return "Exhausted", candidates, None
     goal = target if found == target_key else negate_fbar(target)

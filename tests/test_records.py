@@ -76,7 +76,7 @@ REPRS = [
     (Not(Gt(X(), Num(0))), "Not(arg=Gt(left=X(), right=Num(value=0)))"),
     (FbarAtom(3, 1), "FbarAtom(x=3, bit=1)"),
     (AxiomInstance("A3", (("c", TermNum(1)),)), "AxiomInstance(schema='A3', subst=(('c', Num(value=1)),))"),
-    (SearchBudget(5), "SearchBudget(max_candidates=5, max_seconds=None)"),
+    (SearchBudget(5), "SearchBudget(max_candidates=5)"),
     (Exhausted(7), "Exhausted(candidates=7)"),
     (AuditReport("soundness", 4, ()), "AuditReport(kind='soundness', queries=4, violations=())"),
     (BitTable(1, 1, ((0,),)), "BitTable(rows=1, cols=1, cells=((0,),))"),
@@ -119,17 +119,12 @@ def test_fbar_atoms_validate_as_before():
 
 
 def test_search_budgets_validate_and_default_as_before():
-    with pytest.raises(ValueError, match="^a search budget needs a candidate or time limit$"):
+    with pytest.raises(ValueError, match="^candidate limit must be an int >= 1$"):
         SearchBudget()
-    with pytest.raises(ValueError, match="^candidate limit must be >= 1$"):
+    with pytest.raises(ValueError, match="^candidate limit must be an int >= 1$"):
         SearchBudget(0)
-    with pytest.raises(ValueError, match="^time limit must be positive$"):
-        SearchBudget(max_seconds=0)
-    assert SearchBudget(5) == SearchBudget(max_candidates=5) == SearchBudget(5, None)
-    assert (SearchBudget(5).max_candidates, SearchBudget(5).max_seconds) == (5, None)
-    assert (SearchBudget(max_seconds=0.5).max_candidates, SearchBudget(max_seconds=0.5).max_seconds) == (None, 0.5)
-    assert SearchBudget(None, 2.0) == SearchBudget(max_seconds=2.0)
-    assert SearchBudget(3, 1.5) == SearchBudget(max_candidates=3, max_seconds=1.5)
+    assert SearchBudget(5) == SearchBudget(max_candidates=5)
+    assert SearchBudget._fields == ("max_candidates",) and SearchBudget(5).max_candidates == 5
 
 
 def test_records_report_their_defining_module():
