@@ -518,7 +518,7 @@ def _bucket(grammar: Grammar, length: int) -> list:
         if i:
             return [(w + t, v + c) for w, v in heads for t, c in tails]
         act = actions.get((lhs, rhs))
-        return [(word, act and act(word, v + c)) for w, v in heads for t, c in tails for word in (w + t,)]
+        return [(word := w + t, act and act(word, v + c)) for w, v in heads for t, c in tails]
 
     derive, _ = _length_dp(grammar, memo, keep, list, end, join)
     # the start symbol's pairs of every length already listed are reused, not

@@ -241,9 +241,11 @@ def _beval(node, x: int) -> bool:
         return _beval(left, x) and _beval(right, x)
     if kind is Or:
         return _beval(left, x) or _beval(right, x)
-    if kind is Eq:
-        return _aeval(left, x) == _aeval(right, x)
-    return _aeval(left, x) > _aeval(right, x)
+    # a comparison reads a leaf operand in place, the shared x leaf or a
+    # numeral, and calls _aeval only for a sum, a remainder or another X()
+    left = x if left is _X else left[0] if type(left) is Num else _aeval(left, x)
+    right = x if right is _X else right[0] if type(right) is Num else _aeval(right, x)
+    return left == right if kind is Eq else left > right
 
 
 # Q-lang is total and pure, so evaluating both operands of & and | gives the
@@ -294,8 +296,13 @@ def evaluate(program: QProgram, x: int) -> int:
 # -- the enumerated program list ------------------------------------------
 
 def _program(i: int):
-    """Program i as a (source, tree) pair: its bucket entry for a length
-    <= 7 (i <= 64,446), else the parse of the word that prefix descent finds."""
+    """Program i (every caller refuses i < 1) as a (source, tree) pair: one
+    index into QLANG_GRAMMAR's rank-ordered list once i is listed, its bucket
+    entry for a length <= 7 (i <= 64,446), else the parse of the word that
+    prefix descent finds.  The grammar is read at each call, not bound once."""
+    ranked = QLANG_GRAMMAR._ranked
+    if i <= len(ranked):
+        return ranked[i - 1]
     return grammar_derivation(QLANG_GRAMMAR, i - 1) or parse(grammar_unrank(QLANG_GRAMMAR, i - 1))
 
 

@@ -341,6 +341,18 @@ def test_programs_asked_out_of_order_are_those_of_a_fresh_grammar(monkeypatch):
         assert nth_program(i).source == source
 
 
+def test_a_swapped_in_cold_grammar_serves_its_own_list(monkeypatch):
+    # a listed program is an index into the grammar that QLANG_GRAMMAR names
+    # at the call, so a cold grammar swapped in for a warm one builds its own list
+    fbar_truth(64_446)
+    assert len(QLANG_GRAMMAR._ranked) == sum(WORDS_PER_LENGTH)
+    asks = (1, 243, 64_446)
+    warm = [fbar_truth(x) for x in asks], diagonal(5), nth_program(243)
+    cold = _cold_qlang(monkeypatch)
+    assert ([fbar_truth(x) for x in asks], diagonal(5), nth_program(243)) == warm
+    assert cold.cache_sizes()["bucket_words"] == sum(WORDS_PER_LENGTH)
+
+
 def test_past_bucket_lookups_share_interned_chart_states():
     g = Grammar(QLANG_GRAMMAR.alphabet, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions)
     ranks = [x - 1 for x in _descended_indices()[:300]]
