@@ -239,6 +239,10 @@ class Grammar:
     f(word, children), as in yacc: a derivation's value is its production's
     action applied to its word and its children's values (a terminal's value
     is the terminal; a production without an action gives None).
+
+    ranked lists the (word, value) pairs of every length built so far, in
+    rank order: for k < len(ranked), ranked[k] is grammar_derivation(self, k),
+    so a caller may index it directly.  It only grows; do not write to it.
     """
 
     def __init__(self, alphabet: Alphabet, start: str, productions: dict, actions: dict | None = None):
@@ -252,7 +256,7 @@ class Grammar:
         # memoization caches; contents are pure functions of the grammar
         self._counts: dict = {}
         self._count_sym, self._count_seq = _counter(self)
-        self._ranked: list = []  # the (word, value) pairs of every bucketed length, in rank order
+        self.ranked: list = []  # the (word, value) pairs of every bucketed length, in rank order
         self._bucket_end = float("inf")  # the rank where the bucketed lengths end, once known
         self._cum: list[int] = [0]  # _cum[L] = number of words shorter than L
         self._states: dict = {}  # (parent id, items), or None for the root -> (id, column, count memo)
@@ -390,8 +394,8 @@ class Grammar:
         count) and the moves between them (one per class of terminals)."""
         seq = sum(len(key) == 3 for key in self._counts)
         return {
-            "bucket_lengths": bisect.bisect_left(self._cum, len(self._ranked)),
-            "bucket_words": len(self._ranked),
+            "bucket_lengths": bisect.bisect_left(self._cum, len(self.ranked)),
+            "bucket_words": len(self.ranked),
             "chart_counts": sum(len(ups) for _, _, ups in self._states.values()),
             "chart_moves": len(self._moves),
             "chart_states": len(self._states),
@@ -524,7 +528,7 @@ def _bucket(grammar: Grammar, length: int) -> list:
     # the start symbol's pairs of every length already listed are reused, not
     # rebuilt, and not counted again; a stable sort keeps the relative order
     # of an ambiguous grammar's copies of one word, so the result is the same
-    start, cum, ranked = grammar.start, grammar._cum, grammar._ranked
+    start, cum, ranked = grammar.start, grammar._cum, grammar.ranked
     for n in range(bisect.bisect_left(cum, len(ranked))):
         memo[(start, n)] = ranked[cum[n]:cum[n + 1]]
     # every word of one length is ranked by its symbols' ranks; an ASCII
@@ -734,7 +738,7 @@ def grammar_unrank(grammar: Grammar, k: int) -> str:
 def grammar_derivation(grammar: Grammar, k: int):
     """(grammar_unrank(grammar, k), its value under the grammar's actions), or
     None past the bucket, where prefix descent builds no derivation."""
-    ranked = grammar._ranked
+    ranked = grammar.ranked
     if 0 <= k < len(ranked):
         return ranked[k]
     if k < grammar._bucket_end:

@@ -238,9 +238,7 @@ def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept 
 # must exist and be a character that no rule consumes: "[" or "]" inside a
 # file line, or an appended "\n".  Reaching s[n] then reads as the end of the
 # text, so the scans need no bounds checks.  Every error is raised at
-# base + i, where base is the offset of s in the caller's text.  Records
-# other than FbarAtom validate nothing, so the scans and parse_derivation_file
-# build them with tuple.__new__, without the classes' Python-level __new__.
+# base + i, where base is the offset of s in the caller's text.
 
 _DIGITS = "0123456789"
 
@@ -290,7 +288,7 @@ def _scan_term(s: str, i: int, base: int, terms: dict):
             c = s[i:j]
             value = terms.get(c)
             if value is None:
-                value = terms[c] = tuple.__new__(Num, (numeral_value(c, base + i),))
+                value = terms[c] = Num(numeral_value(c, base + i))
             i = j
         elif c.isalpha():
             i += 1
@@ -300,7 +298,7 @@ def _scan_term(s: str, i: int, base: int, terms: dict):
                 raise ParseError(base + i, ("single-letter variable",))
             value = terms.get(c)
             if value is None:
-                value = terms[c] = tuple.__new__(Var, (c,))
+                value = terms[c] = Var(c)
         else:
             raise ParseError(base + i, ("variable", "numeral", "'('"))
         while True:  # close every term this operand completes
@@ -315,7 +313,7 @@ def _scan_term(s: str, i: int, base: int, terms: dict):
                 key = (id(left), id(value))
                 total = terms.get(key)
                 if total is None:
-                    total = terms[key] = tuple.__new__(Sum, (left, value))
+                    total = terms[key] = Sum(left, value)
                 value = total
             if not lefts:
                 return value, i
@@ -367,12 +365,12 @@ def _scan_statement(s: str, i: int, n: int, base: int, terms: dict):
         j = k
     elif s.startswith("int", i) and not s[i + 3].isalpha():
         term, j = _scan_term(s, _expect(s, i + 3, base, "("), base, terms)
-        statement = tuple.__new__(IntTyping, (term,))
+        statement = IntTyping(term)
         j = _expect(s, j, base, ")")
     else:
         lhs, j = _scan_term(s, i, base, terms)
         rhs, j = _scan_term(s, _expect(s, j, base, ">"), base, terms)
-        statement = tuple.__new__(Greater, (lhs, rhs))
+        statement = Greater(lhs, rhs)
     while s[j] in " \t":
         j += 1
     if j != n:
@@ -389,7 +387,7 @@ def _scan_justification(s: str, i: int, n: int, base: int, terms: dict):
         name, j = _scan_run(s, j, str.isalnum)
         if name == "FBAR":
             index, j = _scan_numeral(s, _expect(s, j, base, "("), base)
-            just = tuple.__new__(AxiomInstance, ("FBAR", (("i", tuple.__new__(Num, (index,))),)))
+            just = AxiomInstance("FBAR", (("i", Num(index)),))
             j = _expect(s, j, base, ")")
         else:
             if not name:
@@ -407,7 +405,7 @@ def _scan_justification(s: str, i: int, n: int, base: int, terms: dict):
                 if s[j] != ",":
                     break
                 j += 1
-            just = tuple.__new__(AxiomInstance, (name, tuple(pairs)))
+            just = AxiomInstance(name, tuple(pairs))
             j = _expect(s, j, base, "}")
     elif word == "rule":
         name, j = _scan_run(s, j, str.isalnum)
@@ -422,7 +420,7 @@ def _scan_justification(s: str, i: int, n: int, base: int, terms: dict):
             if s[j] != ",":
                 break
             j += 1
-        just = tuple.__new__(RuleApplication, (name, tuple(refs)))
+        just = RuleApplication(name, tuple(refs))
     else:
         raise ParseError(base + i, ("'premise'", "'axiom'", "'rule'"))
     while s[j] in " \t":
@@ -542,7 +540,7 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
         if justification is None:
             justification = _scan_justification(raw, bracket + 1, len(raw) - 1, off, terms)
             justifications[just_text] = justification
-        parsed_lines.append(tuple.__new__(Line, (index, statement, justification)))
+        parsed_lines.append(Line(index, statement, justification))
     return Derivation(tuple(names), tuple(parsed_lines)), target
 
 

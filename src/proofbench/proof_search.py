@@ -85,7 +85,6 @@ violations.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from collections import deque
 
 from .enumerator import Alphabet, rank
@@ -244,24 +243,15 @@ class _Stop(Exception):
     """Ends structured search; its one argument is the found goal, or None."""
 
 
-_PACKS: dict = {}  # id(entries) -> (entries, _sorted_pack's result), for the last 8 packs searched
-
-
-def _sorted_pack(entries) -> tuple:
-    """A pack's entries in sorted order, and the offset among them of the
-    first that is no fbar atom, len(entries) if none (only a hand-built pack
-    can hold one).  Both are found once per entries set and kept for the last
-    8, by identity: the cache holds each set, so its id stays unique, and a
-    search of a kept pack pays one lookup whatever its size.  An equal set
-    built apart is sorted again."""
-    found = _PACKS.get(id(entries))
-    if found is None:
-        ordered = sorted(entries)
-        bad = next((i for i, (x, bit) in enumerate(ordered) if x < 1 or bit not in (0, 1)), len(ordered))
-        if len(_PACKS) >= 8:
-            del _PACKS[next(iter(_PACKS))]  # the oldest
-        found = _PACKS[id(entries)] = entries, (ordered, bad)
-    return found[1]
+def _check_atoms(entries, reach: int) -> None:
+    """Raise FbarAtom's ValueError for the first entry, in sorted order, of
+    the pack's first reach entries that is no fbar atom, as building their
+    atoms would.  Only a hand-built pack can hold such an entry."""
+    for x, bit in entries:
+        if x < 1 or bit not in (0, 1):
+            for entry in sorted(entries)[:reach]:
+                FbarAtom(*entry)
+            return
 
 
 def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: SearchBudget):
@@ -308,16 +298,13 @@ def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: S
             emit(term_id(("v", name), len(ids)))
         entries = pack.entries
         if entries:  # the pack's atoms in sorted order, one block: the range of offsets left
-            ordered, bad = _sorted_pack(entries)
-            n = at = len(ordered)  # at: the offset of the earliest goal atom, n if none
+            n = at = len(entries)  # at: the offset of the earliest goal atom, n if none
             if type(goal) is FbarAtom:
                 first = (goal.x, 0) if (goal.x, 0) in entries else (goal.x, 1)
                 if first in entries:
-                    at = bisect_left(ordered, first)
-            # the search reads the entries up to its goal, or one past its budget,
-            # so an entry that is no fbar atom raises FbarAtom's ValueError if read
-            if bad < min(at + 1, n, limit - candidates + 1):
-                FbarAtom(*ordered[bad])
+                    at = sum(1 for entry in entries if entry < first)
+            # the search reads the entries up to its goal, or one past its budget
+            _check_atoms(entries, min(at + 1, n, limit - candidates + 1))
             push(range(n), min(at + 1, n), FbarAtom(*first) if at < n else None)
         while True:
             # the numeral stream keeps the worklist fed even from empty seeds
@@ -436,10 +423,9 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     3 * sqrt(candidates) interned terms.  An exhausted search of
     ((w+1)+1)+1 > w at 10,000,000 candidates takes about 10 ms on a 2-vCPU
     x86-64 VM, in a process that peaks at about 16 MB RSS.  The pack is one
-    block of candidates, sorted and checked once (_sorted_pack), so after a
-    pack's first search its size costs nothing: with a 20-entry pack,
-    w+1 > w is found at candidate 23 in about 23 us, and with a 200,000-entry
-    pack fbar(7) is 1 is found at candidate 7 in about 20 us.
+    block of candidates, so its size adds only a scan of its entries: with
+    a 20-entry pack, w+1 > w is found at candidate 23 in about 23 us, and
+    with a 10,000-entry pack it runs out at 5,000 candidates in about 0.5 ms.
     """
     if not can_form(target):
         raise ValueError(f"not a statement of the system: {target!r}")

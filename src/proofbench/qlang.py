@@ -297,10 +297,10 @@ def evaluate(program: QProgram, x: int) -> int:
 
 def _program(i: int):
     """Program i (every caller refuses i < 1) as a (source, tree) pair: one
-    index into QLANG_GRAMMAR's rank-ordered list once i is listed, its bucket
-    entry for a length <= 7 (i <= 64,446), else the parse of the word that
-    prefix descent finds.  The grammar is read at each call, not bound once."""
-    ranked = QLANG_GRAMMAR._ranked
+    index into QLANG_GRAMMAR.ranked once i is listed, its bucket entry for a
+    length <= 7 (i <= 64,446), else the parse of the word that prefix descent
+    finds.  The grammar is read at each call, not bound once."""
+    ranked = QLANG_GRAMMAR.ranked
     if i <= len(ranked):
         return ranked[i - 1]
     return grammar_derivation(QLANG_GRAMMAR, i - 1) or parse(grammar_unrank(QLANG_GRAMMAR, i - 1))

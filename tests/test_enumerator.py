@@ -685,7 +685,7 @@ def test_a_qlang_length_wraps_the_listed_trees_of_shorter_ones():
     for n in (5, 6, 7):  # each length built alone, after the shorter ones
         assert grammar_derivation(g, k) is not None
         k += grammar_count(g, n)
-    trees = dict(g._ranked)
+    trees = dict(g.ranked)
     assert trees["!!(x=x)"].arg is trees["!(x=x)"]
     assert trees["!(x=x)"].arg is trees["(x=x)"]
 
@@ -693,7 +693,7 @@ def test_a_qlang_length_wraps_the_listed_trees_of_shorter_ones():
 def test_a_build_leaves_no_young_objects_for_the_collector_to_walk():
     g = _tree_grammar({"S": [["a", "S"], ["b", "S"], ["a"], ["b"]]})
     assert grammar_derivation(g, 509) is not None  # builds lengths 1-8, one at a time
-    pairs = g._ranked
+    pairs = g.ranked
     built = {id(obj) for pair in pairs for obj in (pair, pair[1])}
     young = {id(obj) for generation in (0, 1) for obj in gc.get_objects(generation)}
     assert len(pairs) == 510 and not built & young

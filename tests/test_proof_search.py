@@ -158,18 +158,6 @@ def test_structured_search_fails_on_the_bad_entries_of_a_hand_built_pack_it_reac
         assert (type(verdict).__name__, verdict.candidates) == expected
 
 
-def test_a_searched_pack_raises_again_where_it_raised():
-    # the second round reads the sorted entries and bad offset kept from the first
-    pack = AxiomPack(2, frozenset({(1, 0), (5, 7)}))
-    for _ in range(2):
-        target = parse_statement("w+1 > w")
-        assert search(pack, target, candidates_budget(1), SearchMode.STRUCTURED) == Exhausted(1)
-        with pytest.raises(ValueError, match="fbar bits are 0 or 1"):
-            search(pack, target, candidates_budget(2), SearchMode.STRUCTURED)
-        verdict = search(pack, parse_statement("fbar(1) is 0"), candidates_budget(50), SearchMode.STRUCTURED)
-        assert (type(verdict).__name__, verdict.candidates) == ("DerivedTarget", 1)
-
-
 def nested_sum(depth, leaf="w"):
     """leaf+1 wrapped in depth levels: ((leaf+1)+1)..., built without parsing."""
     term = Var(leaf)

@@ -345,7 +345,7 @@ def test_a_swapped_in_cold_grammar_serves_its_own_list(monkeypatch):
     # a listed program is an index into the grammar that QLANG_GRAMMAR names
     # at the call, so a cold grammar swapped in for a warm one builds its own list
     fbar_truth(64_446)
-    assert len(QLANG_GRAMMAR._ranked) == sum(WORDS_PER_LENGTH)
+    assert len(QLANG_GRAMMAR.ranked) == sum(WORDS_PER_LENGTH)
     asks = (1, 243, 64_446)
     warm = [fbar_truth(x) for x in asks], diagonal(5), nth_program(243)
     cold = _cold_qlang(monkeypatch)
