@@ -21,16 +21,10 @@ supplies defaults; keys and their defaults:
 
     alphabet = binary             default alphabet name for enumerate/rank/unrank
     format = pretty               default output format
-    count_table_entries = 1000000 parsed and validated; no command reads it
     table_cells = 1000000         cell budget for program/input tables, and the
                                   most rows enumerate --count, gap --xmax and
                                   demo incompleteness --xmax may ask for
-    bucket_words = 500000         parsed and validated; no command reads it
     search_candidates = 100000    default search budget (candidates)
-
-count_table_entries and bucket_words are kept so that existing config files
-still load; grammar counting and unranking always run with the library's
-fixed limits (1,000,000 count entries, 100,000-word buckets).
 
 Alphabets are named (``binary``, ``qlang``) or loaded from a file with one
 single-codepoint symbol per line, order significant.
@@ -72,8 +66,8 @@ BUILTIN_ALPHABETS = {
 
 class GlobalConfig(namedtuple(
     "GlobalConfig",
-    "alphabet format count_table_entries table_cells bucket_words search_candidates",
-    defaults=("binary", "pretty", 1_000_000, 1_000_000, 500_000, 100_000),
+    "alphabet format table_cells search_candidates",
+    defaults=("binary", "pretty", 1_000_000, 100_000),
 )):
     __slots__ = ()
 
@@ -81,7 +75,7 @@ class GlobalConfig(namedtuple(
         self = super().__new__(cls, *args, **kwargs)
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
-        for name in ("count_table_entries", "table_cells", "bucket_words", "search_candidates"):
+        for name in ("table_cells", "search_candidates"):
             if getattr(self, name) < 1:
                 raise ValueError(f"budget {name} must be positive")
         return self

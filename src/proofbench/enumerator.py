@@ -474,7 +474,7 @@ def _counter(grammar: Grammar):
         if len(counts) > _COUNT_ENTRIES:
             raise ResourceLimitError(
                 f"grammar count table exceeded {_COUNT_ENTRIES} entries",
-                budget="max_entries", limit=_COUNT_ENTRIES, attempted=len(counts),
+                budget="count_entries", limit=_COUNT_ENTRIES, attempted=len(counts),
             )
 
     return _length_dp(grammar, counts, keep, int, lambda lhs, rhs, i: 1, lambda lhs, rhs, i, j, head, tail: head * tail)

@@ -5,9 +5,10 @@ algorithms: shortlex listing by generate-in-order, grammar word listing
 by expanding leftmost derivations with a minimum-length bound (and each
 word's tree rebuilt from its derivation's productions), literal
 proof search by decoding every string in turn, structured search by the
-given-clause loop that stores every candidate with an origin tag, and the
-checker's axiom schemas by == of the instantiated conclusion.  Slow, small,
-and obviously correct is the point.
+given-clause loop that stores every candidate with an origin tag, the
+checker's axiom schemas by == of the instantiated conclusion, and the
+completeness gap and consistency audit by asking the decider about both
+bits of every index.  Slow, small, and obviously correct is the point.
 """
 
 import itertools
@@ -31,7 +32,7 @@ from proofbench.pi_system import (
     negate_fbar,
     statement_vars,
 )
-from proofbench.proof_search import SearchBudget, _key
+from proofbench.proof_search import DERIVABLE, NOT_DERIVABLE, AuditReport, SearchBudget, _key, decide_fbar
 
 
 def shortlex_strings(symbols, count):
@@ -375,3 +376,34 @@ def structured_search(pack, target, max_candidates):
     goal = target if found == target_key else negate_fbar(target)
     text = derivation_file_text(_reconstruct(header, origins, found), goal)
     return ("DerivedTarget" if found == target_key else "DerivedNegation"), candidates, text
+
+
+# -- the completeness gap and the consistency audit ---------------------------
+
+def completeness_gap(pack, x_max):
+    """Indices x <= x_max where neither bit of fbar(x) is derivable, by
+    deciding both atoms of every x in turn."""
+    if x_max < 1:
+        raise ValueError("x_max must be >= 1")
+    return [
+        x
+        for x in range(1, x_max + 1)
+        if decide_fbar(pack, FbarAtom(x, 0)) == NOT_DERIVABLE
+        and decide_fbar(pack, FbarAtom(x, 1)) == NOT_DERIVABLE
+    ]
+
+
+def audit_consistency(pack, x_max):
+    """The consistency audit by sweeping x = 1..x_max and deciding both bits."""
+    if x_max < 1:
+        raise ValueError("x_max must be >= 1")
+    violations = []
+    queries = 0
+    for x in range(1, x_max + 1):
+        queries += 2
+        if (
+            decide_fbar(pack, FbarAtom(x, 0)) == DERIVABLE
+            and decide_fbar(pack, FbarAtom(x, 1)) == DERIVABLE
+        ):
+            violations.append(x)
+    return AuditReport("consistency", queries, tuple(violations))

@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -299,6 +301,40 @@ def test_demo_incompleteness_tells_the_story(run):
     assert "Exhausted" in out
 
 
+_EDGE_PACKS = (0, 5, -1)
+_EDGE_COMMANDS = [
+    [*command, "--pack", str(pack), "--xmax", str(x_max)]
+    for command in (["audit", "consistency"], ["gap"], ["demo", "incompleteness"])
+    for pack in _EDGE_PACKS
+    for x_max in (-1, 0, 1, 64446, 10**7, 10**23)
+] + [["audit", "soundness", "--pack", str(pack)] for pack in _EDGE_PACKS]
+
+
+@pytest.mark.parametrize("argv", _EDGE_COMMANDS, ids=" ".join)
+def test_pack_commands_end_on_edge_inputs(run, monkeypatch, argv):
+    # an audit, gap or demo at an edge --pack or --xmax ends with a verdict
+    # or one error line; the alarm turns a hang into a failure
+    stdin = io.StringIO()
+    stdin.close()
+    monkeypatch.setattr("sys.stdin", stdin)
+
+    def hang(signum, frame):
+        pytest.fail(f"{' '.join(argv)} still running after 20 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    started = time.perf_counter()
+    try:
+        code, _, err = run(*argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    elapsed = time.perf_counter() - started
+    assert code in (0, 1, 64)
+    assert "Traceback" not in err
+    assert elapsed < 5.0, f"took {elapsed:.1f}s, budget 5s"
+
+
 # -- config ------------------------------------------------------------------------------
 
 def test_config_round_trips():
@@ -309,8 +345,7 @@ def test_config_round_trips():
 def test_config_is_an_immutable_record():
     config = GlobalConfig(format="csv")
     assert repr(config) == (
-        "GlobalConfig(alphabet='binary', format='csv', count_table_entries=1000000, "
-        "table_cells=1000000, bucket_words=500000, search_candidates=100000)"
+        "GlobalConfig(alphabet='binary', format='csv', table_cells=1000000, search_candidates=100000)"
     )
     assert config == GlobalConfig(format="csv") != GlobalConfig()
     assert hash(config) == hash(GlobalConfig(format="csv"))
@@ -327,6 +362,8 @@ def test_config_validation():
         GlobalConfig.from_text("mystery = 3\n")
     with pytest.raises(ValueError):
         GlobalConfig.from_text("table_cells = many\n")
+    with pytest.raises(ValueError):
+        GlobalConfig.from_text("bucket_words = 5\n")
 
 
 def test_config_file_sets_defaults(run, tmp_path):

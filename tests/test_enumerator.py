@@ -497,7 +497,7 @@ def test_count_budget_is_enforced(monkeypatch):
     g = _grammar(prods, alphabet=Alphabet.from_string("ab"))
     with pytest.raises(ResourceLimitError) as info:
         grammar_count(g, 4000)
-    assert (info.value.budget, info.value.limit) == ("max_entries", 10)
+    assert (info.value.budget, info.value.limit) == ("count_entries", 10)
     assert info.value.attempted > 10
     assert str(info.value) == "grammar count table exceeded 10 entries"
 

@@ -46,6 +46,7 @@ from proofbench.proof_search import (
 )
 from proofbench.qlang import fbar_truth
 
+import oracles
 from oracles import literal_search, structured_search
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "paper_3_1.drv"
@@ -595,3 +596,31 @@ def test_consistency_audit_on_the_empty_pack():
     assert audit_consistency(EMPTY, 10).violations == ()
     with pytest.raises(ValueError):
         audit_consistency(EMPTY, 0)
+
+
+# hand-built keys: ints in and around 1..40, values equal to an int (True,
+# False, 2.0), and values equal to none (2.5, "3", NaN, inf, 10**30)
+_HAND_KEYS = st.integers(-2, 30) | st.sampled_from([True, False, 2.0, 2.5, "3", float("nan"), float("inf"), 10**30])
+_HAND_BITS = st.integers(-1, 2) | st.sampled_from([0.0, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.frozensets(st.tuples(_HAND_KEYS, _HAND_BITS), max_size=40), st.integers(1, 40))
+@example(frozenset({(True, 0), (1, 1.0), (2.0, 0.0), (2, 1), (2.5, 0), (2.5, 1), ("3", 0), ("3", 1)}), 40)
+@example(frozenset({(float("nan"), 0), (float("nan"), 1), (float("inf"), 0), (float("inf"), 1), (10**30, 0), (10**30, 1)}), 40)
+def test_the_gap_and_consistency_audit_agree_with_the_sweeps(entries, x_max):
+    pack = AxiomPack(0, entries)
+    report = audit_consistency(pack, x_max)
+    assert report == oracles.audit_consistency(pack, x_max)
+    assert all(type(x) is int for x in report.violations)
+    assert completeness_gap(pack, x_max) == oracles.completeness_gap(pack, x_max)
+
+
+@pytest.mark.parametrize("x_max", [10**7, 10**23])
+def test_consistency_audit_reads_the_pack_at_any_x_max(x_max):
+    pack = make_axiom_pack(25)
+    started = time.perf_counter()
+    report = audit_consistency(pack, x_max)
+    elapsed = time.perf_counter() - started
+    assert (report.queries, report.violations) == (2 * x_max, ())
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
