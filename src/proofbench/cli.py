@@ -393,6 +393,9 @@ def _cmd_gap(args, cfg):
 def _cmd_audit(args, cfg):
     from .proof_search import audit_consistency, audit_soundness
 
+    if args.which == "soundness" and args.xmax is not None:
+        print("proofbench: error: --xmax applies only to audit consistency", file=sys.stderr)
+        return 64
     pack = _self.make_axiom_pack(args.pack)
     if args.which == "soundness":
         report = audit_soundness(pack)

@@ -39,12 +39,15 @@ ends the list; it and every longer length are descended.
 
 A longer length is found by prefix descent over an Earley chart that
 carries derivation counts (Earley, CACM 1970; recursive ranking as in
-Hickey & Cohen, SIAM J. Comput. 1983).  A column and the counts read from
-it depend only on its items and the columns before it, so the grammar
-interns these chart states by their items and their parent state
-(hash-consing) and caches each scan between two of them; later descents
-reuse them, and prefixes such as "(1" and "(2" share one state.  At most
-2,048 states and scans are kept; past that, new columns last one descent.
+Hickey & Cohen, SIAM J. Comput. 1983).  An item names the chart state it
+started in, not a position, as in Tomita's graph-structured stack (1986)
+applied to Earley columns (Aycock & Horspool, Computer Journal 2002), so a
+column and the counts read from it depend only on its items.  The grammar
+interns these chart states by their items alone (hash-consing) and caches
+each scan between two of them; later descents reuse them, and prefixes
+that leave the same pending structure share one state: "(4>", "(11>" and
+"(x>" each await the second operand of one open comparison.  At most
+2,048 states and scans are kept; past that, new states last one descent.
 Terminals that each occur only as a whole right-hand side, of equal
 multisets of nonterminals (Q-lang's 1-9 as nonzero and digit, and = and >
 as cmp), are class-mates: each is awaited only by unit items that complete
@@ -54,9 +57,9 @@ column awaits, in alphabet order, with running totals of the words that
 continue the prefix with each; one bisection at the offset left picks the
 next symbol.  Totals are added only until one passes the offset, so no
 visit counts a terminal past the one it picks.  A word of length L costs
-at most L - 1 column extensions.  The descent builds no derivation, so
-grammar_derivation returns None for such a word.  recognizes runs the same
-chart over all but the last symbol of the word and counts the words that
+at most L - 1 scans.  The descent builds no derivation, so
+grammar_derivation returns None for such a word.  recognizes walks the same
+states over all but the last symbol of the word and counts the words that
 end with that one.
 
 Grammars must be epsilon-free and contain no unit-production cycles; both
@@ -259,8 +262,8 @@ class Grammar:
         self.ranked: list = []  # the (word, value) pairs of every bucketed length, in rank order
         self._bucket_end = float("inf")  # the rank where the bucketed lengths end, once known
         self._cum: list[int] = [0]  # _cum[L] = number of words shorter than L
-        self._states: dict = {}  # (parent id, items), or None for the root -> (id, column, count memo)
-        self._moves: dict = {}  # (state id, _rep of a terminal) -> the state its scan gives
+        self._states: dict = {}  # a frozenset of items, or None for the root -> its _Chart
+        self._moves: dict = {}  # (_Chart, _rep of a terminal) -> the state its scan gives
 
     # -- validation -------------------------------------------------------
 
@@ -396,7 +399,7 @@ class Grammar:
         return {
             "bucket_lengths": bisect.bisect_left(self._cum, len(self.ranked)),
             "bucket_words": len(self.ranked),
-            "chart_counts": sum(len(ups) for _, _, ups in self._states.values()),
+            "chart_counts": sum(len(state.ups) for state in self._states.values()),
             "chart_moves": len(self._moves),
             "chart_states": len(self._states),
             "count_seq": seq,
@@ -407,12 +410,12 @@ class Grammar:
         """True iff the grammar derives the word."""
         if not word or any(c not in self.alphabet for c in word):
             return False
-        chart = _Chart(self)
+        state = _Chart.root(self)
         for c in word[:-1]:
-            if c not in chart.columns[-1]:
+            if c not in state.column:
                 return False  # no item awaits c, so no word starts with this prefix
-            chart.commit(c)
-        return chart._up(self._rep[word[-1]], len(word) - 1, 0) > 0
+            state = state.after(c)
+        return state._up(self._rep[word[-1]], 0) > 0
 
 
 def _length_dp(grammar: Grammar, memo: dict, keep, zero, end, join):
@@ -558,37 +561,32 @@ def _bucket(grammar: Grammar, length: int) -> list:
 
 
 class _Chart:
-    """An Earley chart over a committed prefix, carrying derivation counts.
+    """An interned Earley chart state: one column, its count memo and its level.
 
-    Column n maps each item (lhs, rhs, dot, origin) to its inside count, the
-    number of derivations of rhs[:dot] =>* prefix[origin:n], grouped by the
-    item's next symbol rhs[dot].  Completed items are folded into the items
-    waiting for them while the column is built, so no column stores one.
-    Columns never change once built, and an _up entry reads only columns at
-    or before its own.  So two columns with equal items and counts after the
-    same parent state are one state, count memo included: the grammar interns
-    states by (parent id, items) and caches each scan as a move.  Class-mates
-    (Grammar._rep) give equal items and counts, so they share one move and
-    one count.
+    The column maps each item (lhs, rhs, dot, origin) to its inside count, the
+    number of derivations of rhs[:dot] over the symbols since the item began,
+    grouped by the item's next symbol rhs[dot].  The origin is the state the
+    item began in; a prediction's is the state itself, and any other's is at
+    a lower level, the level being one more than the highest of the items'
+    origins (0 at the root).  Completed items are folded into the items
+    waiting for them while the column is built, so no column stores one.  A
+    column never changes, and its counts read only it and its items' origins,
+    so equal items make one state, count memo included, whatever prefixes
+    reached them: the grammar interns states by their items alone and caches
+    each scan as a move.  Class-mates (Grammar._rep) give equal items and
+    counts, so they share one move and one count.
     """
 
-    def __init__(self, grammar: Grammar):
-        self.grammar = grammar
-        self._count_seq = grammar._count_seq
-        root = grammar._states.get(None)
-        if root is None:
-            root = grammar._states[None] = (0, self._column({}, 0, {grammar.start}), {})
-        self.prefix = ""
-        self._id = root[0]  # None once a state is private: nothing after it is interned
-        self.columns: list[dict] = [root[1]]
-        self._ups: list[dict] = [root[2]]  # _ups[i][(sym, r)] = _up(sym, i, r); [r] a descent table
+    __slots__ = ("grammar", "column", "ups", "level")
 
-    def _column(self, items: dict, n: int, roots=()) -> dict:
-        """Column n: items plus the predictions for what they, or roots, await."""
-        column: dict = {}
+    def __init__(self, grammar: Grammar, items: dict, level: int, roots=()):
+        """The state of items, plus the predictions for what they, or roots, await."""
+        self.grammar, self.level = grammar, level
+        self.ups: dict = {}  # ups[(sym, r)] = self._up(sym, r); ups[r] a descent table
+        column = self.column = {}
         for (lhs, rhs, dot, origin), w in items.items():
             column.setdefault(rhs[dot], []).append((lhs, rhs, dot, origin, w))
-        corners, prods = self.grammar._corners, self.grammar.productions
+        corners, prods = grammar._corners, grammar.productions
         predicted = {sym for sym in column if sym in prods}.union(roots)
         frontier = list(predicted)
         while frontier:  # close the awaited nonterminals over their left corners
@@ -597,36 +595,39 @@ class _Chart:
                 frontier.append(nxt)
         for nt in predicted:
             for rhs in prods[nt]:
-                column.setdefault(rhs[0], []).append((nt, rhs, 0, n, 1))
-        return column
+                column.setdefault(rhs[0], []).append((nt, rhs, 0, self, 1))
 
-    def commit(self, c: str) -> None:
-        """Extend the prefix by c, reusing an interned state if there is one.
-        A move is keyed by c's class, so one scan serves all its class-mates."""
-        self.prefix += c
-        states, moves = self.grammar._states, self.grammar._moves
-        move = (self._id, self.grammar._rep[c])
+    @staticmethod
+    def root(grammar: Grammar) -> "_Chart":
+        """The grammar's state before any symbol, interned under the key None."""
+        if None not in grammar._states:
+            grammar._states[None] = _Chart(grammar, {}, 0, {grammar.start})
+        return grammar._states[None]
+
+    def after(self, c: str) -> "_Chart":
+        """The state after c, interned while the table has room.  A move is
+        keyed by c's class, so one scan serves all its class-mates."""
+        grammar = self.grammar
+        states, moves = grammar._states, grammar._moves
+        move = (self, grammar._rep[c])
         state = moves.get(move)
         if state is None:
             items = self._scan(c)
-            key = (self._id, frozenset(items.items()))
+            key = frozenset(items.items())
             state = states.get(key)
             if state is None:
-                full = self._id is None or len(states) + len(moves) >= _CHART_TABLE
-                state = (None if full else len(states), self._column(items, len(self.columns)), {})
-                if not full:
+                state = _Chart(grammar, items, 1 + max((item[3].level for item in items), default=0))
+                if len(states) + len(moves) < _CHART_TABLE:
                     states[key] = state
-            if self._id is not None and len(states) + len(moves) < _CHART_TABLE:
+            if len(states) + len(moves) < _CHART_TABLE:
                 moves[move] = state
-        self._id = state[0]
-        self.columns.append(state[1])
-        self._ups.append(state[2])
+        return state
 
     def _scan(self, c: str) -> dict:
-        """The items that scanning c from the last column gives: scan, then complete."""
+        """The items that scanning c from this state gives: scan, then complete."""
         rank = self.grammar._unit_rank
         items: dict = {}
-        done: dict = {}  # (lhs, origin) -> derivations of lhs =>* prefix[origin:n+1]
+        done: dict = {}  # (lhs, origin) -> derivations of lhs over the symbols since origin, c included
         pending: list = []
 
         def advance(lhs, rhs, dot, origin, w):
@@ -637,47 +638,41 @@ class _Chart:
             key = (lhs, origin)
             if key not in done:
                 done[key] = 0
-                heapq.heappush(pending, (-origin, rank[lhs], lhs))
+                heapq.heappush(pending, (-origin.level, rank[lhs], len(done), key))
             done[key] += w
 
-        for lhs, rhs, dot, origin, w in self.columns[-1].get(c, ()):
+        for lhs, rhs, dot, origin, w in self.column.get(c, ()):
             advance(lhs, rhs, dot + 1, origin, w)
-        # Completing (a, i) can only complete parents that start at i or
-        # earlier, and at i only through a unit production; popping later
-        # origins first and unit children before parents finishes every
-        # count before it is propagated, so each (a, i) is completed once.
+        # Completing (a, o) can only complete parents that began at a lower
+        # level, or in o itself through a unit production; popping higher
+        # levels first and unit children before parents finishes every count
+        # before it is propagated, so each (a, o) is completed once.
         while pending:
-            neg_origin, _, a = heapq.heappop(pending)
-            w = done[(a, -neg_origin)]
-            for lhs, rhs, dot, origin, v in self.columns[-neg_origin].get(a, ()):
-                advance(lhs, rhs, dot + 1, origin, v * w)
+            a, origin = key = heapq.heappop(pending)[3]
+            w = done[key]
+            for lhs, rhs, dot, o, v in origin.column.get(a, ()):
+                advance(lhs, rhs, dot + 1, o, v * w)
         return items
 
-    def _up(self, sym: str, i: int, r: int) -> int:
-        """Ways to derive a sym at prefix[i:] and then r more symbols after it.
-
-        Sums, over the items of column i awaiting sym, the item's inside
-        count times the ways to complete it and all its ancestors.
-        """
-        ups = self._ups[i]
-        total = ups.get((sym, r))
+    def _up(self, sym: str, r: int) -> int:
+        """Ways to derive a sym from this state on and then r more symbols: over
+        the items awaiting sym, the inside count times the ways to finish the
+        item and then, begun in its origin, its lhs and all its ancestors."""
+        total = self.ups.get((sym, r))
         if total is None:
-            total = int(sym == self.grammar.start and i == 0 and r == 0)
-            for lhs, rhs, dot, origin, w in self.columns[i].get(sym, ()):
-                total += w * self._complete(lhs, rhs, dot + 1, origin, r)
-            ups[(sym, r)] = total
-        return total
-
-    def _complete(self, lhs, rhs, dot, origin, r) -> int:
-        """Ways to finish rhs[dot:], then the ancestors of lhs, with r symbols."""
-        n = len(rhs) - dot
-        if self.grammar._run_end[(rhs, dot)] == len(rhs):  # terminals only: one way, over n symbols
-            return self._up(lhs, origin, r - n) if r >= n else 0
-        total = 0
-        for r1 in range(self.grammar._suffix_min[(rhs, dot)], r + 1):
-            c = self._count_seq(rhs, dot, r1)
-            if c:
-                total += c * self._up(lhs, origin, r - r1)
+            grammar = self.grammar
+            total = int(sym == grammar.start and r == 0 and not self.level)
+            for lhs, rhs, dot, origin, w in self.column.get(sym, ()):
+                dot += 1
+                n = len(rhs) - dot
+                if grammar._run_end[(rhs, dot)] == len(rhs):  # terminals only: one way, over n symbols
+                    total += w * origin._up(lhs, r - n) if r >= n else 0
+                    continue
+                for r1 in range(grammar._suffix_min[(rhs, dot)], r + 1):
+                    c = grammar._count_seq(rhs, dot, r1)
+                    if c:
+                        total += w * c * origin._up(lhs, r - r1)
+            self.ups[(sym, r)] = total
         return total
 
 
@@ -704,10 +699,11 @@ def grammar_unrank(grammar: Grammar, k: int) -> str:
     Equivalent to filtering the raw stream through the grammar's recognizer
     and taking element k, but computed from length counts directly, under
     grammar_count's budget.  A bucketed rank is grammar_derivation's word.
-    Past the bucket, each position bisects the chart state's running totals of
-    the words that continue the prefix with each awaited terminal, adding
-    totals only until one exceeds the offset left; committing a symbol
-    reuses the chart state an earlier descent reached by it, if interned.
+    Past the bucket, the descent walks from the root chart state one move at
+    a time: each position bisects the state's running totals of the words
+    that continue the prefix with each awaited terminal, adding totals only
+    until one exceeds the offset left, and the move by the chosen symbol is
+    the one an earlier descent made, if interned.
     Class-mates share one move and one count, so after "(" the words that
     continue with each of 1-9 are counted once.
     """
@@ -715,24 +711,22 @@ def grammar_unrank(grammar: Grammar, k: int) -> str:
     if pair is not None:
         return pair[0]
     length, j = _locate(grammar, k)
-    chart, rep = _Chart(grammar), grammar._rep
-    for n in range(length):
-        if n:
-            chart.commit(c)  # the symbol chosen at position n - 1
-        r, ups = length - n - 1, chart._ups[n]
-        table = ups.get(r)  # an int key, unlike the memo's (sym, r) keys
+    state, rep, word = _Chart.root(grammar), grammar._rep, []
+    for r in range(length - 1, -1, -1):
+        if word:
+            state = state.after(word[-1])
+        table = state.ups.get(r)  # an int key, unlike the memo's (sym, r) keys
         if table is None:
-            column = chart.columns[n]
-            table = ups[r] = ([t for t in grammar.alphabet.symbols if t in column], [0])
+            table = state.ups[r] = ([t for t in grammar.alphabet.symbols if t in state.column], [0])
         awaited, totals = table
         while totals[-1] <= j:  # count on only until the running total passes j
             if len(totals) > len(awaited):
                 raise AssertionError("prefix descent exhausted the alphabet; counts are inconsistent")
-            totals.append(totals[-1] + chart._up(rep[awaited[len(totals) - 1]], n, r))
+            totals.append(totals[-1] + state._up(rep[awaited[len(totals) - 1]], r))
         i = bisect.bisect_right(totals, j)  # past equal totals: terminals with no word here
-        c = awaited[i - 1]
+        word.append(awaited[i - 1])
         j -= totals[i - 1]
-    return chart.prefix + c
+    return "".join(word)
 
 
 def grammar_derivation(grammar: Grammar, k: int):

@@ -293,6 +293,17 @@ def test_decide_gap_audit(run):
     assert code == 0 and "violations: 0" in out
 
 
+def test_audit_soundness_refuses_xmax(run):
+    # the soundness audit reads the pack's entries and scans no indices, so
+    # an --xmax it would ignore is a usage error, whatever its value
+    for x_max in ("3", "-7", "64446"):
+        code, out, err = run("audit", "soundness", "--pack", "5", "--xmax", x_max)
+        assert (code, out) == (64, "")
+        assert len(err.splitlines()) == 1 and "--xmax" in err
+    row = '{"detail": "", "kind": "soundness", "queries": 10, "violations": 0}\n'
+    assert run("audit", "soundness", "--pack", "5", "--format", "json-lines") == (0, row, "")
+
+
 def test_demo_incompleteness_tells_the_story(run):
     code, out, _ = run("demo", "incompleteness", "--pack", "5", "--xmax", "8")
     assert code == 0

@@ -385,6 +385,21 @@ def test_a_full_chart_table_keeps_descents_and_recognition_exact(monkeypatch):
     assert sizes["chart_states"] + sizes["chart_moves"] == 8  # the table filled, so later states were private
 
 
+@pytest.mark.parametrize("prods", [
+    {"S": [["T", "T"], ["b"]], "T": [["S"]]},
+    {"S": [["T", "T"]], "T": [["a"], ["a", "S"]]},
+], ids=["unit", "nested"])
+def test_a_scan_completes_items_of_deeper_states_first(prods, monkeypatch):
+    # one scan completes items begun in states of several levels, and in
+    # these ambiguous grammars a count passed upward before every deeper
+    # completion has added to it would be short
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 0)
+    g = Grammar(Alphabet.from_string("ab"), "S", prods)
+    words = [w for n in range(9) for w in sorted(derive_words(prods, "S", n), key=lambda w: shortlex_key("ab", w))]
+    assert [grammar_unrank(g, k) for k in range(len(words))] == words
+    assert all(g.recognizes(w) for w in words)
+
+
 def test_descent_skips_awaited_terminals_with_no_words(monkeypatch):
     # "a" is awaited at position 0 but has no word of length 3: its running
     # total equals the one before it, and the bisection must step past it

@@ -366,6 +366,34 @@ def test_past_bucket_lookups_share_interned_chart_states():
     assert g.cache_sizes() == sizes  # the second pass adds no state and no move
 
 
+def test_prefixes_that_leave_the_same_pending_structure_share_one_state(monkeypatch):
+    # an item names the state it started in, not a position, so each group
+    # awaits the same operand of the same open comparison and is one state
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 0)
+    g = Grammar(QLANG_GRAMMAR.alphabet, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions)
+
+    def state_after(prefix):
+        state = enumerator._Chart.root(g)
+        for c in prefix:
+            state = state.after(c)
+        return state
+
+    for group in (["(4>", "(11>", "(x>", "(x="], ["(4>8", "(x=2"], ["(4>80", "(x=25"]):
+        assert len({id(state_after(prefix)) for prefix in group}) == 1, group
+    assert state_after("!(4>") is not state_after("(4>")  # it waits inside one more negation
+    for prefix in ("(4>", "(11>", "(x>", "(x=", "!(4>"):
+        for tail in ("8)", "80)", "25)", "x)", "0)", "08)", "(x+1))", ")", "8", "8))"):
+            try:
+                parse(prefix + tail)
+                parses = True
+            except ParseError:
+                parses = False
+            assert g.recognizes(prefix + tail) == parses, prefix + tail
+    asks = {1: "(x=x)", 243: "(x=10)", 5000: "(x=655)", 64446: "!!(9>9)", 64447: "(x=1000)",
+            844448: "!!!(9>9)", 5000000: "(50592=2)", 123456789: "!(95>9490)"}
+    assert {i: grammar_unrank(g, i - 1) for i in asks} == asks
+
+
 def test_programs_are_immutable_tuple_records_equal_to_their_parse():
     program = nth_program(1)
     assert repr(program) == "QProgram(source='(x=x)', ast=Eq(left=X(), right=X()))"
