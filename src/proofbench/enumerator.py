@@ -666,7 +666,8 @@ class _Chart:
                 dot += 1
                 n = len(rhs) - dot
                 if grammar._run_end[(rhs, dot)] == len(rhs):  # terminals only: one way, over n symbols
-                    total += w * origin._up(lhs, r - n) if r >= n else 0
+                    if r >= n:
+                        total += w * origin._up(lhs, r - n)
                     continue
                 for r1 in range(grammar._suffix_min[(rhs, dot)], r + 1):
                     c = grammar._count_seq(rhs, dot, r1)
