@@ -43,24 +43,24 @@ Hickey & Cohen, SIAM J. Comput. 1983).  An item names the chart state it
 started in, not a position, as in Tomita's graph-structured stack (1986)
 applied to Earley columns (Aycock & Horspool, Computer Journal 2002), so a
 column and the counts read from it depend only on its items.  The grammar
-interns these chart states by their items alone (hash-consing) and caches
-each scan between two of them; later descents reuse them, and prefixes
+interns these chart states by their items alone (hash-consing), each
+keeping the scans from it as moves; later descents reuse them, and prefixes
 that leave the same pending structure share one state: "(4>", "(11>" and
 "(x>" each await the second operand of one open comparison.  At most
-2,048 states and scans are kept; past that, new states last one descent.
+2,048 states and moves are kept; past that, new states last one descent.
 Terminals that each occur only as a whole right-hand side, of equal
 multisets of nonterminals (Q-lang's 1-9 as nonzero and digit, and = and >
 as cmp), are class-mates: each is awaited only by unit items that complete
 at once with equal counts, so class-mates share one move and one count.
-For each number of symbols still to come, a state keeps the terminals its
-column awaits, in alphabet order, with running totals of the words that
+A state lists the terminals its column awaits, in alphabet order, and for
+each number of symbols still to come keeps running totals of the words that
 continue the prefix with each; one bisection at the offset left picks the
-next symbol.  Totals are added only until one passes the offset, so no
-visit counts a terminal past the one it picks.  A word of length L costs
-at most L - 1 scans.  The descent builds no derivation, so
-grammar_derivation returns None for such a word.  recognizes walks the same
-states over all but the last symbol of the word and counts the words that
-end with that one.
+next symbol, and its move the next state.  Totals are added only until one
+passes the offset, so no visit counts a terminal past the one it picks.  A
+word of length L costs at most L - 1 scans.  The descent builds no
+derivation, so grammar_derivation returns None for such a word.  recognizes
+walks the same states over all but the last symbol of the word and counts
+the words that end with that one.
 
 Grammars must be epsilon-free and contain no unit-production cycles; both
 restrictions are enforced at construction time and keep the length dynamic
@@ -263,7 +263,7 @@ class Grammar:
         self._bucket_end = float("inf")  # the rank where the bucketed lengths end, once known
         self._cum: list[int] = [0]  # _cum[L] = number of words shorter than L
         self._states: dict = {}  # a frozenset of items, or None for the root -> its _Chart
-        self._moves: dict = {}  # (_Chart, _rep of a terminal) -> the state its scan gives
+        self._moves = 0  # the moves kept in the interned states' moves dicts
 
     # -- validation -------------------------------------------------------
 
@@ -394,13 +394,13 @@ class Grammar:
         words, the count memo's entries, split into (production suffix, length)
         and (symbol, length) keys, the interned chart states, the entries of
         their count memos (descent tables included; class-mates share one
-        count) and the moves between them (one per class of terminals)."""
+        count) and the moves kept on them (one per class of terminals)."""
         seq = sum(len(key) == 3 for key in self._counts)
         return {
             "bucket_lengths": bisect.bisect_left(self._cum, len(self.ranked)),
             "bucket_words": len(self.ranked),
             "chart_counts": sum(len(state.ups) for state in self._states.values()),
-            "chart_moves": len(self._moves),
+            "chart_moves": self._moves,
             "chart_states": len(self._states),
             "count_seq": seq,
             "count_sym": len(self._counts) - seq,
@@ -572,17 +572,18 @@ class _Chart:
     waiting for them while the column is built, so no column stores one.  A
     column never changes, and its counts read only it and its items' origins,
     so equal items make one state, count memo included, whatever prefixes
-    reached them: the grammar interns states by their items alone and caches
-    each scan as a move.  Class-mates (Grammar._rep) give equal items and
-    counts, so they share one move and one count.
+    reached them: the grammar interns states by their items alone, and a
+    state keeps each scan from it as a move.  Class-mates (Grammar._rep) give
+    equal items and counts, so they share one move and one count.
     """
 
-    __slots__ = ("grammar", "column", "ups", "level")
+    __slots__ = ("grammar", "column", "ups", "level", "moves", "awaited")
 
     def __init__(self, grammar: Grammar, items: dict, level: int, roots=()):
         """The state of items, plus the predictions for what they, or roots, await."""
         self.grammar, self.level = grammar, level
         self.ups: dict = {}  # ups[(sym, r)] = self._up(sym, r); ups[r] a descent table
+        self.moves: dict = {}  # _rep of a terminal -> the interned state its scan gives
         column = self.column = {}
         for (lhs, rhs, dot, origin), w in items.items():
             column.setdefault(rhs[dot], []).append((lhs, rhs, dot, origin, w))
@@ -596,6 +597,7 @@ class _Chart:
         for nt in predicted:
             for rhs in prods[nt]:
                 column.setdefault(rhs[0], []).append((nt, rhs, 0, self, 1))
+        self.awaited = [t for t in grammar.alphabet.symbols if t in column]  # in alphabet order
 
     @staticmethod
     def root(grammar: Grammar) -> "_Chart":
@@ -605,22 +607,22 @@ class _Chart:
         return grammar._states[None]
 
     def after(self, c: str) -> "_Chart":
-        """The state after c, interned while the table has room.  A move is
-        keyed by c's class, so one scan serves all its class-mates."""
+        """The state after c, interned and kept in moves while the table has
+        room.  A move is keyed by c's class: one scan serves all its class-mates."""
         grammar = self.grammar
-        states, moves = grammar._states, grammar._moves
-        move = (self, grammar._rep[c])
-        state = moves.get(move)
+        states, cls = grammar._states, grammar._rep[c]
+        state = self.moves.get(cls)
         if state is None:
             items = self._scan(c)
             key = frozenset(items.items())
             state = states.get(key)
             if state is None:
                 state = _Chart(grammar, items, 1 + max((item[3].level for item in items), default=0))
-                if len(states) + len(moves) < _CHART_TABLE:
+                if len(states) + grammar._moves < _CHART_TABLE:
                     states[key] = state
-            if len(states) + len(moves) < _CHART_TABLE:
-                moves[move] = state
+            if len(states) + grammar._moves < _CHART_TABLE:
+                self.moves[cls] = state
+                grammar._moves += 1
         return state
 
     def _scan(self, c: str) -> dict:
@@ -699,34 +701,32 @@ def grammar_unrank(grammar: Grammar, k: int) -> str:
 
     Equivalent to filtering the raw stream through the grammar's recognizer
     and taking element k, but computed from length counts directly, under
-    grammar_count's budget.  A bucketed rank is grammar_derivation's word.
-    Past the bucket, the descent walks from the root chart state one move at
-    a time: each position bisects the state's running totals of the words
-    that continue the prefix with each awaited terminal, adding totals only
-    until one exceeds the offset left, and the move by the chosen symbol is
-    the one an earlier descent made, if interned.
+    grammar_count's budget.  A bucketed rank is grammar_derivation's word,
+    not asked for once the bucketed lengths end before k.  Past them, the
+    descent walks from the root chart state one move at a time: each
+    position bisects the state's running totals of the words that continue
+    the prefix with each awaited terminal, adding totals only until one
+    exceeds the offset left, then reads the chosen symbol's move off the state.
     Class-mates share one move and one count, so after "(" the words that
     continue with each of 1-9 are counted once.
     """
-    pair = grammar_derivation(grammar, k)
-    if pair is not None:
+    pair = k < grammar._bucket_end and grammar_derivation(grammar, k)  # else it would be None
+    if pair:
         return pair[0]
     length, j = _locate(grammar, k)
-    state, rep, word = _Chart.root(grammar), grammar._rep, []
+    state, rep, word = grammar._states.get(None) or _Chart.root(grammar), grammar._rep, []
     for r in range(length - 1, -1, -1):
-        if word:
-            state = state.after(word[-1])
-        table = state.ups.get(r)  # an int key, unlike the memo's (sym, r) keys
-        if table is None:
-            table = state.ups[r] = ([t for t in grammar.alphabet.symbols if t in state.column], [0])
-        awaited, totals = table
+        totals = state.ups.get(r) or state.ups.setdefault(r, [0])  # an int key, unlike the memo's (sym, r)
+        awaited = state.awaited
         while totals[-1] <= j:  # count on only until the running total passes j
             if len(totals) > len(awaited):
                 raise AssertionError("prefix descent exhausted the alphabet; counts are inconsistent")
             totals.append(totals[-1] + state._up(rep[awaited[len(totals) - 1]], r))
         i = bisect.bisect_right(totals, j)  # past equal totals: terminals with no word here
-        word.append(awaited[i - 1])
+        word.append(c := awaited[i - 1])
         j -= totals[i - 1]
+        if r:
+            state = state.moves.get(rep[c]) or state.after(c)
     return "".join(word)
 
 

@@ -366,6 +366,46 @@ def test_past_bucket_lookups_share_interned_chart_states():
     assert g.cache_sizes() == sizes  # the second pass adds no state and no move
 
 
+def test_a_past_bucket_lookup_checks_for_a_listed_derivation_once(monkeypatch):
+    # qlang._program asks grammar_derivation first; grammar_unrank, called
+    # next, must not ask again for a rank past the listed lengths
+    _cold_qlang(monkeypatch)
+    nth_program(64_447)  # finds where the listed lengths end
+    calls = []
+
+    def counted(module):
+        fn = module.grammar_derivation
+        monkeypatch.setattr(module, "grammar_derivation", lambda *args: calls.append(module) or fn(*args))
+
+    counted(qlang)
+    counted(enumerator)
+    assert fbar_truth(5_000_000) == 1 - evaluate(parse("(50592=2)"), 5_000_000)
+    assert calls == [qlang]
+    calls.clear()
+    assert nth_program(123_456_789).source == "!(95>9490)"
+    assert calls == [qlang]
+
+
+# 300 seeded past-bucket ranks, the sha256 of their words joined by newlines
+# and the tables that descending them fills in a cold grammar, as recorded
+# when moves were still kept in one grammar-wide table
+PINNED_WORDS_DIGEST = "9c8e3c285480827fc7b1a944e8f31b2682ace21c0010e515fabb6a13f6b00ea6"
+PINNED_CACHE_SIZES = {
+    "bucket_lengths": 0, "bucket_words": 0, "chart_counts": 707, "chart_moves": 75, "chart_states": 44,
+    "count_seq": 138, "count_sym": 57,
+}
+
+
+def test_pinned_past_bucket_lookups_give_their_recorded_words_and_tables():
+    g = Grammar(QLANG_GRAMMAR.alphabet, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions, QLANG_GRAMMAR.actions)
+    rng = random.Random(21)
+    ranks = [rng.randint(64_447, 124_727_108) - 1 for _ in range(300)]
+    words = [grammar_unrank(g, k) for k in ranks]
+    assert words[:3] == ["(18801>80)", "(48>93272)", "(801136=4)"]
+    assert hashlib.sha256("\n".join(words).encode()).hexdigest() == PINNED_WORDS_DIGEST
+    assert g.cache_sizes() == PINNED_CACHE_SIZES
+
+
 def test_prefixes_that_leave_the_same_pending_structure_share_one_state(monkeypatch):
     # an item names the state it started in, not a position, so each group
     # awaits the same operand of the same open comparison and is one state
