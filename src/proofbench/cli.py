@@ -37,8 +37,8 @@ import sys
 from collections import namedtuple
 from pathlib import Path
 
-from .enumerator import Alphabet, GrammarError, rank, stream, unrank
-from .errors import NestingError, ParseError, ResourceLimitError
+from .enumerator import Alphabet, rank, stream, unrank
+from .errors import NestingError, ResourceLimitError
 
 # Each command imports the modules it uses in its handler, so that small
 # commands skip the proof modules.  These five names stay attributes of this
@@ -262,22 +262,14 @@ def _write(text: str):
     sys.stdout.write(text)
 
 
-def _within_cells(option: str, value: int, cfg: GlobalConfig):
-    """Refuse, before any work, an option whose output rows would pass the table_cells budget."""
-    if value > cfg.table_cells:
-        raise ResourceLimitError(
-            f"{option} {value} exceeds the table_cells budget of {cfg.table_cells}",
-            budget="table_cells", limit=cfg.table_cells, attempted=value,
-        )
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 def _cmd_enumerate(args, cfg):
     alphabet = _resolve_alphabet(args.alphabet or cfg.alphabet)
     if args.count < 0 or args.start < 0:
         raise ValueError("--from and --count must be nonnegative")
-    _within_cells("--count", args.count, cfg)
+    if args.count > cfg.table_cells:  # output rows past the budget are refused before any work
+        raise ResourceLimitError("table_cells", cfg.table_cells, args.count)
     words = _all_digits(stream, alphabet, args.start, args.count)  # an error may name the rank
     rows = [{"k": args.start + i, "s": s} for i, s in enumerate(words)]
     _write(_all_digits(emit_report, rows, _fmt(args, cfg)))
@@ -314,7 +306,7 @@ def _cmd_qlang(args, cfg):
         _write(emit_report([{"i": args.i, "program": qlang.nth_program(args.i).source}], fmt))
         return 0
     if args.qcommand == "table":
-        bit_table = qlang.table(args.rows, args.cols, max_cells=cfg.table_cells)
+        bit_table = qlang.table(args.rows, args.cols, table_cells=cfg.table_cells)
         rows = [
             {f"x{x}": bit_table.cell(i, x) for x in range(1, args.cols + 1)}
             for i in range(1, args.rows + 1)
@@ -325,10 +317,10 @@ def _cmd_qlang(args, cfg):
             _write(emit_report(rows, fmt))
         return 0
     if args.qcommand == "diagonal":
-        bits = qlang.diagonal(args.n, max_cells=cfg.table_cells)
+        bits = qlang.diagonal(args.n, table_cells=cfg.table_cells)
         _write(emit_report([{"i": i, "bit": b} for i, b in enumerate(bits, start=1)], fmt))
         return 0
-    bits = qlang.diagonal_flip(qlang.diagonal(args.n, max_cells=cfg.table_cells))
+    bits = qlang.diagonal_flip(qlang.diagonal(args.n, table_cells=cfg.table_cells))
     _write(emit_report([{"x": x, "bit": b} for x, b in enumerate(bits, start=1)], fmt))
     return 0
 
@@ -363,11 +355,11 @@ def _cmd_search(args, cfg):
         "statement": pretty_statement(derived),
         "lines": len(verdict.derivation.lines),
     }
-    _write(emit_report([row], _fmt(args, cfg)))
-    if args.emit_derivation:
+    if args.emit_derivation:  # written before the row, so a failed write prints no verdict
         Path(args.emit_derivation).write_text(
             derivation_file_text(verdict.derivation, derived), encoding="utf-8"
         )
+    _write(emit_report([row], _fmt(args, cfg)))
     return 0
 
 
@@ -384,7 +376,8 @@ def _cmd_decide(args, cfg):
 def _cmd_gap(args, cfg):
     from .proof_search import completeness_gap
 
-    _within_cells("--xmax", args.xmax, cfg)
+    if args.xmax > cfg.table_cells:
+        raise ResourceLimitError("table_cells", cfg.table_cells, args.xmax)
     gap = completeness_gap(_self.make_axiom_pack(args.pack), args.xmax)
     _write(emit_report([{"x": x} for x in gap], _fmt(args, cfg)))
     return 0
@@ -419,7 +412,8 @@ def _cmd_demo(args, cfg):
     from .proof_search import NOT_DERIVABLE, SearchBudget, SearchMode, completeness_gap, decide_fbar
     from .qlang import fbar_truth
 
-    _within_cells("--xmax", args.xmax, cfg)
+    if args.xmax > cfg.table_cells:
+        raise ResourceLimitError("table_cells", cfg.table_cells, args.xmax)
     pack = _self.make_axiom_pack(args.pack)
     gap = completeness_gap(pack, args.xmax)
     out = []
@@ -476,10 +470,11 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args, cfg)
     except (NestingError, RecursionError):
-        # statements stop at pi_system.MAX_NESTING; Q-lang node ==/hash/repr and term ==/repr still recurse
+        # statements stop at pi_system.MAX_NESTING; ==/repr of terms hundreds deep,
+        # Q-lang node ==/hash/repr and the grammar engine's count and recognizer still recurse
         print("error: input nested too deeply", file=sys.stderr)
         return 1
-    except (ParseError, GrammarError, ValueError, ResourceLimitError, OSError) as exc:
+    except (ValueError, ResourceLimitError, OSError) as exc:  # ParseError and GrammarError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

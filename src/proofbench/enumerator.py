@@ -475,10 +475,7 @@ def _counter(grammar: Grammar):
     def keep(key, value):
         counts[key] = value
         if len(counts) > _COUNT_ENTRIES:
-            raise ResourceLimitError(
-                f"grammar count table exceeded {_COUNT_ENTRIES} entries",
-                budget="count_entries", limit=_COUNT_ENTRIES, attempted=len(counts),
-            )
+            raise ResourceLimitError("count_entries", _COUNT_ENTRIES, len(counts))
 
     return _length_dp(grammar, counts, keep, int, lambda lhs, rhs, i: 1, lambda lhs, rhs, i, j, head, tail: head * tail)
 
@@ -503,10 +500,7 @@ def _bucket(grammar: Grammar, length: int) -> list:
             return  # a whole right-hand side's pairs are not kept, to spare peak memory
         cells += len(pairs)
         if cells > 4 * _BUCKET_WORDS:
-            raise ResourceLimitError(
-                "word bucket construction exceeded its budget",
-                budget="bucket_cells", limit=4 * _BUCKET_WORDS, attempted=cells,
-            )
+            raise ResourceLimitError("bucket_cells", 4 * _BUCKET_WORDS, cells)
         memo[key] = pairs
 
     # (word, child values) of a suffix, but (word, act(word, child values)) of a

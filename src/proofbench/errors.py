@@ -37,14 +37,14 @@ def numeral_value(digits: str, position: int) -> int:
 class ResourceLimitError(RuntimeError):
     """A configured memory or size budget would be exceeded.
 
-    budget names the budget (the keyword argument that sets it, where one
-    does), limit is its value, and attempted is the size the call would
-    have reached.  The message is unchanged by them.
+    budget names the budget (the config key or keyword argument that sets
+    it, where one does), limit is its value, and attempted is the size the
+    call would have reached.  The message is written from them, in one form:
+    "<attempted> exceeds the <budget> budget of <limit>".
     """
 
-    def __init__(self, message: str, *, budget: str | None = None, limit: int | None = None,
-                 attempted: int | None = None):
-        super().__init__(message)
+    def __init__(self, budget: str, limit: int, attempted: int):
+        super().__init__(f"{attempted} exceeds the {budget} budget of {limit}")
         self.budget = budget
         self.limit = limit
         self.attempted = attempted

@@ -63,6 +63,7 @@ REASON_WRONG_TARGET = "wrong-target"
 REASON_FORWARD_REFERENCE = "forward-reference"
 
 MAX_NESTING = 500  # parentheses a statement's term may open at once
+_PACK_ENTRIES = 1_000_000  # entries make_axiom_pack may build
 
 
 # -- terms and statements ---------------------------------------------------
@@ -128,14 +129,13 @@ Derivation = record("Derivation", "header lines")  # header: declared integer va
 AxiomPack = record("AxiomPack", "n entries")
 
 
-def make_axiom_pack(n: int, max_cells: int = 1_000_000) -> AxiomPack:
-    """The sound pack covering 1..n: each entry carries the true diagonal bit."""
+def make_axiom_pack(n: int) -> AxiomPack:
+    """The sound pack covering 1..n: each entry carries the true diagonal bit.
+    A pack past _PACK_ENTRIES entries raises, with budget pack_entries."""
     if n < 0:
         raise ValueError("pack size must be >= 0")
-    if n > max_cells:
-        raise ResourceLimitError(
-            f"pack of {n} entries exceeds the budget of {max_cells}", budget="max_cells", limit=max_cells, attempted=n
-        )
+    if n > _PACK_ENTRIES:
+        raise ResourceLimitError("pack_entries", _PACK_ENTRIES, n)
     return AxiomPack(n=n, entries=frozenset((i, fbar_truth(i)) for i in range(1, n + 1)))
 
 

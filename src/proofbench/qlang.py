@@ -331,15 +331,12 @@ class BitTable(record("BitTable", "rows cols cells")):
         return self.cells[i - 1][x - 1]
 
 
-def table(n: int, m: int, max_cells: int = 1_000_000) -> BitTable:
-    """The n-by-m table of program outputs: row i is program i on inputs 1..m."""
+def table(n: int, m: int, table_cells: int = 1_000_000) -> BitTable:
+    """The n-by-m table of program outputs, at most table_cells cells: row i is program i on inputs 1..m."""
     if n < 1 or m < 1:
         raise ValueError("table dimensions must be >= 1")
-    if n * m > max_cells:
-        raise ResourceLimitError(
-            f"table of {n * m} cells exceeds the budget of {max_cells}",
-            budget="max_cells", limit=max_cells, attempted=n * m,
-        )
+    if n * m > table_cells:
+        raise ResourceLimitError("table_cells", table_cells, n * m)
     return BitTable(
         rows=n,
         cols=m,
@@ -350,14 +347,12 @@ def table(n: int, m: int, max_cells: int = 1_000_000) -> BitTable:
     )
 
 
-def diagonal(n: int, max_cells: int = 1_000_000) -> list[int]:
-    """[program 1 on input 1, ..., program n on input n]."""
+def diagonal(n: int, table_cells: int = 1_000_000) -> list[int]:
+    """[program 1 on input 1, ..., program n on input n], at most table_cells of them."""
     if n < 1:
         raise ValueError("diagonal length must be >= 1")
-    if n > max_cells:
-        raise ResourceLimitError(
-            f"diagonal of {n} cells exceeds the budget of {max_cells}", budget="max_cells", limit=max_cells, attempted=n
-        )
+    if n > table_cells:
+        raise ResourceLimitError("table_cells", table_cells, n)
     return [evaluate(_program(i), i) for i in range(1, n + 1)]
 
 

@@ -270,6 +270,12 @@ def test_search_emits_a_recheckable_derivation(run, tmp_path):
     assert check_derivation(make_axiom_pack(0), derivation, target) == Accept()
 
 
+def test_search_prints_no_verdict_when_the_derivation_cannot_be_written(run, tmp_path):
+    code, out, err = run("search", "fbar(1) is 1", "--pack", "3", "--emit-derivation", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_search_reports_negations(run):
     code, out, _ = run(
         "search", "fbar(1) is 1", "--pack", "5", "--budget", "100", "--format", "json-lines"
@@ -402,7 +408,7 @@ def test_row_counts_past_table_cells_are_refused(run, tmp_path, command):
     config.write_text("table_cells = 10\n", encoding="utf-8")
     code, out, err = run("--config", str(config), *command, "11")
     assert (code, out) == (1, "")
-    assert err == f"error: {command[-1]} 11 exceeds the table_cells budget of 10\n"
+    assert err == "error: 11 exceeds the table_cells budget of 10\n"
     default = run(*command, "10")
     assert default[0] == 0 and run("--config", str(config), *command, "10") == default
 

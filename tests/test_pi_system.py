@@ -153,9 +153,9 @@ def test_make_axiom_pack_edges():
     with pytest.raises(ValueError):
         make_axiom_pack(-1)
     with pytest.raises(ResourceLimitError) as info:
-        make_axiom_pack(100, max_cells=10)
-    assert (info.value.budget, info.value.limit, info.value.attempted) == ("max_cells", 10, 100)
-    assert str(info.value) == "pack of 100 entries exceeds the budget of 10"
+        make_axiom_pack(1_000_001)
+    assert (info.value.budget, info.value.limit, info.value.attempted) == ("pack_entries", 1_000_000, 1_000_001)
+    assert str(info.value) == "1000001 exceeds the pack_entries budget of 1000000"
 
 
 # -- derivation files ------------------------------------------------------------------

@@ -511,16 +511,16 @@ def test_table_cell_bounds():
 
 def test_table_budget():
     with pytest.raises(ResourceLimitError) as info:
-        table(100, 100, max_cells=50)
-    assert (info.value.budget, info.value.limit, info.value.attempted) == ("max_cells", 50, 10_000)
-    assert str(info.value) == "table of 10000 cells exceeds the budget of 50"
+        table(100, 100, table_cells=50)
+    assert (info.value.budget, info.value.limit, info.value.attempted) == ("table_cells", 50, 10_000)
+    assert str(info.value) == "10000 exceeds the table_cells budget of 50"
 
 
 def test_diagonal_budget():
     with pytest.raises(ResourceLimitError) as info:
-        diagonal(100, max_cells=50)
-    assert (info.value.budget, info.value.limit, info.value.attempted) == ("max_cells", 50, 100)
-    assert str(info.value) == "diagonal of 100 cells exceeds the budget of 50"
+        diagonal(100, table_cells=50)
+    assert (info.value.budget, info.value.limit, info.value.attempted) == ("table_cells", 50, 100)
+    assert str(info.value) == "100 exceeds the table_cells budget of 50"
 
 
 def test_diagonal_five():
