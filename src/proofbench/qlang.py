@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .enumerator import Alphabet, Grammar, grammar_derivation, grammar_unrank
 from .errors import ParseError, ResourceLimitError, numeral_value
-from .records import record
+from .records import CLOSE, LEAF, record, walk
 
 QLANG_ALPHABET = Alphabet.from_string("x0123456789()+%=>!&|")
 
@@ -78,29 +78,16 @@ QLANG_GRAMMAR = Grammar(
 
 # -- abstract syntax -------------------------------------------------------
 
-def _hash(node) -> int:
-    return tuple.__hash__(node)
-
-
-def _node(name: str, fields: str = "") -> type:
-    """A syntax-tree record.  Trees have no depth limit (parse reads any
-    depth), so a node hashes through one Python call per level, which raises
-    RecursionError on a tree too deep to hash where the tuple hash would
-    crash the interpreter (see records)."""
-    node = record(name, fields)
-    node.__hash__ = _hash
-    return node
-
-
-X = _node("X")
-Num = _node("Num", "value")
-Add = _node("Add", "left right")
-Mod = _node("Mod", "left right")
-Not = _node("Not", "arg")
-And = _node("And", "left right")
-Or = _node("Or", "left right")
-Eq = _node("Eq", "left right")
-Gt = _node("Gt", "left right")
+# parse reads any depth, so the nodes are deep records, hashed by their walk (see records)
+X = record("X", "", deep=True)
+Num = record("Num", "value", deep=True)
+Add = record("Add", "left right", deep=True)
+Mod = record("Mod", "left right", deep=True)
+Not = record("Not", "arg", deep=True)
+And = record("And", "left right", deep=True)
+Or = record("Or", "left right", deep=True)
+Eq = record("Eq", "left right", deep=True)
+Gt = record("Gt", "left right", deep=True)
 
 # The one x leaf that parse and the bucket actions share: records are
 # immutable, and a field-less record's __new__ is a Python call.
@@ -261,24 +248,20 @@ _APPLY = {
 
 
 def _stack_eval(node, x: int):
-    """_beval/_aeval from an explicit stack, for a tree too deep to recurse on."""
-    values, stack = [], [node]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is X:
-            values.append(x)
-        elif kind is Num:
-            values.append(node[0])
-        elif kind is type:  # a node class, its operands' values on top, the left one last
-            if node is Not:
+    """_beval/_aeval as one loop over the tree's walk, for a tree too deep to recurse on."""
+    values = []  # the values of the operands read so far, the rightmost last
+    for event, item in walk(node):
+        if event is LEAF:  # a numeral's value
+            values.append(item)
+        elif event is CLOSE:
+            kind = type(item)
+            if kind is X:
+                values.append(x)
+            elif kind is Not:
                 values[-1] = not values[-1]
-            else:
-                left = values.pop()
-                values[-1] = _APPLY[node](left, values[-1])
-        else:
-            stack.append(kind)
-            stack += node  # the right operand is popped, so valued, first
+            elif kind is not Num:
+                right = values.pop()
+                values[-1] = _APPLY[kind](values[-1], right)
     return values[0]
 
 

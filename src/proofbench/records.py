@@ -16,37 +16,89 @@ loads `inspect`, about 10 ms of every CLI command, and decorating a class
 cost about 0.9 ms more; a frozen dataclass's __init__ also sets each field
 through object.__setattr__, where a named tuple's __new__ builds one tuple.
 
-A record hashes as a tuple, and the tuple hash recurses in C with no depth
-check: hashing a tree a million records deep kills the interpreter.  A
-module whose records nest without a depth limit gives them a Python-level
-__hash__ (qlang does), so that a deep hash raises RecursionError instead.
+Records nest to any depth.  What would recurse once per level reads walk(root)
+instead: repr always, and == where tuple.__eq__ raises RecursionError.  The
+tuple hash recurses in C with no depth check and kills the interpreter on a
+tree a million records deep, so records nesting without a depth limit are made
+deep and hash by tree_hash; those whose depth a parser bounds keep the C hash.
 """
 
 import sys
 from collections import namedtuple
 
-
-def _eq(self, other):
-    return type(self) is type(other) and tuple.__eq__(self, other)
+OPEN, LEAF, CLOSE = range(3)
 
 
-def _ne(self, other):
-    return type(self) is not type(other) or tuple.__ne__(self, other)
+def walk(root: tuple):
+    """Yield (OPEN, t) on entering each tuple t of root, root first, (LEAF, v) for
+    each other value v and (CLOSE, t) on leaving t, depth first from an explicit stack."""
+    yield OPEN, root
+    nodes, stack = [root], [iter(root)]  # the open tuples, and an iterator over each one's rest
+    while stack:
+        for item in stack[-1]:
+            if isinstance(item, tuple):
+                yield OPEN, item
+                nodes.append(item)
+                stack.append(iter(item))
+                break
+            yield LEAF, item
+        else:
+            stack.pop()
+            yield CLOSE, nodes.pop()
 
 
-def _true(self):
+def tree_hash(root: tuple) -> int:
+    """A hash of root's walk, folded as it streams: equal trees hash alike."""
+    h = 0
+    for event, item in walk(root):
+        h = hash((h, event, item) if event is LEAF else (h, event))
+    return h
+
+
+def _walks_equal(a: tuple, b: tuple) -> bool:
+    """a == b from their walks side by side: identity, then class and length, then leaf ==."""
+    for (event, x), (other, y) in zip(walk(a), walk(b)):
+        if x is y or event is CLOSE:  # equal lengths keep the two walks' closes in step
+            continue
+        if event is not other or (type(x) is not type(y) or len(x) != len(y) if event is OPEN else not x == y):
+            return False
     return True
 
 
-def record(name: str, fields: str) -> type:
-    """A record class called name, with the space-separated fields.  A
-    subclass that validates or defaults its fields overrides __new__ and
-    builds the record with tuple.__new__(cls, values)."""
+def _eq(self, other):
+    try:
+        return type(self) is type(other) and tuple.__eq__(self, other)
+    except RecursionError:
+        return _walks_equal(self, other)
+
+
+def _repr(self) -> str:
+    out, labels = [], []  # per open tuple, an iterator over the text before each of its items
+    for event, item in walk(self):
+        if event is not CLOSE and labels:
+            out.append(next(labels[-1]))
+        if event is LEAF:
+            out.append(repr(item))
+        elif event is OPEN:
+            names = getattr(item, "_fields", None)  # None for a plain tuple
+            out.append("(" if names is None else type(item).__name__ + "(")
+            labels.append(iter([", " * (i > 0) + ("" if names is None else names[i] + "=") for i in range(len(item))]))
+        else:
+            labels.pop()
+            out.append(",)" if len(item) == 1 and type(item) is tuple else ")")
+    return "".join(out)
+
+
+def record(name: str, fields: str, deep: bool = False) -> type:
+    """A record class called name, with the space-separated fields, hashed by
+    tree_hash if deep.  A subclass that validates or defaults its fields
+    overrides __new__ and builds the record with tuple.__new__(cls, values)."""
     return type(name, (namedtuple(name, fields),), {
         "__slots__": (),
         "__module__": sys._getframe(1).f_globals["__name__"],  # the defining module, for repr and pickle
         "__eq__": _eq,
-        "__ne__": _ne,
-        "__hash__": tuple.__hash__,
-        "__bool__": _true,
+        "__ne__": lambda self, other: not _eq(self, other),
+        "__hash__": tree_hash if deep else tuple.__hash__,
+        "__repr__": _repr,
+        "__bool__": lambda self: True,
     })

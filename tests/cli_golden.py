@@ -27,7 +27,11 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
+
+from proofbench import cli
+from test_pi_system import a2_chain_file
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "cli_golden.json"
@@ -39,24 +43,13 @@ DEEP = "(" * 600 + "w" + "+1)" * 600  # past pi_system.MAX_NESTING
 DEEP_450 = "(" * 450 + "w" + "+1)" * 450
 
 
-def _chain_file(levels: int) -> str:
-    """A derivation of int(((w+1)+1)...+1) by one A2 step per level."""
-    lines = ["vars: w", f"target: int({'(' * (levels - 1)}w{'+1)' * (levels - 1)}+1)",
-             "1. int(w) [premise]", "2. int(1) [axiom A3 {c := 1}]"]
-    term = "w"
-    for level in range(levels):
-        lines.append(f"{level + 3}. int({term}+1) [axiom A2 {{t1 := {term}, t2 := 1}}]")
-        term = f"({term}+1)"
-    return "\n".join(lines) + "\n"
-
-
 # the files the corpus reads, relative to the directory it runs in; "missing"
 # is never written, and adir is a directory
 INPUTS = {
     "paper_3_1.drv": FIXTURE.read_text(encoding="utf-8"),
     "swapped.drv": FIXTURE.read_text(encoding="utf-8").replace("rule R1 4,5", "rule R1 5,4"),
-    "chain.drv": _chain_file(3),
-    "chain_450.drv": _chain_file(450),
+    "chain.drv": a2_chain_file(3),
+    "chain_450.drv": a2_chain_file(450),
     "empty.txt": "",
     "long.drv": "vars: w\ntarget: int(w)\n" + "".join(f"{i}. int(w) [premise]\n" for i in range(1, 2999)),
     "prog.q": "((x%3)=1)\n",
@@ -180,31 +173,22 @@ ARGVS = _argvs()
 
 def run(argv) -> list:
     """[exit code, sha256 of stdout, stderr] of cli.main(argv), with stdin
-    closed and COLUMNS at 80, in the current directory."""
-    from proofbench import cli
-
+    closed, in the current directory."""
     out, err, stdin = io.StringIO(), io.StringIO(), io.StringIO()
     stdin.close()
-    saved_stdin, saved_columns = sys.stdin, os.environ.get("COLUMNS")
-    sys.stdin, os.environ["COLUMNS"] = stdin, "80"
+    saved_stdin, sys.stdin = sys.stdin, stdin
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(list(argv))
-            except SystemExit as exc:  # argparse's usage errors
+            except SystemExit as exc:  # an argparse usage error
                 code = exc.code
     finally:
         sys.stdin = saved_stdin
-        if saved_columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = saved_columns
     return [code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(), err.getvalue()]
 
 
 def main() -> None:
-    import tempfile
-
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as root:
         write_inputs(Path(root))

@@ -160,22 +160,19 @@ def test_pretty_writes_deep_trees_without_recursion():
     assert pretty(Eq(left, X())) == "(" + "(" * 10_000 + "x" + "+1)" * 10_000 + "=x)"
 
 
-def test_hashing_a_very_deep_tree_is_a_recursion_error_not_a_crash():
+def test_hashing_a_very_deep_tree_succeeds():
     # in a child process: the tuple hash recurses in C with no depth check,
-    # so a node without a Python-level hash would kill the interpreter here
+    # so a node that hashed as a tuple would kill the interpreter here
     code = (
         "from proofbench.qlang import parse\n"
         "tree = parse('!' * 10**6 + '(x=x)').ast\n"
-        "try:\n"
-        "    hash(tree)\n"
-        "except RecursionError:\n"
-        "    print('RecursionError')\n"
+        "print(type(hash(tree)).__name__)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
-    assert proc.stdout in ("RecursionError\n", "")
+    assert proc.stdout == "int\n"
 
 
 def test_pretty_rejects_a_foreign_node():

@@ -2,7 +2,10 @@
 a frozen dataclass's equality, truth, repr and immutability."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from proofbench import records
 from proofbench.pi_system import (
     Accept,
     AxiomInstance,
@@ -13,12 +16,14 @@ from proofbench.pi_system import (
     Line,
     Premise,
     Reject,
+    RuleApplication,
     Sum,
     Var,
+    parse_statement,
 )
 from proofbench.pi_system import Num as TermNum
 from proofbench.proof_search import AuditReport, DerivedNegation, DerivedTarget, Exhausted, SearchBudget
-from proofbench.qlang import Add, BitTable, Eq, Gt, Mod, Not, Num, X, parse
+from proofbench.qlang import Add, And, BitTable, Eq, Gt, Mod, Not, Num, Or, X, parse
 
 DERIVATION = Derivation(("w",), (Line(1, IntTyping(Var("w")), Premise()),))
 
@@ -132,3 +137,77 @@ def test_records_report_their_defining_module():
         "proofbench.qlang", "proofbench.pi_system", "proofbench.pi_system",
     )
     assert (Greater.__name__, Exhausted.__module__) == ("Greater", "proofbench.proof_search")
+
+
+# -- deep trees: the walk behind repr, the == fallback and tree_hash ------------------
+
+def test_separately_parsed_deep_trees_are_equal_hash_alike_and_repr():
+    a, b = parse("!" * 100_000 + "(x=x)"), parse("!" * 100_000 + "(x=x)")
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert repr(a.ast) == "Not(arg=" * 100_000 + "Eq(left=X(), right=X())" + ")" * 100_000
+    assert repr(a) == f"QProgram(source={a.source!r}, ast={a.ast!r})"
+    c = parse("!" * 100_000 + "(x=1)")
+    assert a != c and not a == c
+    text = "(" * 499 + "w" + "+1)" * 499 + " > w"
+    p, q = parse_statement(text), parse_statement(text)
+    assert p == q and not p != q and hash(p) == hash(q)
+    lhs = "Sum(left=" * 499 + "Var(name='w')" + ", right=Num(value=1))" * 499
+    assert repr(p) == f"Greater(lhs={lhs}, rhs=Var(name='w'))"
+    assert p != parse_statement(text.replace("w+1", "w+2"))
+
+
+NAN = float("nan")  # one object on both sides: tuple equality finds it equal to itself by identity
+
+# a numeral past the small-int cache is a new object at each draw
+_AEXPS = st.recursive(st.sampled_from([X(), Num(0), Num(1), Num(NAN), Num(float("nan"))])
+                      | st.integers(2**64, 2**64 + 1).map(Num),
+                      lambda a: st.builds(Add, a, a) | st.builds(Mod, a, a), max_leaves=4)
+_BEXPS = st.recursive(st.builds(Eq, _AEXPS, _AEXPS) | st.builds(Gt, _AEXPS, _AEXPS),
+                      lambda b: st.builds(Not, b) | st.builds(And, b, b) | st.builds(Or, b, b), max_leaves=3)
+_TERMS = st.recursive(st.sampled_from([Var("w"), Var("v"), TermNum(0), TermNum(1), TermNum(NAN)]),
+                      lambda t: st.builds(Sum, t, t), max_leaves=4)
+_STATEMENTS = (st.builds(Greater, _TERMS, _TERMS) | st.builds(IntTyping, _TERMS)
+               | st.builds(FbarAtom, st.integers(1, 3), st.integers(0, 1)))
+_JUSTIFICATIONS = (st.just(Premise())
+                   | st.builds(AxiomInstance, st.sampled_from(["A1", "A3"]),
+                               st.lists(st.tuples(st.sampled_from(["t", "c"]), _TERMS), max_size=2).map(tuple))
+                   | st.builds(RuleApplication, st.just("R1"), st.tuples(st.integers(4, 5), st.integers(4, 5))))
+_DERIVATIONS = st.builds(Derivation, st.sampled_from([(), ("w",), ("v", "w")]),
+                         st.lists(st.builds(Line, st.integers(1, 2), _STATEMENTS, _JUSTIFICATIONS),
+                                  max_size=2).map(tuple))
+TREES = _BEXPS | _STATEMENTS | _DERIVATIONS
+
+# each class to a same-shaped record class of another name, or of the same
+# name in another module
+_OTHER = {Eq: Gt, Gt: Eq, Add: Mod, Mod: Add, And: Or, Or: And, Num: TermNum, TermNum: Num}
+
+
+def _rebuilt(value, classes=None):
+    """An equal copy of value that shares none of its tuples and ints, except
+    that classes maps some record classes to others."""
+    if not isinstance(value, tuple):
+        return value + 0 if type(value) is int else value  # a new int object past the small-int cache
+    kind = type(value)
+    return tuple.__new__((classes or {}).get(kind, kind), [_rebuilt(item, classes) for item in value])
+
+
+def _records(value):
+    if isinstance(value, tuple):
+        if hasattr(value, "_fields"):
+            yield value
+        for item in value:
+            yield from _records(item)
+
+
+@given(a=TREES, b=TREES)
+def test_the_walk_fallbacks_agree_with_the_tuple_methods(a, b):
+    for other in (b, a, _rebuilt(a), _rebuilt(a, _OTHER), tuple(a), tuple(_rebuilt(a))):
+        assert records._walks_equal(a, other) is (a == other) is not (a != other)
+        assert records._walks_equal(tuple(a), other) is (tuple(a) == other)
+        if a == other:
+            assert records.tree_hash(a) == records.tree_hash(other)
+    # repr is the named-tuple base's text at every record, so at the root too
+    for record in _records(a):
+        base = next(cls for cls in type(record).__mro__ if cls.__bases__ == (tuple,))
+        assert repr(record) == base.__repr__(record)

@@ -232,13 +232,12 @@ def _recursion_fault(item):
     pytest.param(lambda: pi_system.pretty_statement(pi_system.parse_statement(_STATEMENT_499)), id="pretty_statement"),
     pytest.param(lambda: hash(pi_system.parse_statement(_STATEMENT_499)), id="statement hash"),
     pytest.param(lambda: _fresh_qlang().recognizes("!" * 900 + "(x=x)"), id="recognizes 900 deep"),
-    pytest.param(lambda: hash(_DEEP_Q.ast), id="qlang hash", marks=_recursion_fault(2)),
-    pytest.param(lambda: repr(_DEEP_Q), id="qlang repr", marks=_recursion_fault(2)),
-    pytest.param(lambda: _DEEP_Q == qlang.parse(_DEEP_Q.source), id="qlang ==", marks=_recursion_fault(2)),
+    pytest.param(lambda: hash(_DEEP_Q.ast), id="qlang hash"),
+    pytest.param(lambda: repr(_DEEP_Q), id="qlang repr"),
+    pytest.param(lambda: _DEEP_Q == qlang.parse(_DEEP_Q.source), id="qlang =="),
     pytest.param(lambda: pi_system.parse_statement(_STATEMENT_499) == pi_system.parse_statement(_STATEMENT_499),
-                 id="statement ==", marks=_recursion_fault(2)),
-    pytest.param(lambda: repr(pi_system.parse_statement(_STATEMENT_499)), id="statement repr",
-                 marks=_recursion_fault(2)),
+                 id="statement =="),
+    pytest.param(lambda: repr(pi_system.parse_statement(_STATEMENT_499)), id="statement repr"),
     pytest.param(lambda: grammar_count(_chain(), 1), id="unit chain count", marks=_recursion_fault(3)),
     pytest.param(lambda: grammar_unrank(_chain(), 0), id="unit chain unrank", marks=_recursion_fault(3)),
     pytest.param(lambda: _chain().recognizes("a"), id="unit chain recognizes", marks=_recursion_fault(3)),
