@@ -483,6 +483,66 @@ def test_descended_programs_and_bits_match_their_digest(monkeypatch):
     assert hashlib.sha256(lines.encode()).hexdigest() == DESCENDED_LINES_DIGEST
 
 
+def _is_flat(ast) -> bool:
+    """Whether a tree is one comparison of two leaves under zero or more '!'."""
+    while type(ast) is Not:
+        ast = ast.arg
+    return type(ast) in (Eq, Gt) and type(ast.left) in (X, Num) and type(ast.right) in (X, Num)
+
+
+def test_a_past_bucket_lookup_parses_only_a_nested_word(monkeypatch):
+    xs = _descended_indices()
+    _cold_qlang(monkeypatch)
+    nested = sum(not _is_flat(nth_program(x).ast) for x in xs)
+    _cold_qlang(monkeypatch)
+    calls = []
+    monkeypatch.setattr(qlang, "parse", lambda word, parse=parse: calls.append(word) or parse(word))
+    [fbar_truth(x) for x in xs]
+    assert 0 < len(calls) == nested < len(xs) // 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(64_447, 10**40))
+def test_a_past_bucket_bit_read_off_its_word_is_the_bit_of_its_tree(x):
+    # diagonal's entry x is qlang._output(x), as fbar_truth's bit is 1 - it
+    expected = evaluate(nth_program(x), x)
+    assert fbar_truth(x) == 1 - expected
+    assert qlang._output(x) == expected
+
+
+def test_diagonal_entries_past_the_bucket_are_those_of_the_parsed_programs():
+    bits = diagonal(64_446 + 300)[64_446:]
+    assert bits == [evaluate(nth_program(x), x) for x in range(64_447, 64_447 + 300)]
+    assert bits == [1 - fbar_truth(x) for x in range(64_447, 64_447 + 300)]
+
+
+@pytest.mark.parametrize("x", [1, 7, 10**639], ids=["1", "7", "10**639"])
+@pytest.mark.parametrize(
+    "word",
+    [
+        "(x=7)", "(7=x)", "(x>1)", "(1>x)", "(x=x)", "(x>x)", "(0=x)", "(x>0)", "(0>0)", "(10=10)",
+        "!(x=7)", "!!(7>x)", "!!!(0=x)", "!!!(x>9)",
+        pytest.param("(" + "9" * 640 + ">x)", id="(9*640>x)"),
+        pytest.param("!(x=" + "1" + "0" * 639 + ")", id="!(x=10**639)"),
+    ],
+)
+def test_a_flat_word_has_the_output_of_its_parse(word, x):
+    bit = qlang._flat_output(word, x)
+    assert type(bit) is int and bit == evaluate(parse(word), x)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        "((x+1)=x)", "((x=1)&(2>x))", "(x=(x%2))", "!((x=1)|(x=2))", "!!((x+1)>x)",
+        pytest.param("(" + "9" * 641 + ">x)", id="(9*641>x)"),
+        pytest.param("!(x=" + "1" + "0" * 640 + ")", id="!(x=10**640)"),
+    ],
+)
+def test_a_word_that_is_not_flat_is_left_to_parse(word):
+    assert qlang._flat_output(word, 3) is None
+
+
 def test_programs_parse_back_to_their_source():
     for i in (1, 2, 242, 243, 500, 1000):
         program = nth_program(i)
