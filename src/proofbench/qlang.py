@@ -26,11 +26,11 @@ no backtracking, so its cost is linear at any nesting depth; a rejection
 raises ParseError at the first position where no reading of the prefix can
 continue, listing everything some reading would accept there.
 
-Past the listed lengths, fbar_truth and diagonal read a flat word's output,
+fbar_truth, and diagonal through it, walk a listed program's bucketed tree
+(length <= 7) in two Python calls; past those lengths they read a flat word,
 one comparison of two leaves under zero or more '!', off the word and parse
-any other: all words of length 8 are flat, 99.89% of length 9 and 99.76% of
-length 10.  A warm lookup of length 8-10 then spends about 3.5 us in the
-descent and 0.8 us in that read, where parse took 2.9 us and evaluate 0.3 us.
+any other (all words of length 8 are flat, 99.89% of 9 and 99.76% of 10).  A
+warm lookup of length 8-10 spends about 3.5 us in the descent, 0.8 us reading.
 """
 
 from __future__ import annotations
@@ -227,18 +227,19 @@ def _aeval(node, x: int) -> int:
 
 def _beval(node, x: int) -> bool:
     kind = type(node)
+    if kind is Eq or kind is Gt:  # first: every listed tree is one under zero or more '!'
+        # a comparison reads a leaf operand in place, the shared x leaf or a
+        # numeral, and calls _aeval only for a sum, a remainder or another X()
+        left, right = node
+        left = x if left is _X else left[0] if type(left) is Num else _aeval(left, x)
+        right = x if right is _X else right[0] if type(right) is Num else _aeval(right, x)
+        return left == right if kind is Eq else left > right
     if kind is Not:
         return not _beval(node[0], x)
     left, right = node
     if kind is And:
         return _beval(left, x) and _beval(right, x)
-    if kind is Or:
-        return _beval(left, x) or _beval(right, x)
-    # a comparison reads a leaf operand in place, the shared x leaf or a
-    # numeral, and calls _aeval only for a sum, a remainder or another X()
-    left = x if left is _X else left[0] if type(left) is Num else _aeval(left, x)
-    right = x if right is _X else right[0] if type(right) is Num else _aeval(right, x)
-    return left == right if kind is Eq else left > right
+    return _beval(left, x) or _beval(right, x)
 
 
 # Q-lang is total and pure, so evaluating both operands of & and | gives the
@@ -293,16 +294,6 @@ def _program(i: int):
     if i <= len(ranked):
         return ranked[i - 1]
     return grammar_derivation(QLANG_GRAMMAR, i - 1) or parse(grammar_unrank(QLANG_GRAMMAR, i - 1))
-
-
-def _output(i: int) -> int:
-    """Program i's output on input i, unparsed if its word is flat; every caller refuses i < 1."""
-    ranked = QLANG_GRAMMAR.ranked  # grammar_derivation extends this list in place
-    if i <= len(ranked) or grammar_derivation(QLANG_GRAMMAR, i - 1):
-        return evaluate(ranked[i - 1], i)
-    word = grammar_unrank(QLANG_GRAMMAR, i - 1)
-    bit = _flat_output(word, i)
-    return evaluate(parse(word), i) if bit is None else bit
 
 
 def _flat_output(word: str, x: int):
@@ -361,12 +352,12 @@ def table(n: int, m: int, table_cells: int = 1_000_000) -> BitTable:
 
 
 def diagonal(n: int, table_cells: int = 1_000_000) -> list[int]:
-    """[program 1 on input 1, ..., program n on input n], at most table_cells of them."""
+    """[1 - fbar_truth(i) for i = 1..n], program i's output on input i, at most table_cells of them."""
     if n < 1:
         raise ValueError("diagonal length must be >= 1")
     if n > table_cells:
         raise ResourceLimitError("table_cells", table_cells, n)
-    return [_output(i) for i in range(1, n + 1)]
+    return [1 - fbar_truth(i) for i in range(1, n + 1)]
 
 
 def diagonal_flip(bits) -> list[int]:
@@ -380,7 +371,14 @@ def diagonal_flip(bits) -> list[int]:
 
 
 def fbar_truth(x: int) -> int:
-    """The x-th flipped-diagonal bit, 1 - (program x on input x); builds no QProgram."""
+    """The x-th flipped-diagonal bit, 1 - (program x on input x); builds no QProgram,
+    and walks a listed program's bucketed tree with no Python call but _beval's."""
     if x < 1:
         raise ValueError("inputs are positive integers")
-    return 1 - _output(x)
+    ranked = QLANG_GRAMMAR.ranked  # grammar_derivation extends this list in place
+    if x <= len(ranked) or grammar_derivation(QLANG_GRAMMAR, x - 1):
+        # a listed word has at most 7 symbols, so _beval never nears the recursion limit
+        return 0 if _beval(ranked[x - 1][1], x) else 1
+    word = grammar_unrank(QLANG_GRAMMAR, x - 1)
+    bit = _flat_output(word, x)
+    return 1 - (evaluate(parse(word), x) if bit is None else bit)

@@ -444,7 +444,7 @@ def test_search_mode_choices_are_the_search_modes(capsys):
     assert "--mode {" + ",".join(m.value for m in SearchMode) + "}" in capsys.readouterr().out
 
 
-def test_rebound_cli_and_qlang_names_see_every_call(run, monkeypatch):
+def test_rebound_cli_and_qlang_names_see_every_call(run, monkeypatch, tmp_path):
     # perfbench's traced CLI child reads these names and rebinds them to
     # wrappers before it calls main; the commands must call the wrappers
     calls = Counter()
@@ -465,10 +465,12 @@ def test_rebound_cli_and_qlang_names_see_every_call(run, monkeypatch):
     assert run("check", FIXTURE, "--pack", "5")[0] == 0
     assert run("search", "fbar(2) is 1", "--pack", "5")[0] == 0
     assert run("qlang", "nth", "70000")[0] == 0  # past the buckets: unranked, then parsed
-    assert calls.pop("evaluate") >= 5
+    program = tmp_path / "program.txt"
+    program.write_text("((x%4)=2)\n", encoding="utf-8")
+    assert run("qlang", "eval", str(program), "--x", "6")[:2] == (0, "x: 6, output: 1\n")
     assert calls == {
         "make_axiom_pack": 2, "parse_derivation_file": 1, "check_derivation": 1, "parse_statement": 1,
-        "search": 1, "grammar_unrank": 1, "parse": 1,
+        "search": 1, "grammar_unrank": 1, "parse": 2, "evaluate": 1,
     }
 
 

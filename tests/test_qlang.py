@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import random
@@ -459,6 +460,48 @@ def test_the_whole_bucketed_flipped_diagonal_matches_its_digests():
         assert hashlib.sha256(bits[lo - 1:hi].encode()).hexdigest() == digest, length
 
 
+def test_every_listed_bit_is_that_of_its_parsed_word():
+    # parses each listed word afresh, so the bucket's trees are not the oracle
+    xs = range(1, 64_447)
+    bits = [1 - evaluate(parse(nth_program(x).source), x) for x in xs]
+    assert [fbar_truth(x) for x in xs] == bits
+    assert diagonal(64_446) == [1 - bit for bit in bits]
+
+
+def _python_calls(fn, *args):
+    """The names of the Python functions that fn(*args) enters, in call order."""
+    # profiling makes a frame object per call, and a collection that those
+    # allocations set off would run gc.callbacks (hypothesis keeps one) as calls
+    names, enabled = [], gc.isenabled()
+    gc.disable()
+    sys.setprofile(lambda frame, event, arg: names.append(frame.f_code.co_name) if event == "call" else None)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    return names
+
+
+@pytest.mark.parametrize(
+    "x, source, calls", [(1, "(x=x)", 2), (4203, "!(x=x)", 3), (64_446, "!!(9>9)", 4)], ids=["1", "4203", "64446"]
+)
+def test_a_listed_bit_is_one_walk_of_its_bucketed_tree(x, source, calls):
+    # fbar_truth itself, then one _beval per '!' and one for the comparison
+    assert nth_program(x).source == source
+    fbar_truth(x)  # warm: the bucket holds x
+    assert _python_calls(fbar_truth, x) == ["fbar_truth"] + ["_beval"] * (calls - 1)
+
+
+def test_a_listed_bit_never_calls_evaluate(monkeypatch):
+    def refused(program, x):
+        raise AssertionError("a listed program was run through evaluate")
+
+    monkeypatch.setattr(qlang, "evaluate", refused)
+    assert diagonal_flip(diagonal(64_446)) == [fbar_truth(x) for x in range(1, 64_447)]
+
+
 # sha256 of the "x text bit" lines of _descended_indices(), as recorded
 # before the descent shared chart columns between lookups
 DESCENDED_LINES_DIGEST = "8e7f41033d30bb8762840a5d194a3ba79a9a22db42962661d9d3ed3fd83ff43c"
@@ -504,10 +547,7 @@ def test_a_past_bucket_lookup_parses_only_a_nested_word(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(64_447, 10**40))
 def test_a_past_bucket_bit_read_off_its_word_is_the_bit_of_its_tree(x):
-    # diagonal's entry x is qlang._output(x), as fbar_truth's bit is 1 - it
-    expected = evaluate(nth_program(x), x)
-    assert fbar_truth(x) == 1 - expected
-    assert qlang._output(x) == expected
+    assert fbar_truth(x) == 1 - evaluate(nth_program(x), x)
 
 
 def test_diagonal_entries_past_the_bucket_are_those_of_the_parsed_programs():
