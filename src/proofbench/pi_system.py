@@ -26,10 +26,10 @@ schema engine behind it, and check_derivation tests each of the five rules
 directly (the axioms in _axiom_premises, R1 inline).
 
 An axiom pack is a finite set of fbar entries; make_axiom_pack builds one
-whose bits are exactly the flipped-diagonal truth values, so by construction
-packs inject only true fbar facts.  FBAR is the only producer of fbar
-statements and nothing consumes them, which is what later makes their
-derivability decidable by a lookup.
+whose bits are exactly the flipped-diagonal truth values, each computed when
+its entry is read (FbarRule), so by construction packs inject only true fbar
+facts.  FBAR is the only producer of fbar statements and nothing consumes
+them, which is what later makes their derivability decidable by a lookup.
 
 Derivations are line-numbered files (see parse_derivation_file).  Checking is
 a single pass: every line must be a declared premise, a valid axiom instance
@@ -51,6 +51,8 @@ first failing line and one of five reason codes:
 """
 
 from __future__ import annotations
+
+from collections.abc import Set
 
 from .errors import NestingError, ParseError, ResourceLimitError, numeral_value
 from .qlang import fbar_truth
@@ -125,18 +127,47 @@ RuleApplication = record("RuleApplication", "rule refs")  # refs: referenced lin
 Line = record("Line", "index statement justification")
 Derivation = record("Derivation", "header lines")  # header: declared integer variable names
 
-# A finite stock of fbar axioms: entries is a frozenset of (x, bit).
+# A finite stock of fbar axioms: entries is a set of (x, bit), built by hand or a FbarRule.
 AxiomPack = record("AxiomPack", "n entries")
 
 
+class FbarRule(Set):
+    """The entries {(x, fbar_truth(x)) : 1 <= x <= n} of a built pack, read by their
+    rule: a membership test is one fbar_truth call, iteration runs in x order, and
+    they equal, hash and combine (|, &, - give a frozenset) as that frozenset does."""
+
+    __slots__ = ("n",)
+    _from_iterable = frozenset
+    __hash__ = Set._hash
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return ((x, fbar_truth(x)) for x in range(1, self.n + 1))
+
+    def __contains__(self, item) -> bool:
+        try:  # a key equal to an int (True, 2.0) names that int's entry, as in a frozenset
+            x = int(item[0]) if isinstance(item, tuple) and len(item) == 2 else 0
+        except (TypeError, ValueError, OverflowError):
+            return False
+        return 1 <= x <= self.n and item == (x, fbar_truth(x))
+
+    def __repr__(self) -> str:
+        return f"FbarRule({self.n})"
+
+
 def make_axiom_pack(n: int) -> AxiomPack:
-    """The sound pack covering 1..n: each entry carries the true diagonal bit.
-    A pack past _PACK_ENTRIES entries raises, with budget pack_entries."""
+    """The sound pack covering 1..n: each entry carries the true diagonal bit,
+    computed when it is read.  Past _PACK_ENTRIES entries, raises pack_entries."""
     if n < 0:
         raise ValueError("pack size must be >= 0")
     if n > _PACK_ENTRIES:
         raise ResourceLimitError("pack_entries", _PACK_ENTRIES, n)
-    return AxiomPack(n=n, entries=frozenset((i, fbar_truth(i)) for i in range(1, n + 1)))
+    return AxiomPack(n=n, entries=FbarRule(n))
 
 
 # -- checking ----------------------------------------------------------------

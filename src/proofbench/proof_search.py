@@ -24,7 +24,8 @@ int k popped after u0, ..., u(m-1) queues its 2m + 1 A2 pairs (k, u0),
 (u0, k), ..., (k, k) as one block, and a pop interns only the pair it takes.
 The pack's entries, which feed no rule, seed the worklist as one block of
 atoms in sorted order: a goal atom ends the search at its offset, 1 + the
-entries that sort before it, so only the found atom is ever built.
+entries that sort before it (x for a built pack), so only the found atom is
+ever built; a built pack is neither scanned nor read for another goal.
 
 ``literal`` counts proof terms as raw strings in shortlex order over a
 small alphabet, and every string counts as a candidate tried, though the
@@ -80,6 +81,7 @@ out.  decide_fbar is the fbar case alone.  The derivable fbar atoms are the
 entries, so completeness_gap (x <= x_max with neither bit an entry) and the
 audits test entries: soundness checks each one's bit against fbar_truth, and
 consistency reads the indices with both bits off the entries, for any x_max.
+A built pack holds one true bit of each x <= n, so only soundness reads it.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ from .pi_system import (
     AxiomPack,
     Derivation,
     FbarAtom,
+    FbarRule,
     Greater,
     IntTyping,
     Line,
@@ -107,6 +110,7 @@ from .pi_system import (
     negate_fbar,
     statement_vars,
 )
+from .qlang import fbar_truth
 from .records import record
 
 DERIVABLE = "Derivable"
@@ -297,14 +301,15 @@ def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: S
         for name in header:
             emit(term_id(("v", name), len(ids)))
         entries = pack.entries
-        if entries:  # the pack's atoms in sorted order, one block: the range of offsets left
+        if entries:  # the pack's atoms in sorted order, one block: the range of offsets
             n = at = len(entries)  # at: the offset of the earliest goal atom, n if none
+            built = type(entries) is FbarRule
             if type(goal) is FbarAtom:
                 first = (goal.x, 0) if (goal.x, 0) in entries else (goal.x, 1)
                 if first in entries:
-                    at = sum(1 for entry in entries if entry < first)
-            # the search reads the entries up to its goal, or one past its budget
-            _check_atoms(entries, min(at + 1, n, limit - candidates + 1))
+                    at = int(goal.x) - 1 if built else sum(1 for entry in entries if entry < first)
+            if not built:  # the search reads the entries up to its goal, or one past its budget
+                _check_atoms(entries, min(at + 1, n, limit - candidates + 1))
             push(range(n), min(at + 1, n), FbarAtom(*first) if at < n else None)
         while True:
             # the numeral stream keeps the worklist fed even from empty seeds
@@ -333,8 +338,10 @@ def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: S
                     emit((other[0], rhs), (other, key))
                 greater_by_lhs.setdefault(lhs, []).append(key)
                 greater_by_rhs.setdefault(rhs, []).append(key)
-            elif len(key) > 1:  # the pack block: take one atom, put back the rest;
-                appendleft(key[1:])  # atoms feed no rule, and the goal was found by offset
+            else:  # the pack block: its atoms feed no rule and the goal was found by
+                for _ in range(len(key) - 1):  # offset, so one pop injects their numerals
+                    emit(term_id(("n", next_numeral), len(ids)))
+                    next_numeral += 1
     except _Stop as stop:
         return stop.args[0], r1, candidates
 
@@ -423,9 +430,10 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     3 * sqrt(candidates) interned terms.  An exhausted search of
     ((w+1)+1)+1 > w at 10,000,000 candidates takes about 10 ms on a 2-vCPU
     x86-64 VM, in a process that peaks at about 16 MB RSS.  The pack is one
-    block of candidates, so its size adds only a scan of its entries: with
-    a 20-entry pack, w+1 > w is found at candidate 23 in about 23 us, and
-    with a 10,000-entry pack it runs out at 5,000 candidates in about 0.5 ms.
+    block of candidates, popped once: w+1 > w is found at candidate 23 in
+    about 35 us with a 20-entry pack, and runs out at 5,000 in about 15 us
+    with a 10**6-entry built one, or 1.1 ms with 10,000 hand-built entries,
+    which are scanned so that an invalid one the search reaches raises.
     """
     if not can_form(target):
         raise ValueError(f"not a statement of the system: {target!r}")
@@ -477,6 +485,8 @@ def completeness_gap(pack: AxiomPack, x_max: int) -> list:
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
     entries = pack.entries
+    if type(entries) is FbarRule:  # it holds one bit of each x <= its size
+        return list(range(len(entries) + 1, x_max + 1))
     return [x for x in range(1, x_max + 1) if (x, 0) not in entries and (x, 1) not in entries]
 
 
@@ -496,15 +506,16 @@ def audit_soundness(pack: AxiomPack) -> AuditReport:
     audited too; a violation (x, bit) means fbar(x) is bit is derivable but
     the flipped-diagonal truth differs.
     """
-    from .qlang import fbar_truth
-
+    entries = pack.entries
+    built = type(entries) is FbarRule  # its one entry at each x <= its size is (x, fbar_truth(x))
+    xs = range(1, len(entries) + 1) if built else (x for x, _ in entries)
     violations = []
     queries = 0
-    for x in sorted({x for x, _ in pack.entries}.union(range(1, pack.n + 1))):
+    for x in sorted(set(xs).union(range(1, pack.n + 1))):
         truth = fbar_truth(x)
         for bit in (0, 1):
             queries += 1
-            if (x, bit) in pack.entries and bit != truth:
+            if bit != truth and not built and (x, bit) in entries:
                 violations.append((x, bit))
     return AuditReport("soundness", queries, tuple(violations))
 
@@ -518,7 +529,7 @@ def audit_consistency(pack: AxiomPack, x_max: int) -> AuditReport:
         raise ValueError("x_max must be >= 1")
     entries, indices = pack.entries, range(1, x_max + 1)
     violations = set()
-    for key, _ in entries:
+    for key, _ in entries if type(entries) is not FbarRule else ():  # a built pack has one bit per x
         try:
             x = int(key)
         except (TypeError, ValueError, OverflowError):

@@ -26,11 +26,12 @@ no backtracking, so its cost is linear at any nesting depth; a rejection
 raises ParseError at the first position where no reading of the prefix can
 continue, listing everything some reading would accept there.
 
-fbar_truth, and diagonal through it, walk a listed program's bucketed tree
-(length <= 7) in two Python calls; past those lengths they read a flat word,
-one comparison of two leaves under zero or more '!', off the word and parse
-any other (all words of length 8 are flat, 99.89% of 9 and 99.76% of 10).  A
-warm lookup of length 8-10 spends about 3.5 us in the descent, 0.8 us reading.
+fbar_truth, and diagonal through it, read a listed program's bucketed tree
+(length <= 7) in one Python call when its root is a comparison, or walk it
+with _beval; past those lengths they read a flat word, one comparison of two
+leaves under zero or more '!', off the word and parse any other (all words of
+length 8 are flat, 99.89% of 9 and 99.76% of 10).  A warm lookup of length
+8-10 spends about 3.5 us in the descent, 0.8 us reading.
 """
 
 from __future__ import annotations
@@ -228,11 +229,11 @@ def _aeval(node, x: int) -> int:
 def _beval(node, x: int) -> bool:
     kind = type(node)
     if kind is Eq or kind is Gt:  # first: every listed tree is one under zero or more '!'
-        # a comparison reads a leaf operand in place, the shared x leaf or a
-        # numeral, and calls _aeval only for a sum, a remainder or another X()
+        # a comparison reads a leaf in place, a numeral (96.5% of listed leaves)
+        # or the shared x leaf, and calls _aeval for a sum, a remainder or another X()
         left, right = node
-        left = x if left is _X else left[0] if type(left) is Num else _aeval(left, x)
-        right = x if right is _X else right[0] if type(right) is Num else _aeval(right, x)
+        left = left[0] if type(left) is Num else x if left is _X else _aeval(left, x)
+        right = right[0] if type(right) is Num else x if right is _X else _aeval(right, x)
         return left == right if kind is Eq else left > right
     if kind is Not:
         return not _beval(node[0], x)
@@ -371,14 +372,21 @@ def diagonal_flip(bits) -> list[int]:
 
 
 def fbar_truth(x: int) -> int:
-    """The x-th flipped-diagonal bit, 1 - (program x on input x); builds no QProgram,
-    and walks a listed program's bucketed tree with no Python call but _beval's."""
+    """The x-th flipped-diagonal bit, 1 - (program x on input x); builds no QProgram, and
+    reads a listed tree in this frame when its root is a comparison (60,002 of 64,446 are)."""
     if x < 1:
         raise ValueError("inputs are positive integers")
     ranked = QLANG_GRAMMAR.ranked  # grammar_derivation extends this list in place
     if x <= len(ranked) or grammar_derivation(QLANG_GRAMMAR, x - 1):
+        node = ranked[x - 1][1]
+        kind = type(node)
+        if kind is Eq or kind is Gt:  # _beval's comparison, read in place
+            left, right = node
+            left = left[0] if type(left) is Num else x if left is _X else _aeval(left, x)
+            right = right[0] if type(right) is Num else x if right is _X else _aeval(right, x)
+            return 0 if (left == right if kind is Eq else left > right) else 1
         # a listed word has at most 7 symbols, so _beval never nears the recursion limit
-        return 0 if _beval(ranked[x - 1][1], x) else 1
+        return 0 if _beval(node, x) else 1
     word = grammar_unrank(QLANG_GRAMMAR, x - 1)
     bit = _flat_output(word, x)
     return 1 - (evaluate(parse(word), x) if bit is None else bit)

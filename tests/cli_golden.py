@@ -165,6 +165,10 @@ def _argvs() -> list:
             ["search", "fbar(9) is 1", "--pack", "5"], ["demo", "incompleteness", "--pack", "5", "--xmax", "8"])]
     out += [["--config", c, "rank", "01"] for c in (
         "unknown.cfg", "noint.cfg", "zero.cfg", "noequals.cfg", "badformat.cfg", "empty.txt", "latin1.txt", *files[2:])]
+    # the largest pack, under commands that read none of its entries
+    out += [["check", "paper_3_1.drv", "--pack", "1000000"],
+            ["decide", "int(w)", "--pack", "1000000", "--format", "json-lines"],
+            ["search", "w+1 > w", "--pack", "1000000", "--format", "json-lines"]]
     return out
 
 

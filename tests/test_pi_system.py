@@ -158,6 +158,58 @@ def test_make_axiom_pack_edges():
     assert str(info.value) == "1000001 exceeds the pack_entries budget of 1000000"
 
 
+def _bit_table(xs):
+    """The frozenset a built pack's entries stood for before they were its rule, at the indices xs."""
+    return frozenset((x, fbar_truth(x)) for x in xs)
+
+
+def _probes(xs):
+    """Hashable items to test for membership: pairs whose key is one of xs, an int-equal
+    non-int (True, 2.0) or not an int at all, with bits -1..2, True and 1.0; and non-pairs."""
+    keys = st.sampled_from(xs) | st.sampled_from([True, False, 1.0, 2.0, 2.5, "1", float("nan"), float("inf"), None])
+    pairs = st.tuples(keys, st.sampled_from([-1, 0, 1, 2, True, 1.0, "0"]))
+    others = st.sampled_from([None, 1, "ab", (), (1,), (1, 0, 0), FbarAtom(1, fbar_truth(1)), FbarAtom(2, 0)])
+    return pairs | others
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 40), st.data())
+def test_a_built_packs_entries_are_the_frozenset_of_its_bits(n, data):
+    entries, table = make_axiom_pack(n).entries, _bit_table(range(1, n + 1))
+    xs = [-1, 0, 1, max(n - 1, 1), n, n + 1]
+    for item in data.draw(st.lists(_probes(xs), max_size=30)):
+        assert (item in entries) == (item in table), item
+    assert len(entries) == len(table) and list(entries) == sorted(table)
+    assert entries == table and table == entries and hash(entries) == hash(table)
+    extra = {(2, 0), (2, 1)}
+    assert type(entries | extra) is frozenset and entries | extra == table | extra
+    assert repr(make_axiom_pack(n)) == f"AxiomPack(n={n}, entries=FbarRule({n}))"
+
+
+@pytest.mark.parametrize("n", [64_447, 200_000, 1_000_000])
+def test_a_large_built_packs_entries_are_its_bits_at_sampled_items(n):
+    # the table holds the bits of the probed indices only: 1 and 2 (True and
+    # 2.0 name them), the last listed program, the first past the bucket, and
+    # the pack's middle and end
+    entries = make_axiom_pack(n).entries
+    xs = [1, 2, 64_446, 64_447, n // 2, n - 1, n, n + 1]
+    table = _bit_table(x for x in xs if x <= n)
+    probe = st.lists(_probes(xs), min_size=50, max_size=50)
+
+    @settings(max_examples=4, deadline=None)
+    @given(probe)
+    def agrees(items):
+        for item in items:
+            assert (item in entries) == (item in table), item
+
+    agrees()
+    assert len(entries) == n
+    if n == 64_447:  # every bit, so the whole set is compared
+        whole = _bit_table(range(1, n + 1))
+        assert entries == whole and whole == entries and hash(entries) == hash(whole)
+        assert list(entries) == sorted(whole)
+
+
 # -- derivation files ------------------------------------------------------------------
 
 def fixture_text():

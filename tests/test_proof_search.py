@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from proofbench import pi_system, proof_search
 from proofbench.pi_system import (
     Accept,
     AxiomPack,
@@ -21,12 +22,14 @@ from proofbench.pi_system import (
     derivation_file_text,
     make_axiom_pack,
     negate_fbar,
+    parse_derivation_file,
     parse_statement,
     statement_vars,
 )
 from proofbench.proof_search import (
     DERIVABLE,
     NOT_DERIVABLE,
+    AuditReport,
     DerivedNegation,
     DerivedTarget,
     Exhausted,
@@ -624,3 +627,59 @@ def test_consistency_audit_reads_the_pack_at_any_x_max(x_max):
     elapsed = time.perf_counter() - started
     assert (report.queries, report.violations) == (2 * x_max, ())
     assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
+
+
+# -- bits read off built packs -----------------------------------------------------------
+
+@pytest.fixture
+def bit_reads(monkeypatch):
+    """The indices of the fbar_truth calls made through the names pi_system
+    and proof_search call, in order."""
+    reads = []
+
+    def counted(x):
+        reads.append(x)
+        return fbar_truth(x)
+
+    monkeypatch.setattr(pi_system, "fbar_truth", counted)
+    monkeypatch.setattr(proof_search, "fbar_truth", counted)
+    return reads
+
+
+def test_a_command_that_reads_no_entry_of_a_large_built_pack_computes_no_bit(bit_reads):
+    pack = make_axiom_pack(10**6)
+    for text in ("int(w)", "w+1 > w"):
+        assert decide(pack, parse_statement(text)) == DERIVABLE
+    verdict = search(pack, parse_statement("int(w)"), candidates_budget(100_000), SearchMode.STRUCTURED)
+    assert (type(verdict), verdict.candidates) == (DerivedTarget, 1)
+    verdict = search(pack, parse_statement("w+1 > w"), candidates_budget(100_000), SearchMode.STRUCTURED)
+    assert verdict == Exhausted(100_000)  # the pack block alone passes the budget
+    derivation, target = parse_derivation_file(FIXTURE.read_text(encoding="utf-8"))
+    assert check_derivation(pack, derivation, target) == Accept()
+    assert bit_reads == []
+
+
+@pytest.mark.parametrize("n, x_max", [(25, 10), (25, 40), (10**6, 30)])
+def test_the_gap_and_the_consistency_audit_read_at_most_one_bit_per_index(bit_reads, n, x_max):
+    pack = make_axiom_pack(n)
+    expected = oracles.completeness_gap(pack, x_max)  # it decides both bits of every x
+    del bit_reads[:]
+    assert completeness_gap(pack, x_max) == expected
+    assert len(bit_reads) <= min(x_max, n)
+    del bit_reads[:]
+    assert audit_consistency(pack, x_max) == AuditReport("consistency", 2 * x_max, ())
+    assert bit_reads == []
+
+
+def test_the_soundness_audit_computes_each_bit_of_a_built_pack_once(bit_reads):
+    assert audit_soundness(make_axiom_pack(30)) == AuditReport("soundness", 60, ())
+    assert bit_reads == list(range(1, 31))
+
+
+def test_a_check_reads_at_most_one_bit_per_fbar_line(bit_reads):
+    bits = [fbar_truth(x) for x in (1, 2, 3)]
+    text = "vars:\ntarget: fbar(3) is {2}\n1. fbar(1) is {0} [axiom FBAR(1)]\n2. fbar(2) is {1} [axiom FBAR(2)]\n"
+    text += "3. fbar(3) is {2} [axiom FBAR(3)]\n"
+    derivation, target = parse_derivation_file(text.format(*bits))
+    assert check_derivation(make_axiom_pack(5), derivation, target) == Accept()
+    assert len(bit_reads) <= 3

@@ -485,10 +485,11 @@ def _python_calls(fn, *args):
 
 
 @pytest.mark.parametrize(
-    "x, source, calls", [(1, "(x=x)", 2), (4203, "!(x=x)", 3), (64_446, "!!(9>9)", 4)], ids=["1", "4203", "64446"]
+    "x, source, calls", [(1, "(x=x)", 1), (4203, "!(x=x)", 3), (64_446, "!!(9>9)", 4)], ids=["1", "4203", "64446"]
 )
 def test_a_listed_bit_is_one_walk_of_its_bucketed_tree(x, source, calls):
-    # fbar_truth itself, then one _beval per '!' and one for the comparison
+    # fbar_truth itself, which reads a comparison at the root in place; under
+    # '!', one _beval per '!' and one for the comparison
     assert nth_program(x).source == source
     fbar_truth(x)  # warm: the bucket holds x
     assert _python_calls(fbar_truth, x) == ["fbar_truth"] + ["_beval"] * (calls - 1)
