@@ -470,8 +470,7 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args, cfg)
     except (NestingError, RecursionError):
-        # statements stop at pi_system.MAX_NESTING; the grammar engine's count, unrank
-        # and recognizer, and pretty_term below MAX_NESTING, still recurse
+        # statements stop at pi_system.MAX_NESTING; pretty_term below it still recurses
         print("error: input nested too deeply", file=sys.stderr)
         return 1
     except (ValueError, ResourceLimitError, OSError) as exc:  # ParseError and GrammarError are ValueErrors

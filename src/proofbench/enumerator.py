@@ -17,12 +17,14 @@ actions make of the derivation.  A production suffix splits at its first
 nonterminal, and the terminals before it are fixed text, so the DP itself
 never values a suffix that starts after a terminal: Q-lang's
 "( aexp cmp aexp )" puts "(" in front of each word of aexp with the rest,
-with no list for "aexp cmp aexp )".  Each split computes its head before
-its tail, and the tail only for a nonzero head, so the memo fills from
-short lengths up; the caller owns the memo and its budget.  Counting is by
-derivation, which equals counting by word exactly when the grammar is
-unambiguous; every grammar shipped in this package is, and the test suite
-checks this against a brute-force oracle.
+with no list for "aexp cmp aexp )".  A split's head is no longer than its
+nonterminal's longest word, nor so short that the tail outgrows its own, so
+S -> a S | a splits once per length.  One explicit stack fills each entry
+after those it needs, as it fills the chart's counts below, so no call
+nests however long the word; the caller owns the memo and its budget.
+Counting is by derivation, which equals counting by word exactly when the
+grammar is unambiguous; every grammar shipped in this package is, and the
+test suite checks this against a brute-force oracle.
 
 grammar_unrank finds the word's length from cumulative counts, then the
 word itself in one of two ways.  The lengths before the first with more
@@ -77,8 +79,6 @@ import sys
 from collections import Counter
 
 from .errors import ResourceLimitError
-
-_UNBOUNDED = None  # sentinel for "no finite maximum word length"
 
 # A length with at most this many words is unranked from its materialized
 # bucket; the lists kept while building one may hold at most 4x as many
@@ -208,26 +208,18 @@ def stream(alphabet: Alphabet, from_: int, count: int) -> list[str]:
     return [unrank(alphabet, from_ + i) for i in range(count)]
 
 
-def _post_order(roots, edges: dict):
-    """(the nodes reachable from roots, each after those its edges reach, None),
-    or (None, the node that closes a cycle).  Iterative, for long chains."""
-    state, order = {}, []  # state: 1 while on the path, 2 once finished
-    for root in roots:
-        path = [] if root in state else [(root, iter(edges[root]))]
-        state.setdefault(root, 1)
-        while path:
-            node, rest = path[-1]
-            nxt = next(rest, None)
-            if nxt is None:
-                path.pop()
-                state[node] = 2
-                order.append(node)
-            elif state.get(nxt) == 1:
-                return None, nxt
-            elif nxt not in state:
-                state[nxt] = 1
-                path.append((nxt, iter(edges[nxt])))
-    return order, None
+def _drive(fill) -> None:
+    """Run fill from one explicit stack.  A fill is a generator that stores a
+    memo entry: it yields the fill of each entry it needs and lacks, and reads
+    that entry when it resumes, so no call nests however long the chain."""
+    stack = [None]
+    while fill:
+        need = next(fill, None)
+        if need is None:
+            fill = stack.pop()
+        else:
+            stack.append(fill)
+            fill = need
 
 
 class Grammar:
@@ -257,8 +249,15 @@ class Grammar:
         if any(rhs not in self.productions.get(nt, ()) for nt, rhs in self.actions):
             raise GrammarError("every action must be keyed by a production (nonterminal, rhs)")
         # memoization caches; contents are pure functions of the grammar
-        self._counts: dict = {}
-        self._count_sym, self._count_seq = _counter(self)
+        counts = self._counts = {}
+
+        def keep(key, value):  # past _COUNT_ENTRIES entries, read at each store, a count raises
+            counts[key] = value
+            if len(counts) > _COUNT_ENTRIES:
+                raise ResourceLimitError("count_entries", _COUNT_ENTRIES, len(counts))
+
+        self._count = _length_dp(self, counts.get, keep, int, lambda lhs, rhs, i: 1,
+                                 lambda lhs, rhs, i, j, head, tail: head * tail)
         self.ranked: list = []  # the (word, value) pairs of every bucketed length, in rank order
         self._bucket_end = float("inf")  # the rank where the bucketed lengths end, once known
         self._cum: list[int] = [0]  # _cum[L] = number of words shorter than L
@@ -286,15 +285,22 @@ class Grammar:
                         raise GrammarError(f"undeclared symbol {sym!r} in a production of {nt!r}")
 
         # unit-production cycles (A -> B, B -> A) would make the length
-        # dynamic program circular; reject them up front
-        unit_edges = {
-            nt: {rhs[0] for rhs in alts if len(rhs) == 1 and rhs[0] in prods}
-            for nt, alts in prods.items()
-        }
-        unit_order, cycle = _post_order(prods, unit_edges)  # A -> B puts B before A
-        if cycle is not None:
-            raise GrammarError(f"unit-production cycle through {cycle!r}")
-        self._unit_rank = {nt: i for i, nt in enumerate(unit_order)}
+        # dynamic program circular; reject them up front.  A -> B ranks B first.
+        units = {nt: {rhs[0] for rhs in alts if len(rhs) == 1 and rhs[0] in prods} for nt, alts in prods.items()}
+        unit_rank, path = {}, set()
+
+        def rank_units(nt):
+            path.add(nt)
+            for child in units[nt]:
+                if child in path:
+                    raise GrammarError(f"unit-production cycle through {child!r}")
+                if child not in unit_rank:
+                    yield rank_units(child)
+            path.remove(nt)
+            unit_rank[nt] = len(unit_rank)
+
+        _drive(rank_units(nt) for nt in prods if nt not in unit_rank)
+        self._unit_rank = unit_rank
 
         # Earley prediction: each nonterminal's direct left corners; a chart
         # column closes its awaited set over them
@@ -350,32 +356,31 @@ class Grammar:
             raise GrammarError("start symbol derives no finite word")
         self._minlen = minlen
 
-        # finiteness: the longest word, over the usable productions (those
-        # whose symbols are all productive) reachable from the start.  The
-        # language is infinite iff they close a cycle; otherwise the longest
-        # word of each nonterminal follows from its children's, in post-order.
-        usable = {
-            nt: [rhs for rhs in alts if all(s in terminal_set or minlen[s] is not None for s in rhs)]
-            for nt, alts in prods.items()
-        }
-        order, _ = _post_order([self.start], {nt: {s for rhs in alts for s in rhs if s in prods}
-                                              for nt, alts in usable.items()})
-        maxlen: dict[str, int] = {}
-        for nt in order or ():
-            maxlen[nt] = max(sum(1 if s in terminal_set else maxlen[s] for s in rhs) for rhs in usable[nt])
-        self._max_word_len = maxlen.get(self.start, _UNBOUNDED)
+        # the longest word of each nonterminal, over its usable productions
+        # (those whose symbols are all productive): inf while on the path, so
+        # one that reaches itself, and each that reaches it, is unbounded
+        maxlen = self._maxlen = {}
 
-        # precomputed minimum lengths for every production suffix, and where
-        # the run of terminals that starts it ends: rhs[i:j] are terminals and
-        # rhs[j] is the suffix's first nonterminal, or j == len(rhs)
-        suffix_min: dict = {}
-        run_end: dict = {}
+        def longest(nt):
+            maxlen[nt] = math.inf
+            usable = [rhs for rhs in prods[nt] if all(minlen.get(s, 1) for s in rhs)]  # a terminal is one symbol
+            for s in (s for rhs in usable for s in rhs if s in prods and s not in maxlen):
+                yield longest(s)
+            maxlen[nt] = max((sum(maxlen.get(s, 1) for s in rhs) for rhs in usable), default=0)
+
+        _drive(longest(nt) for nt in prods if nt not in maxlen)
+        self._max_word_len = maxlen[self.start]
+
+        # precomputed minimum and maximum lengths for every production suffix,
+        # and where the run of terminals that starts it ends: rhs[i:j] are
+        # terminals and rhs[j] is the suffix's first nonterminal, or j == len(rhs)
+        self._suffix_min, self._suffix_max, self._run_end = suffix_min, suffix_max, run_end = {}, {}, {}
         big = 1 << 60
         for nt, alts in prods.items():
             for rhs in alts:
-                acc = 0
+                acc = top = 0
                 j = len(rhs)
-                suffix_min[(rhs, j)], run_end[(rhs, j)] = 0, j
+                suffix_min[(rhs, j)], suffix_max[(rhs, j)], run_end[(rhs, j)] = 0, 0, j
                 for i in range(len(rhs) - 1, -1, -1):
                     sym = rhs[i]
                     if sym in terminal_set:
@@ -383,9 +388,8 @@ class Grammar:
                     else:
                         m, j = (minlen[sym] if minlen[sym] is not None else big), i
                     acc = min(acc + m, big)
-                    suffix_min[(rhs, i)], run_end[(rhs, i)] = acc, j
-        self._suffix_min = suffix_min
-        self._run_end = run_end
+                    top += maxlen.get(sym, 1)
+                    suffix_min[(rhs, i)], suffix_max[(rhs, i)], run_end[(rhs, i)] = acc, top, j
 
     # -- caches and recognition ---------------------------------------------
 
@@ -418,66 +422,65 @@ class Grammar:
         return state._up(self._rep[word[-1]], 0) > 0
 
 
-def _length_dp(grammar: Grammar, memo: dict, keep, zero, end, join):
-    """(sym, seq): one memoized length-split DP over the caller's algebra.
+def _length_dp(grammar: Grammar, look, keep, zero, end, join):
+    """entry: one memoized length-split DP over the caller's algebra.
 
-    sym(nt, l) values the derivations of a nonterminal over l symbols,
-    seq(rhs, i, l, lhs) those of rhs[i:].  A run of terminals rhs[i:j] is
-    fixed text in front of the suffix's first nonterminal rhs[j], so a split
-    joins rhs[j]'s value with rhs[j + 1:]'s directly, and no value is made
-    for a suffix that starts after a terminal unless the caller asks for it.
-    The algebra is a fresh zero(), +=, end(lhs, rhs, i), the value of a
-    suffix rhs[i:] of terminals only (at its one length), and
-    join(lhs, rhs, i, j, head, tail) of rhs[j]'s value and rhs[j + 1:]'s
-    behind the run rhs[i:j] (lhs matters only for a whole rhs, i == 0).
-    keep(key, value) stores an entry in memo, or declines to, under the
-    caller's budget; a suffix of terminals only is not offered.  A split
-    computes its head first and its tail only for a nonzero head, so the
-    memo fills from short lengths up and the recursion deepens with the
-    nesting of nonterminals, not the length.
+    entry(nt, l) values the derivations of a nonterminal over l symbols,
+    entry(rhs, i, l) those of rhs[i:], a suffix with a nonterminal.  A run of
+    terminals rhs[i:j] is fixed text in front of the suffix's first
+    nonterminal rhs[j], so a split joins rhs[j]'s value with rhs[j + 1:]'s
+    directly.  A head is no longer than its nonterminal's longest word, nor
+    so short that the tail outgrows its own.  The algebra is a fresh zero(),
+    +=, end(lhs, rhs, i), the value of a suffix rhs[i:] of terminals only (at
+    its one length), and join(lhs, rhs, i, j, head, tail) of rhs[j]'s value
+    and rhs[j + 1:]'s behind the run rhs[i:j] (lhs matters only for a whole
+    rhs, i == 0).  look(key) reads an entry or None; keep(key, value) stores
+    one, or declines to, under the caller's budget.  _drive fills each entry
+    after those it needs, a head first and its tail only for a nonzero head.
+    A whole rhs's fill runs inside its nonterminal's, which takes its value.
     """
-    prods, minlen = grammar.productions, grammar._minlen
-    suffix_min, run_end = grammar._suffix_min, grammar._run_end
+    prods, minlen, maxlen = grammar.productions, grammar._minlen, grammar._maxlen
+    suffix_min, suffix_max, run_end = grammar._suffix_min, grammar._suffix_max, grammar._run_end
 
-    def sym(nt, l):
-        value = memo.get((nt, l))
-        if value is None:
-            value = zero()
-            for rhs in prods[nt]:
-                value += seq(rhs, 0, l, nt)
-            keep((nt, l), value)
+    def fill_sym(nt, l):
+        value = zero()
+        for rhs in prods[nt]:
+            if run_end[(rhs, 0)] < len(rhs):
+                value += yield from fill_seq(rhs, 0, l, nt)
+            elif l == len(rhs):
+                value += end(nt, rhs, 0)
+        keep((nt, l), value)
+
+    def fill_seq(rhs, i, l, lhs):
+        j = run_end[(rhs, i)]
+        rest = l - (j - i)  # the run rhs[i:j] spans one symbol per terminal
+        nt, k = rhs[j], j + 1
+        terminals = run_end[(rhs, k)] == len(rhs)  # a tail of terminals only: the bounds fit it exactly
+        value = zero()
+        # minlen is None for a nonterminal that derives nothing
+        for l1 in range(max(minlen[nt] or rest + 1, rest - suffix_max[(rhs, k)]),
+                        min(maxlen[nt], rest - suffix_min[(rhs, k)]) + 1):
+            head = look((nt, l1))
+            if head is None:
+                yield fill_sym(nt, l1)
+                head = look((nt, l1))
+            if head:
+                tail = end(lhs, rhs, k) if terminals else look((rhs, k, rest - l1))
+                if tail is None:
+                    yield fill_seq(rhs, k, rest - l1, None)
+                    tail = look((rhs, k, rest - l1))
+                value += join(lhs, rhs, i, j, head, tail)
+        keep((rhs, i, l), value)
         return value
 
-    def seq(rhs, i, l, lhs=None):
-        value = memo.get((rhs, i, l))
+    def entry(*key):
+        value = look(key)
         if value is None:
-            j = run_end[(rhs, i)]
-            rest = l - (j - i)  # the run rhs[i:j] spans one symbol per terminal
-            if j == len(rhs):
-                return end(lhs, rhs, i) if rest == 0 else zero()
-            value = zero()
-            # minlen is None for a nonterminal that derives nothing
-            for l1 in range(minlen[rhs[j]] or rest + 1, rest - suffix_min[(rhs, j + 1)] + 1):
-                head = sym(rhs[j], l1)
-                if head:
-                    value += join(lhs, rhs, i, j, head, seq(rhs, j + 1, rest - l1))
-            keep((rhs, i, l), value)
+            _drive(fill_sym(*key) if len(key) == 2 else fill_seq(*key, None))
+            value = look(key)
         return value
 
-    return sym, seq
-
-
-def _counter(grammar: Grammar):
-    """The counting (sym, seq) over grammar._counts, which Grammar builds once.
-    Past _COUNT_ENTRIES entries, read at each store, a count raises."""
-    counts = grammar._counts
-
-    def keep(key, value):
-        counts[key] = value
-        if len(counts) > _COUNT_ENTRIES:
-            raise ResourceLimitError("count_entries", _COUNT_ENTRIES, len(counts))
-
-    return _length_dp(grammar, counts, keep, int, lambda lhs, rhs, i: 1, lambda lhs, rhs, i, j, head, tail: head * tail)
+    return entry
 
 
 def grammar_count(grammar: Grammar, length: int) -> int:
@@ -485,14 +488,21 @@ def grammar_count(grammar: Grammar, length: int) -> int:
     The counts persist on the grammar, at most _COUNT_ENTRIES of them."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    return grammar._count_sym(grammar.start, length)
+    return grammar._count(grammar.start, length)
 
 
 def _bucket(grammar: Grammar, length: int) -> list:
     """All (word, value) pairs of the given length, in rank order."""
     actions = grammar.actions
+    start, cum, ranked = grammar.start, grammar._cum, grammar.ranked
+    listed = bisect.bisect_left(cum, len(ranked))  # the lengths below it are listed
     memo: dict = {}
     cells = 0
+
+    def look(key):  # the start symbol's listed pairs, read when asked for, are not counted again
+        if key[0] == start and key[1] < listed and key not in memo:
+            memo[key] = ranked[cum[key[1]]:cum[key[1] + 1]]
+        return memo.get(key)
 
     def keep(key, pairs):
         nonlocal cells
@@ -521,15 +531,11 @@ def _bucket(grammar: Grammar, length: int) -> list:
         act = actions.get((lhs, rhs))
         return [(word := w + t, act and act(word, v + c)) for w, v in heads for t, c in tails]
 
-    derive, _ = _length_dp(grammar, memo, keep, list, end, join)
-    # the start symbol's pairs of every length already listed are reused, not
-    # rebuilt, and not counted again; a stable sort keeps the relative order
-    # of an ambiguous grammar's copies of one word, so the result is the same
-    start, cum, ranked = grammar.start, grammar._cum, grammar.ranked
-    for n in range(bisect.bisect_left(cum, len(ranked))):
-        memo[(start, n)] = ranked[cum[n]:cum[n + 1]]
+    derive = _length_dp(grammar, look, keep, list, end, join)
     # every word of one length is ranked by its symbols' ranks; an ASCII
-    # word is ranked as bytes, which translate twice as fast as a str
+    # word is ranked as bytes, which translate twice as fast as a str.  A
+    # stable sort keeps the relative order of an ambiguous grammar's copies
+    # of one word, so a listed length's pairs are those a rebuild would give.
     symbols = "".join(grammar.alphabet.symbols)
     if symbols.isascii():
         ranks = bytes.maketrans(symbols.encode(), bytes(range(len(symbols))))
@@ -544,9 +550,10 @@ def _bucket(grammar: Grammar, length: int) -> list:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return sorted(derive(start, length), key=key)
+        pairs = derive(start, length)
+        return sorted(pairs, key=key) if len(pairs) > 1 else pairs
     finally:
-        memo.clear()  # the DP's two functions form a cycle that would keep it alive
+        memo.clear()  # the DP's functions form a cycle that would keep it alive
         if enabled:
             if not gc.get_freeze_count():
                 gc.freeze()
@@ -656,21 +663,34 @@ class _Chart:
         item and then, begun in its origin, its lhs and all its ancestors."""
         total = self.ups.get((sym, r))
         if total is None:
-            grammar = self.grammar
-            total = int(sym == grammar.start and r == 0 and not self.level)
-            for lhs, rhs, dot, origin, w in self.column.get(sym, ()):
-                dot += 1
-                n = len(rhs) - dot
-                if grammar._run_end[(rhs, dot)] == len(rhs):  # terminals only: one way, over n symbols
-                    if r >= n:
-                        total += w * origin._up(lhs, r - n)
-                    continue
-                for r1 in range(grammar._suffix_min[(rhs, dot)], r + 1):
-                    c = grammar._count_seq(rhs, dot, r1)
-                    if c:
-                        total += w * c * origin._up(lhs, r - r1)
-            self.ups[(sym, r)] = total
+            _drive(self._fill(sym, r))
+            total = self.ups[(sym, r)]
         return total
+
+    def _fill(self, sym: str, r: int):
+        """Store _up(sym, r) in ups, after the origins' counts that it reads."""
+        grammar = self.grammar
+        total = int(sym == grammar.start and r == 0 and not self.level)
+        for lhs, rhs, dot, origin, w in self.column.get(sym, ()):
+            dot += 1
+            if grammar._run_end[(rhs, dot)] == len(rhs):  # terminals only: one way, over its one length
+                r2 = r - len(rhs) + dot
+                if r2 >= 0:
+                    up = origin.ups.get((lhs, r2))
+                    if up is None:
+                        yield origin._fill(lhs, r2)
+                        up = origin.ups[(lhs, r2)]
+                    total += w * up
+                continue
+            for r1 in range(grammar._suffix_min[(rhs, dot)], r + 1):
+                c = grammar._count(rhs, dot, r1)
+                if c:
+                    up = origin.ups.get((lhs, r - r1))
+                    if up is None:
+                        yield origin._fill(lhs, r - r1)
+                        up = origin.ups[(lhs, r - r1)]
+                    total += w * c * up
+        self.ups[(sym, r)] = total
 
 
 def _locate(grammar: Grammar, k: int):
@@ -680,7 +700,7 @@ def _locate(grammar: Grammar, k: int):
     cum = grammar._cum
     length = len(cum) - 1
     while cum[length] <= k:
-        if grammar._max_word_len is not _UNBOUNDED and length > grammar._max_word_len:
+        if length > grammar._max_word_len:
             raise ValueError(f"rank {k} is beyond the language: only {cum[length]} words exist")
         cum.append(cum[length] + grammar_count(grammar, length))
         if cum[-1] - cum[length] > _BUCKET_WORDS:  # no bucket holds it, so the bucketed lengths end before it

@@ -11,11 +11,12 @@ import sys
 
 
 class ParseError(ValueError):
-    def __init__(self, position: int, expected: tuple[str, ...], message: str = ""):
+    def __init__(self, position: int, expected: tuple[str, ...]):
         self.position = position
         self.expected = tuple(expected)
-        detail = message or "expected " + " or ".join(expected)
-        super().__init__(f"parse error at position {position}: {detail}")
+
+    def __str__(self) -> str:  # written when printed, not at each raise: most are caught unread
+        return f"parse error at position {self.position}: expected " + " or ".join(self.expected)
 
 
 class NestingError(ParseError):

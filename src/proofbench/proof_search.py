@@ -107,7 +107,6 @@ from .pi_system import (
     Var,
     can_form,
     check_derivation,
-    negate_fbar,
     statement_vars,
 )
 from .qlang import fbar_truth
@@ -289,7 +288,7 @@ def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: S
             raise _Stop(key)
         queue.append(key)
 
-    goal = next(iter(goals))  # the goals share one shape
+    goal = next(iter(goals))  # search hands over one goal
     left, right = list(ids)[goal] if type(goal) is int else (None, None)  # a leaf's left, "v" or "n", is no id
     ints_seen: list = []
     greater_by_lhs: dict = {}
@@ -304,13 +303,12 @@ def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: S
         if entries:  # the pack's atoms in sorted order, one block: the range of offsets
             n = at = len(entries)  # at: the offset of the earliest goal atom, n if none
             built = type(entries) is FbarRule
-            if type(goal) is FbarAtom:
-                first = (goal.x, 0) if (goal.x, 0) in entries else (goal.x, 1)
-                if first in entries:
-                    at = int(goal.x) - 1 if built else sum(1 for entry in entries if entry < first)
+            if type(goal) is FbarAtom:  # search found it among the entries
+                first = (goal.x, goal.bit)
+                at = int(goal.x) - 1 if built else sum(1 for entry in entries if entry < first)
             if not built:  # the search reads the entries up to its goal, or one past its budget
                 _check_atoms(entries, min(at + 1, n, limit - candidates + 1))
-            push(range(n), min(at + 1, n), FbarAtom(*first) if at < n else None)
+            push(range(n), min(at + 1, n), goal if at < n else None)
         while True:
             # the numeral stream keeps the worklist fed even from empty seeds
             emit(term_id(("n", next_numeral), len(ids)))
@@ -393,11 +391,10 @@ def _search_literal(pack: AxiomPack, header, ids: dict, goals: set, budget: Sear
     """Build a goal's first proof term and count it by its rank; no other
     string is generated."""
     limit = budget.max_candidates
-    goal = next(iter(goals))  # the goals share one shape
+    goal = next(iter(goals))  # search hands over one goal
     r1: dict = {}
-    if isinstance(goal, FbarAtom):
-        goal = FbarAtom(goal.x, 0 if (goal.x, 0) in pack.entries else 1)
-        word = f"F{goal.x}." if (goal.x, goal.bit) in pack.entries else None
+    if isinstance(goal, FbarAtom):  # search found it among the entries
+        word = f"F{goal.x}."
     elif type(goal) is int:
         word = _int_proof(list(ids), goal)
     else:
@@ -441,13 +438,13 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     header = statement_vars(target)
     ids: dict = {}  # term ids: ("v", name), ("n", value) or (left id, right id) -> id
     target_key = _key(target, ids)
-    goals = {target_key}
-    if isinstance(target, FbarAtom):
-        goals.add(negate_fbar(target))
-    if not any(_derivable(pack, goal, ids) for goal in goals):
+    # the one goal: the target, or for an fbar target the entry F reads at x, bit 0 if both are in
+    options = [FbarAtom(target.x, 0), FbarAtom(target.x, 1)] if isinstance(target, FbarAtom) else [target_key]
+    goal = next((goal for goal in options if _derivable(pack, goal, ids)), None)
+    if goal is None:
         return Exhausted(budget.max_candidates)
     run = _search_structured if mode is SearchMode.STRUCTURED else _search_literal
-    found, r1, candidates = run(pack, header, ids, goals, budget)
+    found, r1, candidates = run(pack, header, ids, {goal}, budget)
     if found is None:
         return Exhausted(candidates)
     return _verdict(pack, _reconstruct(header, ids, r1, found), candidates, found == target_key)

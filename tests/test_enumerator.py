@@ -231,11 +231,21 @@ def test_grammar_count_equals_words_for_unambiguous_grammar():
 
 
 def test_cold_count_of_a_long_qlang_length():
-    # each split counts its head before its tail, so the memo fills from short
-    # lengths up and the recursion does not deepen with the length
+    # the entries are filled from one explicit stack, so no call nests with the
+    # length, and each split's head and tail are bounded by their longest words
     g = Grammar(QLANG_GRAMMAR.alphabet, QLANG_GRAMMAR.start, QLANG_GRAMMAR.productions)
     count = grammar_count(g, 1000)
     assert (len(str(count)), count % (2**61 - 1)) == (1002, 1751370876803359850)
+
+
+def test_one_word_per_length_unranks_with_a_fixed_number_of_counts_per_length():
+    # S -> a S splits once per length, and each length's build reads the one
+    # listed length it wraps: the work is linear in the rank, not quadratic
+    g = _grammar({"S": [["a", "S"], ["a"]]})
+    assert grammar_unrank(g, 9000) == "a" * 9001
+    sizes = g.cache_sizes()
+    assert sizes["count_sym"] + sizes["count_seq"] == 2 * 9002  # lengths 0-9001: S and S's a S
+    assert (sizes["bucket_lengths"], sizes["bucket_words"]) == (9002, 9001)
 
 
 @st.composite

@@ -416,10 +416,10 @@ def test_decide_agrees_with_both_search_loops(target, pack, max_candidates, mode
     ids: dict = {}
     goals = {_key(target, ids)}
     negation = negate_fbar(target) if isinstance(target, FbarAtom) else None
-    if negation is not None:
-        goals.add(negation)
+    if negation is not None:  # search hands a mode the entry F picks at x, bit 0 if both are in, if any
+        goals = set([FbarAtom(target.x, bit) for bit in (0, 1) if (target.x, bit) in pack.entries][:1])
     run = _search_structured if mode is SearchMode.STRUCTURED else _search_literal
-    found, _, candidates = run(pack, header, ids, goals, budget)
+    found, _, candidates = run(pack, header, ids, goals, budget) if goals else (None, None, max_candidates)
     verdict = search(pack, target, budget, mode)
     assert verdict.candidates == candidates
     if found is not None:  # a found goal is derivable
@@ -683,3 +683,33 @@ def test_a_check_reads_at_most_one_bit_per_fbar_line(bit_reads):
     derivation, target = parse_derivation_file(text.format(*bits))
     assert check_derivation(make_axiom_pack(5), derivation, target) == Accept()
     assert len(bit_reads) <= 3
+
+
+@pytest.mark.parametrize("mode", list(SearchMode))
+@pytest.mark.parametrize("x, truth", [(13, 0), (700_000, 1)])
+@pytest.mark.parametrize("claim", [0, 1])
+def test_an_fbar_search_reads_the_bit_of_its_index_at_most_three_times(bit_reads, mode, x, truth, claim):
+    # search reads the pack's entry at x once for both modes: (x, 0), then
+    # (x, 1) when the bit is 1; the checker reads the found line's bit again
+    assert fbar_truth(x) == truth  # through the module's own name, so not counted
+    verdict = search(make_axiom_pack(10**6), FbarAtom(x, claim), candidates_budget(10**12), mode)
+    assert type(verdict) is (DerivedTarget if claim == truth else DerivedNegation)
+    assert verdict.derivation.lines[-1].statement == FbarAtom(x, truth)
+    assert len(bit_reads) <= 3 and set(bit_reads) == {x}
+
+
+@pytest.mark.parametrize("mode", list(SearchMode))
+@pytest.mark.parametrize("entries, found", [
+    ({(3, 1), (5, 1)}, FbarAtom(5, 1)),
+    ({(3, 1), (5, 0), (5, 1)}, FbarAtom(5, 0)),  # both bits are entries: F picks bit 0
+    ({(3, 1)}, None),
+])
+def test_an_fbar_search_of_a_hand_built_pack_finds_the_entry_that_f_picks(bit_reads, mode, entries, found):
+    for claim in (0, 1):
+        verdict = search(AxiomPack(5, frozenset(entries)), FbarAtom(5, claim), candidates_budget(10**12), mode)
+        if found is None:
+            assert verdict == Exhausted(10**12)
+        else:
+            assert type(verdict) is (DerivedTarget if claim == found.bit else DerivedNegation)
+            assert verdict.derivation.lines[-1].statement == found
+    assert bit_reads == []

@@ -309,7 +309,7 @@ def test_grammar_reports_its_cache_sizes(monkeypatch, capsys):
     assert list(sizes) == sorted(sizes)
     assert sizes == {  # lengths 0-7 are held, the empty lengths 0-4 among them
         "bucket_lengths": 8, "bucket_words": sum(WORDS_PER_LENGTH), "chart_counts": 0, "chart_moves": 0,
-        "chart_states": 0, "count_seq": 63, "count_sym": 27,
+        "chart_states": 0, "count_seq": 63, "count_sym": 22,
     }
     assert capsys.readouterr() == ("", "")
 
@@ -390,7 +390,7 @@ def test_a_past_bucket_lookup_checks_for_a_listed_derivation_once(monkeypatch):
 PINNED_WORDS_DIGEST = "9c8e3c285480827fc7b1a944e8f31b2682ace21c0010e515fabb6a13f6b00ea6"
 PINNED_CACHE_SIZES = {
     "bucket_lengths": 0, "bucket_words": 0, "chart_counts": 707, "chart_moves": 75, "chart_states": 44,
-    "count_seq": 138, "count_sym": 57,
+    "count_seq": 138, "count_sym": 40,
 }
 
 

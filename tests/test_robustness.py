@@ -222,10 +222,6 @@ def _fresh_qlang():
     return Grammar(qlang.QLANG_ALPHABET, qlang.QLANG_GRAMMAR.start, qlang.QLANG_GRAMMAR.productions)
 
 
-def _recursion_fault(item):
-    return pytest.mark.xfail(strict=True, raises=RecursionError, reason=f"ROADMAP item {item}")
-
-
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: qlang.evaluate(_DEEP_Q, 1), id="qlang evaluate"),
     pytest.param(lambda: qlang.pretty(_DEEP_Q.ast), id="qlang pretty"),
@@ -238,11 +234,10 @@ def _recursion_fault(item):
     pytest.param(lambda: pi_system.parse_statement(_STATEMENT_499) == pi_system.parse_statement(_STATEMENT_499),
                  id="statement =="),
     pytest.param(lambda: repr(pi_system.parse_statement(_STATEMENT_499)), id="statement repr"),
-    pytest.param(lambda: grammar_count(_chain(), 1), id="unit chain count", marks=_recursion_fault(3)),
-    pytest.param(lambda: grammar_unrank(_chain(), 0), id="unit chain unrank", marks=_recursion_fault(3)),
-    pytest.param(lambda: _chain().recognizes("a"), id="unit chain recognizes", marks=_recursion_fault(3)),
-    pytest.param(lambda: _fresh_qlang().recognizes("!" * 1000 + "(x=x)"), id="recognizes 1000 deep",
-                 marks=_recursion_fault(3)),
+    pytest.param(lambda: grammar_count(_chain(), 1), id="unit chain count"),
+    pytest.param(lambda: grammar_unrank(_chain(), 0), id="unit chain unrank"),
+    pytest.param(lambda: _chain().recognizes("a"), id="unit chain recognizes"),
+    pytest.param(lambda: _fresh_qlang().recognizes("!" * 1000 + "(x=x)"), id="recognizes 1000 deep"),
 ])
 def test_public_functions_return_on_deep_inputs(call):
     try:
