@@ -469,8 +469,7 @@ def main(argv=None) -> int:
         return 64
     try:
         return _HANDLERS[args.command](args, cfg)
-    except (NestingError, RecursionError):
-        # statements stop at pi_system.MAX_NESTING; pretty_term below it still recurses
+    except NestingError:
         print("error: input nested too deeply", file=sys.stderr)
         return 1
     except (ValueError, ResourceLimitError, OSError) as exc:  # ParseError and GrammarError are ValueErrors

@@ -107,16 +107,45 @@ def negate_fbar(statement: FbarAtom) -> FbarAtom:
 
 
 def statement_vars(statement) -> tuple[str, ...]:
-    """Variable names occurring in the statement, in first-appearance order."""
-    seen: dict = {}  # names in insertion order; the values are unused
-    stack = [statement.rhs, statement.lhs] if isinstance(statement, Greater) else [getattr(statement, "term", None)]
-    while stack:  # an explicit stack: term depth is not bounded by recursion
-        t = stack.pop()
-        if isinstance(t, Sum):
-            stack += (t.right, t.left)
-        elif isinstance(t, Var):
-            seen.setdefault(t.name)
-    return tuple(seen)
+    """Variable names occurring in the statement, in first-appearance order: its ("v", name) ids (_key)."""
+    ids: dict = {}
+    _key(statement, ids)
+    return tuple(name for kind, name in ids if kind == "v")
+
+
+def _key(statement, ids: dict, seen: dict | None = None):
+    """int(t) -> t's id in ids, a > b -> (a's id, b's id), else (an fbar atom) itself.  ids
+    interns ("v", name), ("n", value), (left id, right id) for a sum and (None, leaf) for other
+    leaves, parts first: two terms get one id iff they are ==.  seen maps id(sum) -> (sum, id)."""
+    seen = {} if seen is None else seen
+    if type(statement) is IntTyping:
+        return _term_id(statement.term, ids, seen)
+    if type(statement) is Greater:
+        return _term_id(statement.lhs, ids, seen), _term_id(statement.rhs, ids, seen)
+    return statement
+
+
+def _term_id(term, ids: dict, seen: dict) -> int:
+    """term's id in ids (see _key).  seen holds each sum it names, so no id in it is reused."""
+    kind = type(term)
+    if kind is not Sum:
+        leaf = ("v", term.name) if kind is Var else ("n", term.value) if kind is Num else (None, term)
+        return ids.setdefault(leaf, len(ids))
+    if id(term) not in seen:
+        left, right = term
+        if (type(left) is not Sum or id(left) in seen) and (type(right) is not Sum or id(right) in seen):
+            seen[id(term)] = term, ids.setdefault((_term_id(left, ids, seen), _term_id(right, ids, seen)), len(ids))
+        else:  # a walk from an explicit stack enters the new sums in seen, parts first: any depth is fine
+            stack = [term]
+            while stack:
+                t = stack.pop()
+                if t is stack:  # the stack marks that the sum below it has its parts in seen: one step interns it
+                    _term_id(stack.pop(), ids, seen)
+                elif type(t) is not Sum:
+                    _term_id(t, ids, seen)  # a leaf, interned in order
+                elif id(t) not in seen:
+                    stack += (t, stack, t.right, t.left)
+    return seen[id(term)][1]
 
 
 # -- justifications and derivations ------------------------------------------
@@ -174,41 +203,30 @@ def make_axiom_pack(n: int) -> AxiomPack:
 
 # The metavariables each axiom schema's substitution must bind, exactly.
 _AXIOM_METAVARS = {"A1": {"t"}, "A2": {"t1", "t2"}, "A3": {"c"}, "FBAR": {"i"}}
-_ONE = Num(1)
 
 
-def _axiom_premises(pack: AxiomPack, instance: AxiomInstance, statement):
-    """The premises an axiom line needs, or None when the written
-    substitution does not produce the stated line.  The schema must be a
-    key of _AXIOM_METAVARS."""
+def _axiom_premises(pack: AxiomPack, instance: AxiomInstance, statement, key, ids: dict, seen: dict):
+    """The keys of the premises an axiom line needs, or None when the written substitution does not
+    produce the line keyed key (ids compared where == would compare the instantiated conclusion)."""
     binding = dict(instance.subst)
     if binding.keys() != _AXIOM_METAVARS[instance.schema]:
         return None
-    # A1 and A2 compare the stated line's fields, in the order and with the
-    # exact types that == of the instantiated conclusion would
     if instance.schema == "A1":
-        t = binding["t"]
-        lhs = statement.lhs if type(statement) is Greater else None
-        if type(lhs) is Sum and (t, _ONE, t) == (lhs.left, lhs.right, statement.rhs):
-            return (IntTyping(t),)
-        return None
+        if type(statement) is not Greater:
+            return None
+        t = _term_id(binding["t"], ids, seen)
+        return (t,) if key[1] == t and ids.get((t, ids.get(("n", 1)))) == key[0] else None
     if instance.schema == "A2":
-        t1, t2 = binding["t1"], binding["t2"]
-        term = statement.term if type(statement) is IntTyping else None
-        if type(term) is Sum and (t1, t2) == (term.left, term.right):
-            return (IntTyping(t1), IntTyping(t2))
-        return None
+        if type(statement) is not IntTyping:
+            return None
+        t1, t2 = _term_id(binding["t1"], ids, seen), _term_id(binding["t2"], ids, seen)
+        return (t1, t2) if ids.get((t1, t2)) == key else None
     if instance.schema == "A3":
         c = binding["c"]
-        return () if isinstance(c, Num) and IntTyping(c) == statement else None
+        return () if isinstance(c, Num) and type(statement) is IntTyping and _term_id(c, ids, seen) == key else None
     i = binding["i"]  # FBAR
-    if (
-        isinstance(i, Num)
-        and isinstance(statement, FbarAtom)
-        and statement.x == i.value
-        and (statement.x, statement.bit) in pack.entries
-    ):
-        return ()
+    if isinstance(i, Num) and isinstance(statement, FbarAtom) and statement.x == i.value:
+        return () if (statement.x, statement.bit) in pack.entries else None
     return None
 
 
@@ -217,27 +235,27 @@ Reject = record("Reject", "line reason")
 
 
 def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept | Reject:
-    """Single mechanical pass over the lines; no search of any kind."""
+    """Single mechanical pass over the lines; no search of any kind.  Statements compare by their
+    keys in one term table (_key), which walks each distinct term once: linear at any depth."""
+    ids: dict = {}
+    seen: dict = {}  # _key's memo of the sums it has met
     derived: set = set()
     by_index: dict = {}
-    last = None
+    last = key = None
     for line in derivation.lines:
-        just = line.justification
+        just, statement = line.justification, line.statement
+        key = _key(statement, ids, seen)
         if isinstance(just, Premise):
-            stmt = line.statement
-            if not (
-                isinstance(stmt, IntTyping)
-                and isinstance(stmt.term, Var)
-                and stmt.term.name in derivation.header
-            ):
+            if not (isinstance(statement, IntTyping) and isinstance(statement.term, Var)
+                    and statement.term.name in derivation.header):
                 return Reject(line.index, REASON_PREMISE_NOT_DECLARED)
         elif isinstance(just, AxiomInstance):
             if just.schema not in _AXIOM_METAVARS:
                 return Reject(line.index, REASON_RULE_MISMATCH)
-            premises = _axiom_premises(pack, just, line.statement)
+            premises = _axiom_premises(pack, just, statement, key, ids, seen)
             if premises is None:
                 return Reject(line.index, REASON_BAD_SUBSTITUTION)
-            if any(premise not in derived for premise in premises):
+            if not derived.issuperset(premises):
                 return Reject(line.index, REASON_RULE_MISMATCH)
         elif isinstance(just, RuleApplication):
             if just.rule != "R1" or len(just.refs) != 2:
@@ -245,19 +263,18 @@ def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept 
             if any(not 1 <= ref < line.index or ref not in by_index for ref in just.refs):
                 return Reject(line.index, REASON_FORWARD_REFERENCE)
             first, second = by_index[just.refs[0]], by_index[just.refs[1]]
-            if not (
-                isinstance(first, Greater)
-                and isinstance(second, Greater)
-                and first.rhs == second.lhs
-                and Greater(first.lhs, second.rhs) == line.statement
-            ):
+            # of the lines' keys, only an ordering's is a plain tuple
+            if not (type(statement) is Greater and type(first) is tuple and type(second) is tuple
+                    and first[1] == second[0] and (first[0], second[1]) == key):
                 return Reject(line.index, REASON_RULE_MISMATCH)
         else:
             return Reject(line.index, REASON_RULE_MISMATCH)
-        derived.add(line.statement)
-        by_index[line.index] = line.statement
+        derived.add(key)
+        by_index[line.index] = key
         last = line
-    if last is None or last.statement != target:
+    # the keys of two statements of one class compare as the statements do
+    if last is None or not (target is last.statement or type(target) is type(last.statement)
+                            and key == _key(target, ids, seen)):
         return Reject(last.index if last else 0, REASON_WRONG_TARGET)
     return Accept()
 
@@ -291,10 +308,8 @@ def _scan_numeral(s: str, i: int, base: int):
 def _scan_term(s: str, i: int, base: int, terms: dict):
     """term := operand ['+' operand]; operand := '(' term ')' | numeral | variable.
     One loop over an explicit stack of open terms; more than MAX_NESTING open
-    '(' is a NestingError.  The bound keeps pretty_term, which recurses once
-    per level, within the recursion limit, and it bounds the tuple hash that
-    the checker applies to statements, which recurses in C with no depth check.
-    Returns (term, index after it).
+    '(' is a NestingError.  The bound is on outside input only: no code that
+    reads a term recurses on its depth.  Returns (term, index after it).
 
     terms builds each term once per parse: it maps a leaf's text to the leaf
     and the ids of a sum's two operands to the sum.  Every term it holds stays
@@ -467,14 +482,19 @@ def parse_statement(text: str) -> object:
 
 
 def pretty_term(term, nested: bool = False) -> str:
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, Num):
-        return str(term.value)
-    if isinstance(term, Sum):
-        body = f"{pretty_term(term.left, True)}+{pretty_term(term.right, True)}"
-        return f"({body})" if nested else body
-    raise TypeError(f"not a term: {term!r}")
+    """A term's text, a sum in parentheses when nested; written from an explicit stack."""
+    out, stack = [], [(term, bool(nested))]  # (a term, whether a sum there is nested) or (text, None)
+    while stack:
+        t, nested = stack.pop()
+        if nested is None:
+            out.append(t)
+        elif isinstance(t, (Var, Num)):
+            out.append(f"{t[0]}")  # the name or the value
+        elif isinstance(t, Sum):
+            stack += ((")" * nested, None), (t.right, True), ("+", None), (t.left, True), ("(" * nested, None))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(out)
 
 
 def pretty_statement(statement) -> str:

@@ -105,9 +105,9 @@ from .pi_system import (
     RuleApplication,
     Sum,
     Var,
+    _key,
     can_form,
     check_derivation,
-    statement_vars,
 )
 from .qlang import fbar_truth
 from .records import record
@@ -136,25 +136,6 @@ Exhausted = record("Exhausted", "candidates")
 
 
 # -- keys and reconstruction, shared by both modes ------------------------------
-
-def _key(statement, ids: dict):
-    """int(t) -> t's id in ids, a > b -> (a's id, b's id), an fbar atom -> itself.
-    New terms get the next ids, parts first, walked with an explicit stack."""
-    if isinstance(statement, FbarAtom):
-        return statement
-    out: list = []
-    stack = [statement.rhs, statement.lhs] if isinstance(statement, Greater) else [statement.term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Sum):
-            stack += (None, t.right, t.left)
-        elif t is None:  # both parts of a sum are done
-            right = out.pop()
-            out.append(ids.setdefault((out.pop(), right), len(ids)))
-        else:
-            out.append(ids.setdefault(("v", t.name) if isinstance(t, Var) else ("n", t.value), len(ids)))
-    return tuple(out) if isinstance(statement, Greater) else out[0]
-
 
 def _reconstruct(header, ids: dict, r1: dict, goal) -> Derivation:
     """Rebuild a derivation file from the goal's key, deduplicating sub-proofs.
@@ -231,9 +212,8 @@ def _derivable(pack: AxiomPack, key, ids: dict) -> bool:
 
 
 def _verdict(pack, derivation, candidates, derived_target: bool):
-    """The verdict for a found derivation, after the checker accepts it.
-    Whether it derives the target is read off the found key, since a deep
-    target compared with the rebuilt goal by == would recurse."""
+    """The verdict for a found derivation, after the checker accepts it; whether
+    it derives the target is read off the found key."""
     goal = derivation.lines[-1].statement
     if not isinstance(check_derivation(pack, derivation, goal), Accept):
         raise RuntimeError("search produced a derivation the checker rejects")
@@ -435,9 +415,9 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     if not can_form(target):
         raise ValueError(f"not a statement of the system: {target!r}")
     mode = SearchMode(mode)
-    header = statement_vars(target)
     ids: dict = {}  # term ids: ("v", name), ("n", value) or (left id, right id) -> id
     target_key = _key(target, ids)
+    header = tuple(name for kind, name in ids if kind == "v")  # the target's variables, in order
     # the one goal: the target, or for an fbar target the entry F reads at x, bit 0 if both are in
     options = [FbarAtom(target.x, 0), FbarAtom(target.x, 1)] if isinstance(target, FbarAtom) else [target_key]
     goal = next((goal for goal in options if _derivable(pack, goal, ids)), None)

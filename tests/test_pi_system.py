@@ -32,7 +32,7 @@ from proofbench.pi_system import (
     pretty_statement,
     pretty_term,
 )
-from proofbench.pi_system import _axiom_premises
+from proofbench.pi_system import _axiom_premises, _key
 from proofbench.qlang import fbar_truth
 
 from oracles import axiom_premises
@@ -402,7 +402,10 @@ def _axiom_lines(draw):
 def test_axiom_premises_agree_with_comparing_the_instantiated_conclusion(line):
     instance, statement = line
     pack = AxiomPack(0, frozenset())
-    assert _axiom_premises(pack, instance, statement) == axiom_premises(pack, instance, statement)
+    ids, seen = {}, {}
+    got = _axiom_premises(pack, instance, statement, _key(statement, ids, seen), ids, seen)
+    expected = axiom_premises(pack, instance, statement)  # its premises keyed in the same table
+    assert got == (None if expected is None else tuple(_key(premise, ids, seen) for premise in expected))
 
 
 W = Var("w")
@@ -565,7 +568,7 @@ def a2_chain_file(levels):
 
 
 def test_a_499_level_derivation_checks():
-    # the checker hashes each line's statement; its terms nest 498 '(' deep
+    # the checker keys each line's statement in one term table; its terms nest 498 '(' deep
     derivation, target = parse_derivation_file(a2_chain_file(499))
     assert len(derivation.lines) == 501
     assert check_derivation(make_axiom_pack(0), derivation, target) == Accept()

@@ -14,13 +14,14 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proofbench import cli, enumerator, pi_system, qlang
+from proofbench import cli, enumerator, pi_system, proof_search, qlang
 from proofbench.cli import FORMATS
 from proofbench.enumerator import Alphabet, Grammar, grammar_count, grammar_unrank
 from proofbench.errors import ResourceLimitError
@@ -217,6 +218,14 @@ def _chain():
     return Grammar(Alphabet.from_string("ab"), "N0", _CHAIN)
 
 
+def _deep_sum(levels):
+    """((w+1)+1)...+1 with levels sums, built through the API: no parser bounds it."""
+    term = pi_system.Var("w")
+    for _ in range(levels):
+        term = pi_system.Sum(term, pi_system.Num(1))
+    return term
+
+
 def _fresh_qlang():
     # the shared QLANG_GRAMMAR would keep the chart states a deep word interns
     return Grammar(qlang.QLANG_ALPHABET, qlang.QLANG_GRAMMAR.start, qlang.QLANG_GRAMMAR.productions)
@@ -238,6 +247,8 @@ def _fresh_qlang():
     pytest.param(lambda: grammar_unrank(_chain(), 0), id="unit chain unrank"),
     pytest.param(lambda: _chain().recognizes("a"), id="unit chain recognizes"),
     pytest.param(lambda: _fresh_qlang().recognizes("!" * 1000 + "(x=x)"), id="recognizes 1000 deep"),
+    pytest.param(lambda: pi_system.pretty_statement(pi_system.Greater(_deep_sum(100_000), pi_system.Var("w"))),
+                 id="pretty_statement 100000 deep"),
 ])
 def test_public_functions_return_on_deep_inputs(call):
     try:
@@ -246,10 +257,47 @@ def test_public_functions_return_on_deep_inputs(call):
         raise RecursionError("maximum recursion depth exceeded") from None
 
 
+def test_a_20000_level_literal_search_ends_within_a_second():
+    # the search rebuilds 20,002 lines and the checker re-checks them; CPU time, so a loaded host cannot fail it
+    target = pi_system.IntTyping(_deep_sum(20_000))
+    start = time.process_time()
+    budget = proof_search.SearchBudget(10**200_000)  # above the proof's rank
+    verdict = proof_search.search(pi_system.make_axiom_pack(0), target, budget, "literal")
+    assert time.process_time() - start < 1
+    assert isinstance(verdict, proof_search.DerivedTarget) and len(verdict.derivation.lines) == 20_002
+
+
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+
+# int(w), int(1), then n A2 lines, each adding one +1.  The lines are made as the
+# checker reads them, so a million levels need about 450 MB.  The child caps its
+# address space and CPU time itself.
+_A2_CHAINS = """
+import itertools, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+sys.setrecursionlimit(200)
+from proofbench.pi_system import *
+one = Num(1)
+for n in (200_000, 1_000_000):
+    terms = list(itertools.accumulate(range(n), lambda t, _: Sum(t, one), initial=Var("w")))
+    head = (Line(1, IntTyping(terms[0]), Premise()), Line(2, IntTyping(one), AxiomInstance("A3", (("c", one),))))
+    body = (Line(k + 2, IntTyping(terms[k]), AxiomInstance("A2", (("t1", terms[k - 1]), ("t2", one))))
+            for k in range(1, n + 1))
+    print(check_derivation(make_axiom_pack(0), Derivation(("w",), itertools.chain(head, body)), IntTyping(terms[-1])))
+"""
+
+
+def test_a2_chains_of_200000_and_a_million_levels_check_in_a_fresh_process():
+    # a fresh process: hashing a 200,000-level statement once killed the interpreter
+    proc = subprocess.run([sys.executable, "-c", _A2_CHAINS], capture_output=True, text=True, env=_CHILD_ENV,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Accept()\nAccept()\n", "")
+
+
 @pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason="ROADMAP item 11")
 def test_a_4000_digit_nth_ends_in_bounded_time():
     # a fresh process, so that the shared grammar keeps no partial counts
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-m", "proofbench.cli", "qlang", "nth", str(7 * 10**3999)],
-                          capture_output=True, text=True, env=env, timeout=2)
+                          capture_output=True, text=True, env=_CHILD_ENV, timeout=2)
     assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr
