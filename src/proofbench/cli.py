@@ -151,8 +151,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _all_digits(fn, *args):
     """fn(*args) with Python's integer-string limit lifted, and restored after.
-    Only a shortlex rank's own conversions lift it: numerals in programs and
-    derivation files keep their documented limit."""
+    Only a shortlex rank's own conversions and the rendering of report rows lift
+    it: numerals read from programs and derivation files keep their documented limit."""
     limit = getattr(sys, "get_int_max_str_digits", None)
     if limit is None:  # an interpreter without the limit
         return fn(*args)
@@ -253,16 +253,9 @@ def build_parser() -> _Parser:
     return top
 
 
-def _fmt(args, cfg: GlobalConfig) -> str:
-    value = getattr(args, "format", None)
-    return value if value is not None else cfg.format
-
-
-def _write(text: str):
-    sys.stdout.write(text)
-
-
 # -- subcommand handlers -------------------------------------------------------
+# Each handler returns (output, exit code): its report rows, which main renders
+# in cfg.format, or finished text; main alone writes stdout.
 
 def _cmd_enumerate(args, cfg):
     alphabet = _resolve_alphabet(args.alphabet or cfg.alphabet)
@@ -271,58 +264,43 @@ def _cmd_enumerate(args, cfg):
     if args.count > cfg.table_cells:  # output rows past the budget are refused before any work
         raise ResourceLimitError("table_cells", cfg.table_cells, args.count)
     words = _all_digits(stream, alphabet, args.start, args.count)  # an error may name the rank
-    rows = [{"k": args.start + i, "s": s} for i, s in enumerate(words)]
-    _write(_all_digits(emit_report, rows, _fmt(args, cfg)))
-    return 0
+    return [{"k": args.start + i, "s": s} for i, s in enumerate(words)], 0
 
 
 def _cmd_rank(args, cfg):
     alphabet = _resolve_alphabet(args.alphabet or cfg.alphabet)
-    _write(_all_digits(emit_report, [{"k": rank(alphabet, args.string)}], _fmt(args, cfg)))
-    return 0
+    return [{"k": rank(alphabet, args.string)}], 0
 
 
 def _cmd_unrank(args, cfg):
     alphabet = _resolve_alphabet(args.alphabet or cfg.alphabet)
     if args.k < 0:
         raise ValueError("rank must be nonnegative")
-    _write(emit_report([{"s": _all_digits(unrank, alphabet, args.k)}], _fmt(args, cfg)))
-    return 0
+    return [{"s": _all_digits(unrank, alphabet, args.k)}], 0
 
 
 def _cmd_qlang(args, cfg):
     from . import qlang
 
-    fmt = _fmt(args, cfg)
     if args.qcommand == "eval":
         if args.source == "-":
             text = sys.stdin.read()
         else:
             text = Path(args.source).read_text(encoding="utf-8")
         program = qlang.parse(text.rstrip("\n"))
-        _write(emit_report([{"x": args.x, "output": qlang.evaluate(program, args.x)}], fmt))
-        return 0
+        return [{"x": args.x, "output": qlang.evaluate(program, args.x)}], 0
     if args.qcommand == "nth":
-        _write(emit_report([{"i": args.i, "program": qlang.nth_program(args.i).source}], fmt))
-        return 0
+        return [{"i": args.i, "program": qlang.nth_program(args.i).source}], 0
     if args.qcommand == "table":
-        bit_table = qlang.table(args.rows, args.cols, table_cells=cfg.table_cells)
-        rows = [
-            {f"x{x}": bit_table.cell(i, x) for x in range(1, args.cols + 1)}
-            for i in range(1, args.rows + 1)
-        ]
-        if fmt == "pretty":
-            _write("".join(" ".join(str(v) for v in row.values()) + "\n" for row in rows))
-        else:
-            _write(emit_report(rows, fmt))
-        return 0
+        cells = qlang.table(args.rows, args.cols, table_cells=cfg.table_cells).cells
+        if cfg.format == "pretty":
+            return "".join(" ".join(map(str, row)) + "\n" for row in cells), 0
+        return [{f"x{x}": v for x, v in enumerate(row, start=1)} for row in cells], 0
     if args.qcommand == "diagonal":
         bits = qlang.diagonal(args.n, table_cells=cfg.table_cells)
-        _write(emit_report([{"i": i, "bit": b} for i, b in enumerate(bits, start=1)], fmt))
-        return 0
+        return [{"i": i, "bit": b} for i, b in enumerate(bits, start=1)], 0
     bits = qlang.diagonal_flip(qlang.diagonal(args.n, table_cells=cfg.table_cells))
-    _write(emit_report([{"x": x, "bit": b} for x, b in enumerate(bits, start=1)], fmt))
-    return 0
+    return [{"x": x, "bit": b} for x, b in enumerate(bits, start=1)], 0
 
 
 def _cmd_check(args, cfg):
@@ -331,10 +309,9 @@ def _cmd_check(args, cfg):
     derivation, target = _self.parse_derivation_file(Path(args.file).read_text(encoding="utf-8"))
     verdict = _self.check_derivation(_self.make_axiom_pack(args.pack), derivation, target)
     if isinstance(verdict, Accept):
-        _write("Accept\n")
-        return 0
+        return "Accept\n", 0
     print(f"Reject: line {verdict.line}: {verdict.reason}", file=sys.stderr)
-    return 1
+    return "", 1
 
 
 def _cmd_search(args, cfg):
@@ -346,8 +323,7 @@ def _cmd_search(args, cfg):
     budget = SearchBudget(max_candidates=args.budget if args.budget is not None else cfg.search_candidates)
     verdict = _self.search(pack, target, budget, SearchMode(args.mode))
     if isinstance(verdict, Exhausted):
-        _write(emit_report([{"verdict": "Exhausted", "candidates": verdict.candidates}], _fmt(args, cfg)))
-        return 2
+        return [{"verdict": "Exhausted", "candidates": verdict.candidates}], 2
     derived = target if isinstance(verdict, DerivedTarget) else negate_fbar(target)
     row = {
         "verdict": type(verdict).__name__,
@@ -359,8 +335,7 @@ def _cmd_search(args, cfg):
         Path(args.emit_derivation).write_text(
             derivation_file_text(verdict.derivation, derived), encoding="utf-8"
         )
-    _write(emit_report([row], _fmt(args, cfg)))
-    return 0
+    return [row], 0
 
 
 def _cmd_decide(args, cfg):
@@ -369,8 +344,7 @@ def _cmd_decide(args, cfg):
 
     statement = _self.parse_statement(args.statement)
     decision = decide(_self.make_axiom_pack(args.pack), statement)
-    _write(emit_report([{"statement": pretty_statement(statement), "decision": decision}], _fmt(args, cfg)))
-    return 0
+    return [{"statement": pretty_statement(statement), "decision": decision}], 0
 
 
 def _cmd_gap(args, cfg):
@@ -379,8 +353,7 @@ def _cmd_gap(args, cfg):
     if args.xmax > cfg.table_cells:
         raise ResourceLimitError("table_cells", cfg.table_cells, args.xmax)
     gap = completeness_gap(_self.make_axiom_pack(args.pack), args.xmax)
-    _write(emit_report([{"x": x} for x in gap], _fmt(args, cfg)))
-    return 0
+    return [{"x": x} for x in gap], 0
 
 
 def _cmd_audit(args, cfg):
@@ -388,7 +361,7 @@ def _cmd_audit(args, cfg):
 
     if args.which == "soundness" and args.xmax is not None:
         print("proofbench: error: --xmax applies only to audit consistency", file=sys.stderr)
-        return 64
+        return "", 64
     pack = _self.make_axiom_pack(args.pack)
     if args.which == "soundness":
         report = audit_soundness(pack)
@@ -397,14 +370,12 @@ def _cmd_audit(args, cfg):
         x_max = args.xmax if args.xmax is not None else max(pack.n, 1)
         report = audit_consistency(pack, x_max)
         detail = " ".join(str(x) for x in report.violations)
-    row = {
+    return [{
         "kind": report.kind,
         "queries": report.queries,
         "violations": len(report.violations),
         "detail": detail,
-    }
-    _write(emit_report([row], _fmt(args, cfg)))
-    return 0
+    }], 0
 
 
 def _cmd_demo(args, cfg):
@@ -421,8 +392,7 @@ def _cmd_demo(args, cfg):
     out.append(f"completeness gap: {gap}")
     if not gap:
         out.append("every scanned index has a derivable bit; no gap to exhibit")
-        _write("\n".join(out) + "\n")
-        return 0
+        return "\n".join(out) + "\n", 0
     for x in gap:
         true_bit = fbar_truth(x)
         atom = FbarAtom(x, true_bit)
@@ -441,8 +411,7 @@ def _cmd_demo(args, cfg):
         f"after {verdict.candidates} candidates"
     )
     out.append("underivability rests on the static decider; the failed search is illustration")
-    _write("\n".join(out) + "\n")
-    return 0
+    return "\n".join(out) + "\n", 0
 
 
 _HANDLERS = {
@@ -467,8 +436,13 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"proofbench: config error: {exc}", file=sys.stderr)
         return 64
+    cfg = cfg._replace(format=getattr(args, "format", None) or cfg.format)  # --format overrides the config
     try:
-        return _HANDLERS[args.command](args, cfg)
+        output, code = _HANDLERS[args.command](args, cfg)
+        if isinstance(output, list):
+            output = _all_digits(emit_report, output, cfg.format)
+        sys.stdout.write(output)
+        return code
     except NestingError:
         print("error: input nested too deeply", file=sys.stderr)
         return 1

@@ -72,7 +72,7 @@ _PACK_ENTRIES = 1_000_000  # entries make_axiom_pack may build
 
 Var = record("Var", "name")
 Num = record("Num", "value")
-Sum = record("Sum", "left right")
+Sum = record("Sum", "left right", deep=True)
 
 
 class FbarAtom(record("FbarAtom", "x bit")):
@@ -481,9 +481,9 @@ def parse_statement(text: str) -> object:
     return _scan_statement(text + "\n", 0, len(text), 0, {})
 
 
-def pretty_term(term, nested: bool = False) -> str:
-    """A term's text, a sum in parentheses when nested; written from an explicit stack."""
-    out, stack = [], [(term, bool(nested))]  # (a term, whether a sum there is nested) or (text, None)
+def pretty_term(term) -> str:
+    """A term's text, each sum inside a sum in parentheses; written from an explicit stack."""
+    out, stack = [], [(term, False)]  # (a term, whether a sum there is nested) or (text, None)
     while stack:
         t, nested = stack.pop()
         if nested is None:

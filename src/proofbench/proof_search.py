@@ -387,12 +387,25 @@ def _search_literal(pack: AxiomPack, header, ids: dict, goals: set, budget: Sear
     return goal, r1, r + 1  # candidate n is the string of rank n - 1
 
 
+def _stated_key(statement, ids: dict):
+    """_key(statement, ids) of a statement the concrete syntax can state: each leaf
+    it interns is a one-letter variable or a nonnegative int numeral."""
+    if can_form(statement):
+        key = _key(statement, ids)
+        if all(type(kind) is int  # a sum's (left id, right id)
+               or kind == "v" and type(value) is str and len(value) == 1 and value.isalpha()
+               or kind == "n" and type(value) is int and value >= 0 for kind, value in ids):
+            return key
+    raise ValueError(f"not a statement of the system: {statement!r}")
+
+
 def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     """Dual derivability search: first derivation of target (or, for fbar
     targets, of the opposite bit) wins; Exhausted when the budget runs out.
 
     Deterministic: the budget counts candidates and search reads no clock,
-    so identical inputs give identical verdicts and counts.
+    so identical inputs give identical verdicts and counts.  A target the
+    concrete syntax cannot state, built through the API, is a ValueError.
 
     Both candidate streams are infinite, so a search for a target that
     decide rejects (for an fbar target, both bits) can only end at its
@@ -412,11 +425,9 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     with a 10**6-entry built one, or 1.1 ms with 10,000 hand-built entries,
     which are scanned so that an invalid one the search reaches raises.
     """
-    if not can_form(target):
-        raise ValueError(f"not a statement of the system: {target!r}")
-    mode = SearchMode(mode)
     ids: dict = {}  # term ids: ("v", name), ("n", value) or (left id, right id) -> id
-    target_key = _key(target, ids)
+    target_key = _stated_key(target, ids)
+    mode = SearchMode(mode)
     header = tuple(name for kind, name in ids if kind == "v")  # the target's variables, in order
     # the one goal: the target, or for an fbar target the entry F reads at x, bit 0 if both are in
     options = [FbarAtom(target.x, 0), FbarAtom(target.x, 1)] if isinstance(target, FbarAtom) else [target_key]
@@ -438,11 +449,10 @@ def decide(pack: AxiomPack, statement) -> str:
     int(t) is always derivable, a > c exactly when a is c wrapped in k >= 1
     (...)+1 layers, and an fbar atom exactly when it is a pack entry (see the
     module docstring).  Linear in the statement's size, with no recursion.
+    A statement the concrete syntax cannot state is a ValueError, as in search.
     """
-    if not can_form(statement):
-        raise ValueError(f"not a statement of the system: {statement!r}")
     ids: dict = {}
-    return DERIVABLE if _derivable(pack, _key(statement, ids), ids) else NOT_DERIVABLE
+    return DERIVABLE if _derivable(pack, _stated_key(statement, ids), ids) else NOT_DERIVABLE
 
 
 def decide_fbar(pack: AxiomPack, s: FbarAtom) -> str:

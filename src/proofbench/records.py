@@ -19,8 +19,8 @@ through object.__setattr__, where a named tuple's __new__ builds one tuple.
 Records nest to any depth.  What would recurse once per level reads walk(root)
 instead: repr always, and == where tuple.__eq__ raises RecursionError.  The
 tuple hash recurses in C with no depth check and kills the interpreter on a
-tree a million records deep, so Q-lang's nodes are made deep and hash by
-tree_hash.  The package hashes no pi_system term: those compare by pi_system._key.
+tree a million records deep, so Q-lang's nodes and pi_system's Sum are deep
+and hash by tree_hash; the package itself compares terms by pi_system._key.
 """
 
 import sys

@@ -173,6 +173,20 @@ def test_enumerate_from_past_the_integer_string_limit(run):
     assert (code, err) == (0, "") and out.splitlines()[1] == f"1{'0' * 4400},{unrank(binary, 10**4400)}"
 
 
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_an_audit_prints_queries_past_the_integer_string_limit(run, fmt):
+    # queries = 2 * x_max has 4,301 digits: rows render with the limit lifted, then restored
+    limit = sys.get_int_max_str_digits()
+    queries = "1" + "9" * 4299 + "8"  # 2 * (10**4300 - 1)
+    expected = {
+        "pretty": f"kind: consistency, queries: {queries}, violations: 0, detail: \n",
+        "csv": f"kind,queries,violations,detail\nconsistency,{queries},0,\n",
+        "json-lines": f'{{"detail": "", "kind": "consistency", "queries": {queries}, "violations": 0}}\n',
+    }
+    assert run("audit", "consistency", "--pack", "1", "--xmax", "9" * 4300, "--format", fmt) == (0, expected[fmt], "")
+    assert sys.get_int_max_str_digits() == limit
+
+
 @pytest.mark.parametrize("command", [["unrank", "100000000000000000000"], ["enumerate", "--from", "100000000000000000000", "--count", "2"]])
 def test_a_one_symbol_rank_past_the_longest_string_is_a_domain_error(command, run, tmp_path):
     # fails before any allocation; ranks between about 10**9 and sys.maxsize would allocate gigabytes

@@ -267,6 +267,24 @@ def test_a_20000_level_literal_search_ends_within_a_second():
     assert isinstance(verdict, proof_search.DerivedTarget) and len(verdict.derivation.lines) == 20_002
 
 
+@pytest.mark.parametrize("call", ["decide", "structured", "literal"])
+@pytest.mark.parametrize("target", [
+    pi_system.IntTyping(("w",)),
+    pi_system.IntTyping(pi_system.Num(True)),
+    pi_system.IntTyping(pi_system.Num(-3)),
+    pi_system.IntTyping(pi_system.Num(1.5)),
+    pi_system.IntTyping(pi_system.Var("ww")),
+], ids=["tuple leaf", "bool numeral", "negative numeral", "float numeral", "two-letter variable"])
+def test_decide_and_search_refuse_a_target_the_concrete_syntax_cannot_state(target, call):
+    # built through the API: the parser refuses each of these terms
+    pack = pi_system.make_axiom_pack(5)
+    with pytest.raises(ValueError, match="^not a statement of the system: "):
+        if call == "decide":
+            proof_search.decide(pack, target)
+        else:
+            proof_search.search(pack, target, proof_search.SearchBudget(10_000), call)
+
+
 _CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
 
 # int(w), int(1), then n A2 lines, each adding one +1.  The lines are made as the
@@ -281,6 +299,8 @@ from proofbench.pi_system import *
 one = Num(1)
 for n in (200_000, 1_000_000):
     terms = list(itertools.accumulate(range(n), lambda t, _: Sum(t, one), initial=Var("w")))
+    if n == 200_000:  # a Sum hashes by its walk: equal terms built apart hash alike
+        assert hash(IntTyping(terms[-1])) == hash(IntTyping(Sum(terms[-2], one)))
     head = (Line(1, IntTyping(terms[0]), Premise()), Line(2, IntTyping(one), AxiomInstance("A3", (("c", one),))))
     body = (Line(k + 2, IntTyping(terms[k]), AxiomInstance("A2", (("t1", terms[k - 1]), ("t2", one))))
             for k in range(1, n + 1))
@@ -289,7 +309,7 @@ for n in (200_000, 1_000_000):
 
 
 def test_a2_chains_of_200000_and_a_million_levels_check_in_a_fresh_process():
-    # a fresh process: hashing a 200,000-level statement once killed the interpreter
+    # a fresh process: hashing a 200,000-level statement once killed the interpreter, and the child hashes one
     proc = subprocess.run([sys.executable, "-c", _A2_CHAINS], capture_output=True, text=True, env=_CHILD_ENV,
                           timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Accept()\nAccept()\n", "")
