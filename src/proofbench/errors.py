@@ -35,6 +35,22 @@ def numeral_value(digits: str, position: int) -> int:
         raise ParseError(position, (f"numeral of at most {sys.get_int_max_str_digits()} digits",)) from None
 
 
+def _all_digits(fn, *args):
+    """fn(*args) with Python's integer-string limit lifted, and restored after.
+    Only a shortlex rank's own conversions, the rendering of report rows and a
+    budget error's message lift it: numerals read from programs and derivation
+    files keep their documented limit."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:  # an interpreter without the limit
+        return fn(*args)
+    limit = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn(*args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class ResourceLimitError(RuntimeError):
     """A configured memory or size budget would be exceeded.
 
@@ -45,7 +61,7 @@ class ResourceLimitError(RuntimeError):
     """
 
     def __init__(self, budget: str, limit: int, attempted: int):
-        super().__init__(f"{attempted} exceeds the {budget} budget of {limit}")
+        super().__init__(_all_digits("{} exceeds the {} budget of {}".format, attempted, budget, limit))
         self.budget = budget
         self.limit = limit
         self.attempted = attempted

@@ -388,14 +388,24 @@ def _search_literal(pack: AxiomPack, header, ids: dict, goals: set, budget: Sear
 
 
 def _stated_key(statement, ids: dict):
-    """_key(statement, ids) of a statement the concrete syntax can state: each leaf
-    it interns is a one-letter variable or a nonnegative int numeral."""
+    """_key(statement, ids) of a statement the concrete syntax can state: each leaf, read
+    where the statement holds it, is a one-letter variable or a nonnegative int numeral.
+    (ids cannot tell: a junk leaf == to a stateable one, Num(True) beside Num(1), shares its id.)"""
     if can_form(statement):
-        key = _key(statement, ids)
-        if all(type(kind) is int  # a sum's (left id, right id)
-               or kind == "v" and type(value) is str and len(value) == 1 and value.isalpha()
-               or kind == "n" and type(value) is int and value >= 0 for kind, value in ids):
-            return key
+        stack = [statement.term] if type(statement) is IntTyping else list(statement) if type(statement) is Greater else []
+        walked = set()  # the sums met, by id(): a sum the term shares is walked once
+        while stack:
+            t = stack.pop()
+            kind = type(t)
+            if kind is Sum:
+                if id(t) not in walked:
+                    walked.add(id(t))
+                    stack += t
+            elif not (kind is Var and type(t.name) is str and len(t.name) == 1 and t.name.isalpha()
+                      or kind is Num and type(t.value) is int and t.value >= 0):
+                break
+        else:
+            return _key(statement, ids)
     raise ValueError(f"not a statement of the system: {statement!r}")
 
 

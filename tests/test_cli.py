@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import io
 import json
 import os
@@ -21,6 +23,7 @@ from test_pi_system import a2_chain_file
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = str(ROOT / "fixtures" / "paper_3_1.drv")
+_CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
 
 
 @pytest.fixture()
@@ -101,9 +104,8 @@ def test_deep_nesting_is_a_domain_error_not_a_traceback(tmp_path, argv, file_tex
     if file_text is not None:
         source.write_text(file_text, encoding="utf-8")
     argv = [arg.replace("{file}", str(source)) for arg in argv]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-m", "proofbench.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-m", "proofbench.cli", *argv], capture_output=True, text=True, env=_CLI_ENV, timeout=120
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
@@ -111,14 +113,51 @@ def test_deep_nesting_is_a_domain_error_not_a_traceback(tmp_path, argv, file_tex
 def test_literal_search_derives_a_400_level_target():
     # the verdict is read off the found key: comparing this deep a target by == would recurse
     term = "(" * 400 + "w" + "+1)" * 400
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "proofbench.cli", "search", f"int({term})", "--mode", "literal",
          "--budget", "1" + "0" * 3000, "--format", "json-lines"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_CLI_ENV, timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["verdict"] == "DerivedTarget"
+
+
+# python -m proofbench.cli, run by runpy inside a child that reports gc.get_freeze_count() from an atexit
+# hook: the hooks run after the module's __main__ block ends, before the final collections
+_FREEZE_CHILD = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("proofbench.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["qlang", "nth", "500"], 0),
+    (["rank", "2", "--alphabet", "binary"], 1),
+    (["frobnicate"], 64),
+], ids=["success", "domain error", "usage error"])
+def test_a_cli_process_ends_with_its_objects_frozen(argv, code):
+    # the final collections skip the permanent generation, so the exit frees nothing object by object
+    proc = subprocess.run([sys.executable, "-c", _FREEZE_CHILD, *argv], capture_output=True, text=True,
+                          env=_CLI_ENV, timeout=120)
+    assert proc.returncode == code
+    frozen = proc.stderr.splitlines()[-1].split()
+    assert frozen[0] == "frozen" and int(frozen[1]) > 0, proc.stderr
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(run):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run("qlang", "nth", "500")[0] == 0
+    assert run("rank", "2", "--alphabet", "binary")[0] == 1
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_a_cli_process_writes_output_past_the_stdout_buffer_in_full():
+    # 64,446 rows, about 1.4 MB, many times the stdout buffer
+    proc = subprocess.run([sys.executable, "-m", "proofbench.cli", "qlang", "fbar", "--n", "64446",
+                           "--format", "json-lines"], capture_output=True, env=_CLI_ENV, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert hashlib.sha256(proc.stdout).hexdigest() == "4f3eeed8dcd73232925259749d284a24a0323236dc692c0dc29377da6fb9bdf8"
 
 
 # -- enumeration commands -----------------------------------------------------------

@@ -80,6 +80,17 @@ def test_every_budget_error_names_its_budget_limit_and_attempted_size(monkeypatc
         assert capsys.readouterr() == ("", f"error: {argv[-1]} exceeds the {budget} budget of 1000000\n")
 
 
+def test_a_budget_error_past_the_integer_string_limit_names_its_sizes(capsys):
+    # the attempted size has more digits than Python's 4,300-digit integer-string limit lets str() write
+    with pytest.raises(ResourceLimitError) as info:
+        pi_system.make_axiom_pack(10**5000)
+    assert str(info.value) == "1" + "0" * 5000 + " exceeds the pack_entries budget of 1000000"
+    nines = "9" * 4000  # rows * cols = 10**8000 - 2 * 10**4000 + 1
+    assert cli.main(["qlang", "table", "--rows", nines, "--cols", nines]) == 1
+    cells = "9" * 3999 + "8" + "0" * 3999 + "1"
+    assert capsys.readouterr() == ("", f"error: {cells} exceeds the table_cells budget of 1000000\n")
+
+
 # -- the CLI half ------------------------------------------------------------------------
 
 INTS = ("0", "-1", "64446", "64447", str(10**7), str(10**23))
@@ -274,7 +285,11 @@ def test_a_20000_level_literal_search_ends_within_a_second():
     pi_system.IntTyping(pi_system.Num(-3)),
     pi_system.IntTyping(pi_system.Num(1.5)),
     pi_system.IntTyping(pi_system.Var("ww")),
-], ids=["tuple leaf", "bool numeral", "negative numeral", "float numeral", "two-letter variable"])
+    # == to the stateable leaf beside it, so the two share one entry of the term table
+    pi_system.IntTyping(pi_system.Sum(pi_system.Num(1), pi_system.Num(True))),
+    pi_system.IntTyping(pi_system.Sum(pi_system.Num(1), pi_system.Num(1.0))),
+], ids=["tuple leaf", "bool numeral", "negative numeral", "float numeral", "two-letter variable",
+        "bool beside its int", "float beside its int"])
 def test_decide_and_search_refuse_a_target_the_concrete_syntax_cannot_state(target, call):
     # built through the API: the parser refuses each of these terms
     pack = pi_system.make_axiom_pack(5)
