@@ -12,15 +12,19 @@ Two candidate orders are provided.
 ``structured`` saturates forward from the available axioms: declared premises
 and pack entries seed a FIFO worklist; popping int(t) fires A1 and pairs t
 with every previously processed term through A2 (both orders, plus t+t);
-popping an ordering joins it with previously processed orderings through R1
-via indexes on the shared middle term; and one fresh numeral axiom int(0),
-int(1), ... is injected per pop so that every numeral is eventually
-available.  Each *new* statement is one candidate, goal-tested on arrival.
-The stream is deterministic, duplicate-free, and eventually contains every
-derivable statement, so a sufficient budget finds every derivable target.
-Only R1 can repeat a candidate (it adds two or more +1 layers, A1 one), so
-only its premises are kept; other rules are read off the keys (_key).  The
-int k popped after u0, ..., u(m-1) queues its 2m + 1 A2 pairs (k, u0),
+popping A1's t+1 > t fires R1 once for each u that t sits (...)+1 layers
+over, t+1 > u, nearest first; and one fresh numeral axiom int(0), int(1),
+... is injected per pop so that every numeral is eventually available.
+Each statement is one candidate, goal-tested on arrival.  The stream is
+deterministic, duplicate-free, and eventually contains every derivable
+statement, so a sufficient budget finds every derivable target.  That is all
+of R1, by the FIFO order: t+1 > t is queued when int(t) is popped, so every
+ordering with lhs t is queued before that pop and every one with rhs t at or
+after it.  So no popped a > b meets an earlier c > a, every t > u is popped
+before t+1 > t, and a popped R1 conclusion t+1 > u would only rebuild the
+t+1 > v its A1 step gave.  Every rule's premises are read off the keys
+(_key): a > c, a being a'+1, is A1 when a' is c, else R1 from a > a', a' > c.
+The int k popped after u0, ..., u(m-1) queues its 2m + 1 A2 pairs (k, u0),
 (u0, k), ..., (k, k) as one block, and a pop interns only the pair it takes.
 The pack's entries, which feed no rule, seed the worklist as one block of
 atoms in sorted order: a goal atom ends the search at its offset, 1 + the
@@ -54,7 +58,7 @@ rank; the strings before it are counted but never generated:
               with its A1 step: r a I(a1) r a I(a2) ... a I(ak).  When a is
               not c wrapped in (...)+1 layers, there is no term.
 
-Its R1 steps are recorded as it is built, as in structured search.  Every
+Its derivation is read off the found key, as in structured search.  Every
 derivable statement has a proof term, so literal mode is exhaustive in the
 limit as well; it finds the 12-line proof of (((w+1)+1)+1)+1 > w at rank
 8.9 * 10**48 in about 0.2 ms on a 2-vCPU x86-64 VM with Python 3.11.  Found
@@ -90,6 +94,7 @@ import enum
 from collections import deque
 
 from .enumerator import Alphabet, rank
+from .errors import ResourceLimitError
 from .pi_system import (
     Accept,
     AxiomInstance,
@@ -112,6 +117,7 @@ from .pi_system import (
 from .qlang import fbar_truth
 from .records import record
 
+_SEARCH_TERMS = 1_000_000  # terms a structured search may intern
 DERIVABLE = "Derivable"
 NOT_DERIVABLE = "NotDerivable"
 
@@ -137,9 +143,10 @@ Exhausted = record("Exhausted", "candidates")
 
 # -- keys and reconstruction, shared by both modes ------------------------------
 
-def _reconstruct(header, ids: dict, r1: dict, goal) -> Derivation:
+def _reconstruct(header, ids: dict, goal) -> Derivation:
     """Rebuild a derivation file from the goal's key, deduplicating sub-proofs.
-    r1 holds R1's premises; every other rule is read off its conclusion's key.
+    Every rule's premises are read off its conclusion's key: a > c with a the
+    term a'+1 is A1 from int(c) when a' is c, else R1 from a > a' and a' > c.
     The records validate nothing, so tuple.__new__ builds them without their
     classes' __new__, and all lines share one Num(1) and one Premise()."""
     new = tuple.__new__
@@ -155,7 +162,9 @@ def _reconstruct(header, ids: dict, r1: dict, goal) -> Derivation:
             continue
         premises = ()  # an fbar atom is FBAR, ("v", name) a premise, ("n", value) A3
         if type(key) is tuple:
-            premises = r1.get(key, key[1:])  # R1, else A1 from int(rhs)
+            lhs, rhs = key
+            inner = keys[lhs][0]
+            premises = (rhs,) if inner == rhs else ((lhs, inner), (inner, rhs))  # A1, else R1
         elif type(key) is int and type(keys[key][0]) is int:
             premises = keys[key]  # A2 from its parts
         pending = [premise for premise in premises if premise not in index_of]
@@ -166,7 +175,7 @@ def _reconstruct(header, ids: dict, r1: dict, goal) -> Derivation:
         proved = [lines[index_of[premise] - 1].statement for premise in premises]
         if isinstance(key, FbarAtom):
             stmt, just = key, new(AxiomInstance, ("FBAR", (("i", new(Num, (key.x,))),)))
-        elif type(key) is tuple and key in r1:
+        elif type(key) is tuple and len(premises) == 2:
             stmt = new(Greater, (proved[0].lhs, proved[1].rhs))
             just = new(RuleApplication, ("R1", tuple(index_of[premise] for premise in premises)))
         elif type(key) is tuple:
@@ -211,15 +220,6 @@ def _derivable(pack: AxiomPack, key, ids: dict) -> bool:
     return (key.x, key.bit) in pack.entries
 
 
-def _verdict(pack, derivation, candidates, derived_target: bool):
-    """The verdict for a found derivation, after the checker accepts it; whether
-    it derives the target is read off the found key."""
-    goal = derivation.lines[-1].statement
-    if not isinstance(check_derivation(pack, derivation, goal), Accept):
-        raise RuntimeError("search produced a derivation the checker rejects")
-    return (DerivedTarget if derived_target else DerivedNegation)(derivation, candidates)
-
-
 # -- structured mode -----------------------------------------------------------
 
 class _Stop(Exception):
@@ -237,10 +237,9 @@ def _check_atoms(entries, reach: int) -> None:
             return
 
 
-def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: SearchBudget):
+def _search_structured(pack: AxiomPack, header, ids: dict, goal, budget: SearchBudget):
     term_id = ids.setdefault  # term_id(key, len(ids)) interns key
     limit = budget.max_candidates
-    r1: dict = {}  # R1 conclusion -> its two premises
     queue: deque = deque()
     popleft, appendleft = queue.popleft, queue.appendleft
     candidates = 0
@@ -254,25 +253,19 @@ def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: S
             raise _Stop(found if end <= limit else None)
         queue.append(block)
 
-    def emit(key, premises=None):
-        """Queue key as one more candidate, goal-tested; stop at the budget or at a goal."""
+    def emit(key):
+        """Queue key as one more candidate, goal-tested; stop at the budget or at the goal."""
         nonlocal candidates
-        if premises:  # an R1 conclusion, the one kind of candidate that can repeat
-            if key in r1:
-                return
-            r1[key] = premises
         if candidates >= limit:
             raise _Stop(None)
         candidates += 1
-        if key in goals:
+        if key == goal:  # an fbar goal is found in the pack block, before any emit
             raise _Stop(key)
         queue.append(key)
 
-    goal = next(iter(goals))  # search hands over one goal
     left, right = list(ids)[goal] if type(goal) is int else (None, None)  # a leaf's left, "v" or "n", is no id
     ints_seen: list = []
-    greater_by_lhs: dict = {}
-    greater_by_rhs: dict = {}
+    below: dict = {}  # the id of t+1 -> the id of t, for each A1 ordering t+1 > t popped
     one = term_id(("n", 1), len(ids))
     next_numeral = 0
 
@@ -301,6 +294,8 @@ def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: S
                 u = ints_seen[at // 2]
                 key = term_id((k, u) if at % 2 == 0 else (u, k), len(ids))
             if type(key) is int:
+                if len(ids) > _SEARCH_TERMS:
+                    raise ResourceLimitError("search_terms", _SEARCH_TERMS, len(ids))
                 emit((term_id((key, one), len(ids)), key))
                 m = len(ints_seen)
                 ints_seen.append(key)  # so the block's last pair, at 2m, is (key, key)
@@ -308,20 +303,19 @@ def _search_structured(pack: AxiomPack, header, ids: dict, goals: set, budget: S
                 if key in (left, right) and left in ints_seen and right in ints_seen:
                     at = 2 * ints_seen.index(right) if key == left else 2 * ints_seen.index(left) + 1
                 push([key, m, 0], min(at, 2 * m) + 1, goal if at <= 2 * m else None)
-            elif type(key) is tuple:
-                lhs, rhs = key
-                for other in greater_by_lhs.get(rhs, ()):
-                    emit((lhs, other[1]), (key, other))
-                for other in greater_by_rhs.get(lhs, ()):
-                    emit((other[0], rhs), (other, key))
-                greater_by_lhs.setdefault(lhs, []).append(key)
-                greater_by_rhs.setdefault(rhs, []).append(key)
+            elif type(key) is tuple:  # an R1 conclusion feeds nothing: its A1 made its joins
+                lhs, u = key
+                if ids[u, one] == lhs:  # A1's t+1 > t: R1 gives t+1 > u for each u that t sits over
+                    below[lhs] = u
+                    while u in below:
+                        u = below[u]
+                        emit((lhs, u))
             else:  # the pack block: its atoms feed no rule and the goal was found by
                 for _ in range(len(key) - 1):  # offset, so one pop injects their numerals
                     emit(term_id(("n", next_numeral), len(ids)))
                     next_numeral += 1
     except _Stop as stop:
-        return stop.args[0], r1, candidates
+        return stop.args[0], candidates
 
 
 # -- literal mode ----------------------------------------------------------------
@@ -351,40 +345,35 @@ def _int_proof(keys: list, term: int) -> str:
     return "".join(out)
 
 
-def _ordering_proof(ids: dict, goal: tuple, r1: dict):
+def _ordering_proof(ids: dict, goal: tuple):
     """The first proof term of the ordering keyed goal in shortlex order
-    (module docstring), recording its R1 steps in r1, or None when the
-    ordering has no proof."""
+    (module docstring), or None when the ordering has no proof."""
     chain = _layers(ids, *goal)
     if chain is None:
         return None
     keys, rhs, out = list(ids), goal[1], []
-    for outer, inner in zip(chain, chain[1:]):
-        if inner != rhs:  # R1 joins outer > inner to inner > rhs
+    for inner in chain[1:]:
+        if inner != rhs:  # R1 joins the layer over inner, > inner, to inner > rhs
             out.append("r")
-            r1[outer, rhs] = ((outer, inner), (inner, rhs))
         out.append("a" + _int_proof(keys, inner))
     return "".join(out)
 
 
-def _search_literal(pack: AxiomPack, header, ids: dict, goals: set, budget: SearchBudget):
-    """Build a goal's first proof term and count it by its rank; no other
+def _search_literal(pack: AxiomPack, header, ids: dict, goal, budget: SearchBudget):
+    """Build the goal's first proof term and count it by its rank; no other
     string is generated."""
     limit = budget.max_candidates
-    goal = next(iter(goals))  # search hands over one goal
-    r1: dict = {}
     if isinstance(goal, FbarAtom):  # search found it among the entries
         word = f"F{goal.x}."
     elif type(goal) is int:
         word = _int_proof(list(ids), goal)
     else:
-        word = _ordering_proof(ids, goal, r1)
-    if word is None:  # no string is a proof, so every one the budget allows is tried
-        return None, None, limit
-    r = rank(_literal_alphabet(header), word)  # the strings before word count as tried
+        word = _ordering_proof(ids, goal)
+    # the strings before word count as tried; with no word, every one the budget allows is
+    r = limit if word is None else rank(_literal_alphabet(header), word)
     if r >= limit:
-        return None, None, limit
-    return goal, r1, r + 1  # candidate n is the string of rank n - 1
+        return None, limit
+    return goal, r + 1  # candidate n is the string of rank n - 1
 
 
 def _stated_key(statement, ids: dict):
@@ -429,11 +418,14 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     Structured search keeps what it pops, not every candidate: about
     3 * sqrt(candidates) interned terms.  An exhausted search of
     ((w+1)+1)+1 > w at 10,000,000 candidates takes about 10 ms on a 2-vCPU
-    x86-64 VM, in a process that peaks at about 16 MB RSS.  The pack is one
-    block of candidates, popped once: w+1 > w is found at candidate 23 in
-    about 35 us with a 20-entry pack, and runs out at 5,000 in about 15 us
-    with a 10**6-entry built one, or 1.1 ms with 10,000 hand-built entries,
-    which are scanned so that an invalid one the search reaches raises.
+    x86-64 VM, in a process that peaks at about 16 MB RSS; with a 20-entry
+    pack, 1.10 * 10**11 take 2 s and 229 MB.  Past 10**6 interned terms
+    (_SEARCH_TERMS), from 1.12 * 10**11 there, it raises ResourceLimitError.
+    The pack is one block of candidates, popped once: w+1 > w is found at
+    candidate 23 in about 35 us with a 20-entry pack, and runs out at 5,000
+    in about 15 us with a 10**6-entry built one, or 1.1 ms with 10,000
+    hand-built entries, which are scanned so that an invalid one the search
+    reaches raises.
     """
     ids: dict = {}  # term ids: ("v", name), ("n", value) or (left id, right id) -> id
     target_key = _stated_key(target, ids)
@@ -445,10 +437,13 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     if goal is None:
         return Exhausted(budget.max_candidates)
     run = _search_structured if mode is SearchMode.STRUCTURED else _search_literal
-    found, r1, candidates = run(pack, header, ids, {goal}, budget)
+    found, candidates = run(pack, header, ids, goal, budget)
     if found is None:
         return Exhausted(candidates)
-    return _verdict(pack, _reconstruct(header, ids, r1, found), candidates, found == target_key)
+    derivation = _reconstruct(header, ids, found)  # checked, so no verdict carries a rejected one
+    if not isinstance(check_derivation(pack, derivation, derivation.lines[-1].statement), Accept):
+        raise RuntimeError("search produced a derivation the checker rejects")
+    return (DerivedTarget if found == target_key else DerivedNegation)(derivation, candidates)
 
 
 # -- static decidability and audits ---------------------------------------------

@@ -237,6 +237,16 @@ def test_structured_search_memory_does_not_grow_with_the_budget():
     assert int(max_rss_kb) < 100 * 1024, f"peak RSS {int(max_rss_kb) // 1024} MB, bound 100 MB"
 
 
+def test_structured_search_finds_a_three_layer_ordering_by_chaining_its_a1_steps():
+    # the shallowest structured find whose R1 step takes an R1 conclusion, (w+1)+1 > w, as a premise
+    target = parse_statement("((w+1)+1)+1 > w")
+    verdict = search(EMPTY, target, SearchBudget(10**10), SearchMode.STRUCTURED)
+    assert type(verdict) is DerivedTarget and verdict.candidates == 6_554_521_904
+    assert len(verdict.derivation.lines) == 9
+    literal = search(EMPTY, target, SearchBudget(10**30), SearchMode.LITERAL)
+    assert verdict.derivation == literal.derivation
+
+
 # -- literal mode ---------------------------------------------------------------------
 
 def test_literal_search_finds_one_line_fbar_derivations():
@@ -414,12 +424,12 @@ def test_decide_agrees_with_both_search_loops(target, pack, max_candidates, mode
     budget = SearchBudget(max_candidates=max_candidates)
     header = statement_vars(target)
     ids: dict = {}
-    goals = {_key(target, ids)}
+    goal = _key(target, ids)
     negation = negate_fbar(target) if isinstance(target, FbarAtom) else None
     if negation is not None:  # search hands a mode the entry F picks at x, bit 0 if both are in, if any
-        goals = set([FbarAtom(target.x, bit) for bit in (0, 1) if (target.x, bit) in pack.entries][:1])
+        goal = next((FbarAtom(target.x, bit) for bit in (0, 1) if (target.x, bit) in pack.entries), None)
     run = _search_structured if mode is SearchMode.STRUCTURED else _search_literal
-    found, _, candidates = run(pack, header, ids, goals, budget) if goals else (None, None, max_candidates)
+    found, candidates = run(pack, header, ids, goal, budget) if goal is not None else (None, max_candidates)
     verdict = search(pack, target, budget, mode)
     assert verdict.candidates == candidates
     if found is not None:  # a found goal is derivable

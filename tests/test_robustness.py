@@ -49,6 +49,12 @@ def _pack_entries(monkeypatch):
     pi_system.make_axiom_pack(6)
 
 
+def _search_terms(monkeypatch):
+    monkeypatch.setattr(proof_search, "_SEARCH_TERMS", 10)
+    proof_search.search(pi_system.make_axiom_pack(0), pi_system.parse_statement("((w+1)+1)+1 > w"),
+                        proof_search.SearchBudget(10**6), "structured")
+
+
 def _handler(*argv):
     # the handler alone, so that the error reaches the test; main prints it
     args = cli.build_parser().parse_args(argv)
@@ -59,6 +65,7 @@ def _handler(*argv):
     (_count_entries, ("count_entries", 10, 11), None),
     (_bucket_cells, ("bucket_cells", 16, 17), None),
     (_pack_entries, ("pack_entries", 5, 6), ["check", FIXTURE, "--pack", "1000001"]),
+    (_search_terms, ("search_terms", 10, 12), None),
     (lambda monkeypatch: qlang.table(3, 4, table_cells=11), ("table_cells", 11, 12), None),
     (lambda monkeypatch: qlang.diagonal(12, table_cells=11), ("table_cells", 11, 12), None),
     (_handler("qlang", "table", "--rows", "3", "--cols", "4"), ("table_cells", 10, 12), None),
@@ -66,8 +73,8 @@ def _handler(*argv):
     (_handler("enumerate", "--count", "11"), ("table_cells", 10, 11), None),
     (_handler("gap", "--pack", "3", "--xmax", "11"), ("table_cells", 10, 11), None),
     (_handler("demo", "incompleteness", "--pack", "3", "--xmax", "11"), ("table_cells", 10, 11), None),
-], ids=["count_entries", "bucket_cells", "pack_entries", "table", "diagonal", "qlang table", "qlang fbar",
-        "enumerate --count", "gap --xmax", "demo --xmax"])
+], ids=["count_entries", "bucket_cells", "pack_entries", "search_terms", "table", "diagonal", "qlang table",
+        "qlang fbar", "enumerate --count", "gap --xmax", "demo --xmax"])
 def test_every_budget_error_names_its_budget_limit_and_attempted_size(monkeypatch, capsys, call, expected, argv):
     with pytest.raises(ResourceLimitError) as info:
         call(monkeypatch)
@@ -328,6 +335,25 @@ def test_a2_chains_of_200000_and_a_million_levels_check_in_a_fresh_process():
     proc = subprocess.run([sys.executable, "-c", _A2_CHAINS], capture_output=True, text=True, env=_CHILD_ENV,
                           timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Accept()\nAccept()\n", "")
+
+
+# a structured search past its term budget: about 230 MB when it refuses, where a
+# 10**14 budget would otherwise take gigabytes.  The child caps itself as above.
+_SEARCH_TERMS = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+from proofbench import cli
+sys.exit(cli.main(["search", "((w+1)+1)+1 > w", "--pack", "20", "--budget", str(10**14)]))
+"""
+
+
+def test_a_structured_search_past_its_term_budget_is_one_error_line_in_a_fresh_process():
+    # with no pack the target is found at candidate 6.55 * 10**9, before the budget; the pack's block delays it
+    proc = subprocess.run([sys.executable, "-c", _SEARCH_TERMS], capture_output=True, text=True, env=_CHILD_ENV,
+                          timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: 1000003 exceeds the search_terms budget of 1000000\n")
 
 
 @pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason="ROADMAP item 11")
