@@ -313,6 +313,48 @@ def test_huge_numerals_in_a_file_are_parse_errors_at_the_first_digit(line):
     assert (info.value.position, info.value.expected) == (len(header) + line.index(HUGE), _numeral_limit_expected())
 
 
+HEAD = "vars: w\ntarget: int(w)\n"
+LINE_1 = Line(1, IntTyping(Var("w")), Premise())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        HEAD + " 1. int(w) [premise]\n",
+        HEAD + "01. int(w) [premise]\n",
+        HEAD + "1 . int(w) [premise]\n",
+        HEAD + "\t1.int(w)[premise]\n",
+        HEAD + "\xa01. int(w) [premise]\n",
+        HEAD + "1. int(w) [premise] \t \n",
+        HEAD + "1. int(w) [ premise ]\n",
+        "\n \n" + HEAD + "\n\t\n1. int(w) [premise]\n\n",
+        (HEAD + "1. int(w) [premise]\n").replace("\n", "\r\n"),
+    ],
+    ids=["leading-blank", "leading-zero", "blank-before-dot", "tab-no-blanks", "nbsp", "trailing-blanks",
+         "blanks-in-brackets", "blank-lines", "crlf"],
+)
+def test_line_forms_that_parse_as_line_1(text):
+    assert parse_derivation_file(text) == (Derivation(("w",), (LINE_1,)), LINE_1.statement)
+
+
+@pytest.mark.parametrize(
+    "line, position, expected",
+    [
+        ("+1. int(w) [premise]", 0, ("line index",)),
+        ("2. int(w) [premise]", 0, ("line index 1",)),
+        ("1 int(w) [premise]", 0, ("line index",)),
+        ("1", 0, ("line index",)),
+        ("1. int(w) [premise", len("1. int(w) [premise"), ("'[justification]'",)),
+        ("1. int(w) premise]", len("1. int(w) premise]"), ("'[justification]'",)),
+        ("1. int(w) [premise]  x", len("1. int(w) [premise]  x"), ("'[justification]'",)),
+    ],
+)
+def test_line_forms_that_are_parse_errors(line, position, expected):
+    with pytest.raises(ParseError) as info:
+        parse_derivation_file(HEAD + line + "\n2. int(w) [premise]\n")
+    assert (info.value.position, info.value.expected) == (len(HEAD) + position, expected)
+
+
 def test_empty_derivation_rejects_with_wrong_target():
     derivation, target = parse_derivation_file("vars:\ntarget: fbar(1) is 1\n")
     verdict = check_derivation(make_axiom_pack(5), derivation, target)
@@ -458,6 +500,26 @@ def test_rule_reference_to_a_missing_line_is_a_forward_reference(refs):
     lines = (PREMISE_W, A1_W, Line(5, Greater(W1, W), RuleApplication("R1", refs)))
     verdict = check_derivation(make_axiom_pack(0), Derivation(("w",), lines), lines[-1].statement)
     assert verdict == Reject(5, "forward-reference")
+
+
+def _fresh_a2_lines(last, bad_line=None):
+    """int(1) by A3, then for k = 2..last int(k) by A3 and int(k+1) by A2 from int(k) and int(1).
+    Every term is built afresh, and each line is dropped once the checker has read it, so the
+    ids of its objects are free for the next lines'.  bad_line states int(k+2) instead."""
+    yield Line(1, IntTyping(Num(1)), AxiomInstance("A3", (("c", Num(1)),)))
+    for k in range(2, last + 1):
+        yield Line(2 * k - 2, IntTyping(Num(k)), AxiomInstance("A3", (("c", Num(k)),)))
+        index = 2 * k - 1
+        stated = Sum(Num(k), Num(2 if index == bad_line else 1))
+        yield Line(index, IntTyping(stated), AxiomInstance("A2", (("t1", Num(k)), ("t2", Num(1)))))
+
+
+@pytest.mark.parametrize("bad_line, expected", [(None, Accept()), (4001, Reject(4001, "bad-substitution"))])
+def test_a_generator_of_fresh_lines_checks(bad_line, expected):
+    # the checker keys the terms it meets by id(): it must hold them, or a later term could take a dead one's id
+    target = IntTyping(Sum(Num(2500), Num(1)))
+    verdict = check_derivation(make_axiom_pack(0), Derivation((), _fresh_a2_lines(2500, bad_line)), target)
+    assert verdict == expected
 
 
 def test_checker_is_deterministic():
