@@ -165,6 +165,16 @@ Derivation = record("Derivation", "header lines")  # header: declared integer va
 AxiomPack = record("AxiomPack", "n entries")
 
 
+def _entry_index(key) -> int:
+    """The int x >= 1 that a pack entry's key equals, else 0: a key equal to an int (True,
+    2.0) names that int's entry, as in a frozenset, and any other (2.5, "3", NaN) no atom."""
+    try:
+        x = int(key)
+    except (TypeError, ValueError, OverflowError):
+        return 0
+    return x if x >= 1 and x == key else 0
+
+
 class FbarRule(Set):
     """The entries {(x, fbar_truth(x)) : 1 <= x <= n} of a built pack, read by their
     rule: a membership test is one fbar_truth call, iteration runs in x order, and
@@ -184,11 +194,8 @@ class FbarRule(Set):
         return ((x, fbar_truth(x)) for x in range(1, self.n + 1))
 
     def __contains__(self, item) -> bool:
-        try:  # a key equal to an int (True, 2.0) names that int's entry, as in a frozenset
-            x = int(item[0]) if isinstance(item, tuple) and len(item) == 2 else 0
-        except (TypeError, ValueError, OverflowError):
-            return False
-        return 1 <= x <= self.n and item == (x, fbar_truth(x))
+        x = _entry_index(item[0]) if isinstance(item, tuple) and len(item) == 2 else 0
+        return 0 < x <= self.n and item == (x, fbar_truth(x))
 
     def __repr__(self) -> str:
         return f"FbarRule({self.n})"

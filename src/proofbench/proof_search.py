@@ -24,12 +24,19 @@ after it.  So no popped a > b meets an earlier c > a, every t > u is popped
 before t+1 > t, and a popped R1 conclusion t+1 > u would only rebuild the
 t+1 > v its A1 step gave.  Every rule's premises are read off the keys
 (_key): a > c, a being a'+1, is A1 when a' is c, else R1 from a > a', a' > c.
-The int k popped after u0, ..., u(m-1) queues its 2m + 1 A2 pairs (k, u0),
-(u0, k), ..., (k, k) as one block, and a pop interns only the pair it takes.
-The pack's entries, which feed no rule, seed the worklist as one block of
-atoms in sorted order: a goal atom ends the search at its offset, 1 + the
+The int k popped after u0, ..., u(m-1) queues k+1 > k and its 2m + 1 A2
+pairs (k, u0), (u0, k), ..., (k, k) as one block, and popping k+1 > k its
+R1 conclusions as another.  So two facts of each popped int fix the stream,
+and they are all the search keeps of it: its (...)+1 depth, the R1 block's
+size (a pair's is its left part's + 1 if its right part is the numeral 1,
+else 0), and its id if it is a goal subterm (a pair is one when both parts
+are and ids holds their sum), which tells the block and offset of the goal.
+No other term is built.  The pack's entries seed the worklist as one block
+of atoms in sorted order: a goal atom ends the search at its offset, 1 + the
 entries that sort before it (x for a built pack), so only the found atom is
-ever built; a built pack is neither scanned nor read for another goal.
+ever built; a built pack is neither scanned nor read for another goal.  Its
+atoms and R1 conclusions feed no rule, so popping their block injects one
+numeral per entry, as a pop per entry would.
 
 ``literal`` counts proof terms as raw strings in shortlex order over a
 small alphabet, and every string counts as a candidate tried, though the
@@ -110,6 +117,7 @@ from .pi_system import (
     RuleApplication,
     Sum,
     Var,
+    _entry_index,
     _key,
     can_form,
     check_derivation,
@@ -117,7 +125,7 @@ from .pi_system import (
 from .qlang import fbar_truth
 from .records import record
 
-_SEARCH_TERMS = 1_000_000  # terms a structured search may intern
+_SEARCH_TERMS = 1_000_000  # ints a structured search may pop
 DERIVABLE = "Derivable"
 NOT_DERIVABLE = "NotDerivable"
 
@@ -198,9 +206,8 @@ def _reconstruct(header, ids: dict, goal) -> Derivation:
 def _layers(ids: dict, lhs: int, rhs: int):
     """The term ids [lhs, a1, ..., rhs] when lhs is rhs wrapped in k >= 1
     (...)+1 layers, each the id of the next one's term plus 1; else None.
-    Read off the term ids: from rhs's id, step to the id of (cur)+1 while ids
-    has one, until lhs's id is reached.  A sum's id is larger than its
-    parts', so the walk ends within len(ids) steps."""
+    From rhs's id, step to the id of (cur)+1 while ids has one, until lhs's
+    id: within len(ids) steps, as a sum's id is larger than its parts'."""
     one = ids.get(("n", 1))
     chain = [rhs]
     while chain[-1] is not None:
@@ -211,13 +218,10 @@ def _layers(ids: dict, lhs: int, rhs: int):
 
 
 def _derivable(pack: AxiomPack, key, ids: dict) -> bool:
-    """Whether the statement keyed key in ids is derivable (see the module
-    docstring)."""
-    if type(key) is int:
-        return True
+    """Whether the statement keyed key in ids is derivable (see the module docstring)."""
     if type(key) is tuple:
         return _layers(ids, *key) is not None
-    return (key.x, key.bit) in pack.entries
+    return type(key) is int or (key.x, key.bit) in pack.entries
 
 
 # -- structured mode -----------------------------------------------------------
@@ -230,48 +234,35 @@ def _check_atoms(entries, reach: int) -> None:
     """Raise FbarAtom's ValueError for the first entry, in sorted order, of
     the pack's first reach entries that is no fbar atom, as building their
     atoms would.  Only a hand-built pack can hold such an entry."""
-    for x, bit in entries:
-        if x < 1 or bit not in (0, 1):
-            for entry in sorted(entries)[:reach]:
-                FbarAtom(*entry)
-            return
+    if any(x < 1 or bit not in (0, 1) for x, bit in entries):
+        for entry in sorted(entries)[:reach]:
+            FbarAtom(*entry)
 
 
 def _search_structured(pack: AxiomPack, header, ids: dict, goal, budget: SearchBudget):
-    term_id = ids.setdefault  # term_id(key, len(ids)) interns key
     limit = budget.max_candidates
     queue: deque = deque()
     popleft, appendleft = queue.popleft, queue.appendleft
     candidates = 0
 
-    def push(block, n, found):
-        """Queue block as n more candidates; stop at the budget, or at found, the last."""
+    def push(item, n, found):
+        """Queue item as n more candidates; stop past the budget, or at found, the last."""
         nonlocal candidates
-        end = candidates + n
-        candidates = min(end, limit)
-        if end > limit or found is not None:
-            raise _Stop(found if end <= limit else None)
-        queue.append(block)
+        candidates += n
+        if candidates > limit or found is not None:
+            raise _Stop(found if candidates <= limit else None)
+        queue.append(item)
 
-    def emit(key):
-        """Queue key as one more candidate, goal-tested; stop at the budget or at the goal."""
-        nonlocal candidates
-        if candidates >= limit:
-            raise _Stop(None)
-        candidates += 1
-        if key == goal:  # an fbar goal is found in the pack block, before any emit
-            raise _Stop(key)
-        queue.append(key)
-
-    left, right = list(ids)[goal] if type(goal) is int else (None, None)  # a leaf's left, "v" or "n", is no id
-    ints_seen: list = []
-    below: dict = {}  # the id of t+1 -> the id of t, for each A1 ordering t+1 > t popped
-    one = term_id(("n", 1), len(ids))
-    next_numeral = 0
+    left, right = leaf = list(ids)[goal] if type(goal) is int else (-1, -1)  # ("v", name), ("n", c) or part ids
+    numeral = right if left == "n" else -1
+    under, over = list(ids)[goal[0]] if type(goal) is tuple else (-1, -1)  # the goal's lhs: under+over
+    depths, gids = [], []  # per popped int, in pop order: its (...)+1 depth, its id if a goal subterm else None
+    one, offset, next_numeral = -1, 0, 0  # one: the numeral 1's index in depths; offset: in the front int's block
+    leaf_at = -len(header)  # the next leaf to pop: header[leaf_at] while < 0, then the numeral leaf_at
 
     try:
-        for name in header:
-            emit(term_id(("v", name), len(ids)))
+        for name in header:  # a leaf is queued as None: the premises, then the numerals, pop in order
+            push(None, 1, goal if ("v", name) == leaf else None)
         entries = pack.entries
         if entries:  # the pack's atoms in sorted order, one block: the range of offsets
             n = at = len(entries)  # at: the offset of the earliest goal atom, n if none
@@ -284,38 +275,49 @@ def _search_structured(pack: AxiomPack, header, ids: dict, goal, budget: SearchB
             push(range(n), min(at + 1, n), goal if at < n else None)
         while True:
             # the numeral stream keeps the worklist fed even from empty seeds
-            emit(term_id(("n", next_numeral), len(ids)))
+            push(None, 1, goal if next_numeral == numeral else None)
             next_numeral += 1
-            key = popleft()
-            if type(key) is list:  # a block [k, m, next offset]: take that pair, put back the rest
-                k, m, at = key
-                if at < 2 * m:
-                    appendleft([k, m, at + 1])
-                u = ints_seen[at // 2]
-                key = term_id((k, u) if at % 2 == 0 else (u, k), len(ids))
-            if type(key) is int:
-                if len(ids) > _SEARCH_TERMS:
-                    raise ResourceLimitError("search_terms", _SEARCH_TERMS, len(ids))
-                emit((term_id((key, one), len(ids)), key))
-                m = len(ints_seen)
-                ints_seen.append(key)  # so the block's last pair, at 2m, is (key, key)
-                at = 2 * m + 1  # the offset of goal l+r, if key is the later of l, r
-                if key in (left, right) and left in ints_seen and right in ints_seen:
-                    at = 2 * ints_seen.index(right) if key == left else 2 * ints_seen.index(left) + 1
-                push([key, m, 0], min(at, 2 * m) + 1, goal if at <= 2 * m else None)
-            elif type(key) is tuple:  # an R1 conclusion feeds nothing: its A1 made its joins
-                lhs, u = key
-                if ids[u, one] == lhs:  # A1's t+1 > t: R1 gives t+1 > u for each u that t sits over
-                    below[lhs] = u
-                    while u in below:
-                        u = below[u]
-                        emit((lhs, u))
-            else:  # the pack block: its atoms feed no rule and the goal was found by
-                for _ in range(len(key) - 1):  # offset, so one pop injects their numerals
-                    emit(term_id(("n", next_numeral), len(ids)))
+            item = popleft()
+            if type(item) is int:  # the block of the int popped item-th: t+1 > t at offset 0, then its pairs
+                k, at = item, offset
+                offset = at + 1 if at <= 2 * k else 0
+                if offset:
+                    appendleft(k)
+                if not at:  # R1 gives t+1 > u for each of the depth(t) layers u under t, nearest first
+                    if depths[k]:  # a goal under+1 > c, c the j-th layer under under, is the j-th of them
+                        chain = gids[k] == under and _layers(ids, *goal)
+                        push(range(depths[k]), len(chain) - 2 if chain else depths[k], goal if chain else None)
+                    continue
+                u = (at - 1) >> 1  # the pair (k, u) at an odd offset, (u, k) at an even one
+                if not at & 1:
+                    k, u = u, k
+                depth = depths[k] + 1 if u == one else 0
+                g = None if gids[k] is None else ids.get((gids[k], gids[u]))
+            elif item is None:  # a premise or a numeral
+                key = ("n", leaf_at) if leaf_at >= 0 else ("v", header[leaf_at])
+                leaf_at += 1
+                depth, g = 0, ids.get(key)
+                if key == ("n", 1):
+                    one = len(depths)
+            else:  # the pack's atoms or A1's R1 conclusions feed no rule and the goal was found
+                for _ in range(len(item) - 1):  # by offset, so each of their pops just injects its numeral
+                    push(None, 1, goal if next_numeral == numeral else None)
                     next_numeral += 1
+                continue
+            m = len(depths)
+            if m >= _SEARCH_TERMS:
+                raise ResourceLimitError("search_terms", _SEARCH_TERMS, m + 1)
+            depths.append(depth)
+            gids.append(g)
+            at, found = 2 * m + 1, None  # the goal's offset in this int's block, else its last offset
+            if g is not None:
+                if g == under == goal[1] and over == ids.get(("n", 1)):  # A1 gives the goal t+1 > t
+                    at, found = 0, goal
+                elif g in (left, right) and left in gids and right in gids:  # A2 gives the goal l+r
+                    at, found = 2 * gids.index(right) + 1 if g == left else 2 * gids.index(left) + 2, goal
+            push(m, at + 1, found)
     except _Stop as stop:
-        return stop.args[0], candidates
+        return stop.args[0], min(candidates, limit)
 
 
 # -- literal mode ----------------------------------------------------------------
@@ -415,12 +417,12 @@ def search(pack: AxiomPack, target, budget: SearchBudget, mode: SearchMode):
     proof's string plus one, as if every string before it had been tried.
     Literal search builds that one string (module docstring).
 
-    Structured search keeps what it pops, not every candidate: about
-    3 * sqrt(candidates) interned terms.  An exhausted search of
-    ((w+1)+1)+1 > w at 10,000,000 candidates takes about 10 ms on a 2-vCPU
-    x86-64 VM, in a process that peaks at about 16 MB RSS; with a 20-entry
-    pack, 1.10 * 10**11 take 2 s and 229 MB.  Past 10**6 interned terms
-    (_SEARCH_TERMS), from 1.12 * 10**11 there, it raises ResourceLimitError.
+    Structured search keeps two ints per int it pops, about sqrt(candidates)
+    of them, and builds no term beyond the goal's.  An exhausted search of
+    ((w+1)+1)+1 > w at 10,000,000 candidates takes about 2 ms on a 2-vCPU
+    x86-64 VM, in a process that peaks at about 15 MB RSS; with a 20-entry
+    pack, 1.10 * 10**11 take 0.18 s and 35 MB.  Past 10**6 popped ints
+    (_SEARCH_TERMS), from 1.000002 * 10**12 there, it raises ResourceLimitError.
     The pack is one block of candidates, popped once: w+1 > w is found at
     candidate 23 in about 35 us with a 20-entry pack, and runs out at 5,000
     in about 15 us with a 10**6-entry built one, or 1.1 ms with 10,000
@@ -493,17 +495,18 @@ class AuditReport(record("AuditReport", "kind queries violations")):
 def audit_soundness(pack: AxiomPack) -> AuditReport:
     """Check that every derivable fbar bit is the true one.
 
-    Sweeps both bits for every x in 1..pack.n and every x a pack entry
-    names, in ascending order, so a hand-built pack's entries past n are
-    audited too; a violation (x, bit) means fbar(x) is bit is derivable but
-    the flipped-diagonal truth differs.
+    Sweeps both bits for every x in 1..pack.n and every int x >= 1 a pack
+    entry's key equals, in ascending order, so a hand-built pack's entries
+    past n are audited too; a key equal to no such int (0, 2.5, "3", NaN)
+    names no atom and is skipped.  A violation (x, bit) means fbar(x) is bit
+    is derivable but the flipped-diagonal truth differs.
     """
     entries = pack.entries
     built = type(entries) is FbarRule  # its one entry at each x <= its size is (x, fbar_truth(x))
-    xs = range(1, len(entries) + 1) if built else (x for x, _ in entries)
+    xs = set(range(1, len(entries) + 1)) if built else {_entry_index(key) for key, _ in entries} - {0}
     violations = []
     queries = 0
-    for x in sorted(set(xs).union(range(1, pack.n + 1))):
+    for x in sorted(xs.union(range(1, pack.n + 1))):
         truth = fbar_truth(x)
         for bit in (0, 1):
             queries += 1
@@ -515,17 +518,13 @@ def audit_soundness(pack: AxiomPack) -> AuditReport:
 def audit_consistency(pack: AxiomPack, x_max: int) -> AuditReport:
     """Check that no index has both fbar bits derivable.  The violations, the
     ints x in 1..x_max with (x, 0) and (x, 1) both entries, are read off the
-    entries in O(entries) for any x_max: x = int(key) covers a hand-built key
-    equal to an int (True, 2.0), and one int() cannot read (NaN) is skipped."""
+    entries in O(entries) for any x_max, each key read as a pack reads it."""
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
     entries, indices = pack.entries, range(1, x_max + 1)
     violations = set()
     for key, _ in entries if type(entries) is not FbarRule else ():  # a built pack has one bit per x
-        try:
-            x = int(key)
-        except (TypeError, ValueError, OverflowError):
-            continue
+        x = _entry_index(key)
         if x in indices and (x, 0) in entries and (x, 1) in entries:
             violations.add(x)
     return AuditReport("consistency", 2 * x_max, tuple(sorted(violations)))

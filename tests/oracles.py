@@ -7,12 +7,13 @@ word's tree rebuilt from its derivation's productions), literal
 proof search by decoding every string in turn, structured search by the
 given-clause loop that stores every candidate with an origin tag, the
 checker's axiom schemas by == of the instantiated conclusion, and the
-completeness gap and consistency audit by asking the decider about both
-bits of every index.  Slow, small, and obviously correct is the point.
+completeness gap and the audits by asking the decider about both bits of
+every index.  Slow, small, and obviously correct is the point.
 """
 
 import itertools
 from collections import deque
+from fractions import Fraction
 
 from proofbench.pi_system import (
     _AXIOM_METAVARS,
@@ -33,6 +34,7 @@ from proofbench.pi_system import (
     statement_vars,
 )
 from proofbench.proof_search import DERIVABLE, NOT_DERIVABLE, AuditReport, SearchBudget, _key, decide_fbar
+from proofbench.qlang import fbar_truth
 
 
 def shortlex_strings(symbols, count):
@@ -407,3 +409,26 @@ def audit_consistency(pack, x_max):
         ):
             violations.append(x)
     return AuditReport("consistency", queries, tuple(violations))
+
+
+def audit_soundness(pack):
+    """The soundness audit by deciding both bits of every x in 1..pack.n and
+    of every int x >= 1 an entry's key equals, ascending.  A key's exact value
+    is read with Fraction, so a key equal to no such int (2.5, "3", NaN, inf)
+    names no index."""
+    xs = set(range(1, pack.n + 1))
+    for key, _ in pack.entries:
+        try:
+            value = Fraction(key)
+        except (TypeError, ValueError, OverflowError):
+            continue
+        if value.denominator == 1 and value >= 1 and key == value.numerator:  # "3" reads as 3 but is not 3
+            xs.add(value.numerator)
+    violations = []
+    queries = 0
+    for x in sorted(xs):
+        for bit in (0, 1):
+            queries += 1
+            if decide_fbar(pack, FbarAtom(x, bit)) == DERIVABLE and bit != fbar_truth(x):
+                violations.append((x, bit))
+    return AuditReport("soundness", queries, tuple(violations))

@@ -214,27 +214,42 @@ def test_search_reads_no_clock(monkeypatch, mode, runs):
 
 
 def test_structured_search_memory_does_not_grow_with_the_budget():
-    # in a child process, so its peak RSS is the search's alone; storing every candidate took about 2.3 GB.
+    # in a child process, so its peak RSS is the search's alone; storing every candidate took about 2.3 GB,
+    # and interning every popped int about 76 MB at 10**10 candidates with a 20-entry pack.
     # Linux carries ru_maxrss over exec, so a child spawned by a large test process would report that
     # process's peak; VmHWM is the peak of the child's own memory, and ru_maxrss the fallback without /proc.
-    code = (
-        "import re, resource\n"
-        "from proofbench.pi_system import make_axiom_pack, parse_statement\n"
-        "from proofbench.proof_search import SearchBudget, SearchMode, search\n"
-        "target = parse_statement('((w+1)+1)+1 > w')\n"
-        "print(search(make_axiom_pack(0), target, SearchBudget(10**7), SearchMode.STRUCTURED))\n"
-        "try:\n"
-        "    print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1))\n"
-        "except OSError:\n"
-        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    verdict, max_rss_kb = proc.stdout.splitlines()
-    assert verdict == "Exhausted(candidates=10000000)"
-    assert int(max_rss_kb) < 100 * 1024, f"peak RSS {int(max_rss_kb) // 1024} MB, bound 100 MB"
+    for pack, max_candidates, bound_mb in [(0, 10**7, 100), (20, 10**10, 55)]:
+        code = (
+            "import re, resource\n"
+            "from proofbench.pi_system import make_axiom_pack, parse_statement\n"
+            "from proofbench.proof_search import SearchBudget, SearchMode, search\n"
+            "target = parse_statement('((w+1)+1)+1 > w')\n"
+            f"print(search(make_axiom_pack({pack}), target, SearchBudget({max_candidates}), SearchMode.STRUCTURED))\n"
+            "try:\n"
+            "    print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read()).group(1))\n"
+            "except OSError:\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        verdict, max_rss_kb = proc.stdout.splitlines()
+        assert verdict == f"Exhausted(candidates={max_candidates})"
+        assert int(max_rss_kb) < bound_mb * 1024, f"peak RSS {int(max_rss_kb) // 1024} MB, bound {bound_mb} MB"
+
+
+@pytest.mark.parametrize("text, max_candidates, expected", [
+    ("((0+1)+1)+1 > 0+1", 10**9, ("DerivedTarget", 94_361_905)),  # the first of the R1 block of (0+1)+1's A1
+    ("((0+1)+1)+1 > 0", 10**9, ("DerivedTarget", 94_361_906)),  # the second, the block's last
+    ("((0+1)+1)+1 > 0", 94_361_905, ("Exhausted", 94_361_905)),
+])
+def test_structured_search_finds_a_goal_inside_an_r1_block(text, max_candidates, expected):
+    # past the oracle's budgets: A1's R1 conclusions are one block, and the goal is found at its offset in it
+    verdict = search(EMPTY, parse_statement(text), SearchBudget(max_candidates), SearchMode.STRUCTURED)
+    assert (type(verdict).__name__, verdict.candidates) == expected
+    if expected[0] == "DerivedTarget":  # an R1 conclusion
+        assert verdict.derivation.lines[-1].justification.rule == "R1"
 
 
 def test_structured_search_finds_a_three_layer_ordering_by_chaining_its_a1_steps():
@@ -625,6 +640,7 @@ def test_the_gap_and_consistency_audit_agree_with_the_sweeps(entries, x_max):
     pack = AxiomPack(0, entries)
     report = audit_consistency(pack, x_max)
     assert report == oracles.audit_consistency(pack, x_max)
+    assert audit_soundness(pack) == oracles.audit_soundness(pack)
     assert all(type(x) is int for x in report.violations)
     assert completeness_gap(pack, x_max) == oracles.completeness_gap(pack, x_max)
 

@@ -65,7 +65,7 @@ def _handler(*argv):
     (_count_entries, ("count_entries", 10, 11), None),
     (_bucket_cells, ("bucket_cells", 16, 17), None),
     (_pack_entries, ("pack_entries", 5, 6), ["check", FIXTURE, "--pack", "1000001"]),
-    (_search_terms, ("search_terms", 10, 12), None),
+    (_search_terms, ("search_terms", 10, 11), None),
     (lambda monkeypatch: qlang.table(3, 4, table_cells=11), ("table_cells", 11, 12), None),
     (lambda monkeypatch: qlang.diagonal(12, table_cells=11), ("table_cells", 11, 12), None),
     (_handler("qlang", "table", "--rows", "3", "--cols", "4"), ("table_cells", 10, 12), None),
@@ -337,7 +337,7 @@ def test_a2_chains_of_200000_and_a_million_levels_check_in_a_fresh_process():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "Accept()\nAccept()\n", "")
 
 
-# a structured search past its term budget: about 230 MB when it refuses, where a
+# a structured search past its budget of popped ints: about 80 MB when it refuses, where a
 # 10**14 budget would otherwise take gigabytes.  The child caps itself as above.
 _SEARCH_TERMS = """
 import resource, sys
@@ -353,7 +353,7 @@ def test_a_structured_search_past_its_term_budget_is_one_error_line_in_a_fresh_p
     proc = subprocess.run([sys.executable, "-c", _SEARCH_TERMS], capture_output=True, text=True, env=_CHILD_ENV,
                           timeout=20)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        1, "", "error: 1000003 exceeds the search_terms budget of 1000000\n")
+        1, "", "error: 1000001 exceeds the search_terms budget of 1000000\n")
 
 
 @pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason="ROADMAP item 11")
