@@ -435,6 +435,9 @@ def main(argv=None) -> int:
     except (ValueError, ResourceLimitError, OSError) as exc:  # ParseError and GrammarError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 def entry() -> int:

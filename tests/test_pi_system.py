@@ -1,3 +1,4 @@
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from proofbench.pi_system import (
     pretty_statement,
     pretty_term,
 )
+from proofbench import pi_system
 from proofbench.pi_system import _axiom_premises, _key
 from proofbench.qlang import fbar_truth
 
@@ -353,6 +355,86 @@ def test_line_forms_that_are_parse_errors(line, position, expected):
     with pytest.raises(ParseError) as info:
         parse_derivation_file(HEAD + line + "\n2. int(w) [premise]\n")
     assert (info.value.position, info.value.expected) == (len(HEAD) + position, expected)
+
+
+# -- the canonical route and the scanner --------------------------------------------------
+#
+# Canonical statement and justification texts are recognised by two patterns; every other
+# text, and every error, comes from the scanner.  With both patterns replaced by one that
+# never matches, each file goes to the scanner alone, so the two runs must agree.
+
+NEVER = re.compile(r"(?!)")
+
+
+def _outcome(text):
+    """repr of the parse of text, or the class, position and expected set of its error."""
+    try:
+        return repr(parse_derivation_file(text))
+    except ParseError as exc:
+        return type(exc), exc.position, exc.expected
+
+
+def _scanner_outcome(text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pi_system, "_STATEMENT", NEVER)
+        patch.setattr(pi_system, "_JUSTIFICATION", NEVER)
+        return _outcome(text)
+
+
+# what an edit writes: blanks and characters the patterns refuse, and pieces of the canonical form
+EDIT_PIECES = st.sampled_from(["\t", " ", "  ", "é", "²", "0", "9" * 18, "{", "}", ",", "(", ")", "+",
+                               "[", "FBAR", ""])
+
+
+@st.composite
+def _edited_files(draw):
+    """A rendered _derivations() case after 0-3 edits, each replacing 0-2 characters with a piece."""
+    derivation, target = draw(_derivations())
+    text = derivation_file_text(derivation, target)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(EDIT_PIECES) + text[i + draw(st.integers(0, 2)):]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edited_files())
+def test_the_canonical_route_parses_as_the_scanner_does(text):
+    assert _outcome(text) == _scanner_outcome(text)
+
+
+W, ONE = Var("w"), Num(1)
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        ("1. int(w) [axiom FBAR {i := 3}]", ParseError),
+        ("1. int(w) [axiom FBARX {i := 3}]", Line(1, IntTyping(W), AxiomInstance("FBARX", (("i", Num(3)),)))),
+        (f"1. fbar({10**17}) is 1 [axiom FBAR({10**17})]",
+         Line(1, FbarAtom(10**17, 1), AxiomInstance("FBAR", (("i", Num(10**17)),)))),
+        (f"1. fbar({10**18}) is 1 [axiom FBAR({10**18})]",
+         Line(1, FbarAtom(10**18, 1), AxiomInstance("FBAR", (("i", Num(10**18)),)))),
+        (f"1. int({10**18}) [rule R1 {10**17},{10**18}]",
+         Line(1, IntTyping(Num(10**18)), RuleApplication("R1", (10**17, 10**18)))),
+        ("1. int(01) [premise]", ParseError),
+        ("1. int(1+2+3) [premise]", ParseError),
+        ("1. int((1+2)) [premise]", Line(1, IntTyping(Sum(ONE, Num(2))), Premise())),
+        ("1. ((w+1)+1)+1 > w [premise]", Line(1, Greater(Sum(Sum(Sum(W, ONE), ONE), ONE), W), Premise())),
+        ("1. int(é) [axiom A1 {t := é}]", Line(1, IntTyping(Var("é")), AxiomInstance("A1", (("t", Var("é")),)))),
+        ("1. int(w) [rule R1 1,2,3]", Line(1, IntTyping(W), RuleApplication("R1", (1, 2, 3)))),
+    ],
+    ids=["axiom-FBAR-with-braces", "axiom-FBARX", "18-digit-numerals", "19-digit-numerals", "18-and-19-digit-refs",
+         "leading-zero", "three-operand-sum", "doubled-parens", "three-level-sum", "non-ascii-variable", "three-refs"],
+)
+def test_canonical_edge_lines(line, expected):
+    text = HEAD + line + "\n"
+    assert _outcome(text) == _scanner_outcome(text)
+    if expected is ParseError:
+        with pytest.raises(ParseError):
+            parse_derivation_file(text)
+    else:
+        assert parse_derivation_file(text)[0].lines == (expected,)
 
 
 def test_empty_derivation_rejects_with_wrong_target():

@@ -356,6 +356,24 @@ def test_a_structured_search_past_its_term_budget_is_one_error_line_in_a_fresh_p
         1, "", "error: 1000001 exceeds the search_terms budget of 1000000\n")
 
 
+# enumerate builds its whole output before it writes (ROADMAP item 17), so a large --count at a
+# long rank fills memory; under a 64 MB address space that takes about 5 s.  The child caps itself.
+_OUT_OF_MEMORY = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (64 * 2**20, 64 * 2**20))
+resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+from proofbench import cli
+argv = ["enumerate", "--alphabet", "binary", "--from", str(10**300), "--count", "1000000", "--format", "csv"]
+sys.exit(cli.main(argv))
+"""
+
+
+def test_running_out_of_memory_is_one_error_line_in_a_fresh_process():
+    proc = subprocess.run([sys.executable, "-c", _OUT_OF_MEMORY], capture_output=True, text=True, env=_CHILD_ENV,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
+
+
 @pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired, reason="ROADMAP item 11")
 def test_a_4000_digit_nth_ends_in_bounded_time():
     # a fresh process, so that the shared grammar keeps no partial counts
