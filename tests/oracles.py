@@ -6,9 +6,10 @@ by expanding leftmost derivations with a minimum-length bound (and each
 word's tree rebuilt from its derivation's productions), literal
 proof search by decoding every string in turn, structured search by the
 given-clause loop that stores every candidate with an origin tag, the
-checker's axiom schemas by == of the instantiated conclusion, and the
-completeness gap and the audits by asking the decider about both bits of
-every index.  Slow, small, and obviously correct is the point.
+checker's axiom schemas by == of the instantiated conclusion, the checker
+itself by == of statements, and the completeness gap and the audits by
+asking the decider about both bits of every index.  Slow, small, and
+obviously correct is the point.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from fractions import Fraction
 
 from proofbench.pi_system import (
     _AXIOM_METAVARS,
+    Accept,
     AxiomInstance,
     AxiomPack,
     Derivation,
@@ -26,6 +28,7 @@ from proofbench.pi_system import (
     Line,
     Num,
     Premise,
+    Reject,
     RuleApplication,
     Sum,
     Var,
@@ -246,6 +249,45 @@ def axiom_premises(pack: AxiomPack, instance: AxiomInstance, statement):
     ):
         return ()
     return None
+
+
+def check_by_equality(pack: AxiomPack, derivation: Derivation, target):
+    """check_derivation's verdict, with statements compared by ==: each line in
+    turn is a declared premise, an axiom instance (axiom_premises) whose
+    premises are statements of earlier lines, or R1 on two strictly earlier
+    orderings a > b and b > c that states a > c; the last line is the target."""
+    derived, by_index, last = [], {}, None
+    for line in derivation.lines:
+        statement, just = line.statement, line.justification
+        if isinstance(just, Premise):
+            term = statement.term if isinstance(statement, IntTyping) else None
+            if not (isinstance(term, Var) and term.name in derivation.header):
+                return Reject(line.index, "premise-not-declared")
+        elif isinstance(just, AxiomInstance):
+            if just.schema not in _AXIOM_METAVARS:
+                return Reject(line.index, "rule-mismatch")
+            premises = axiom_premises(pack, just, statement)
+            if premises is None:
+                return Reject(line.index, "bad-substitution")
+            if any(premise not in derived for premise in premises):
+                return Reject(line.index, "rule-mismatch")
+        elif isinstance(just, RuleApplication):
+            if just.rule != "R1" or len(just.refs) != 2:
+                return Reject(line.index, "rule-mismatch")
+            if any(not 1 <= ref < line.index or ref not in by_index for ref in just.refs):
+                return Reject(line.index, "forward-reference")
+            first, second = (by_index[ref] for ref in just.refs)
+            if not (isinstance(first, Greater) and isinstance(second, Greater) and first.rhs == second.lhs
+                    and Greater(first.lhs, second.rhs) == statement):
+                return Reject(line.index, "rule-mismatch")
+        else:
+            return Reject(line.index, "rule-mismatch")
+        derived.append(statement)
+        by_index[line.index] = statement
+        last = line
+    if last is None or last.statement != target:
+        return Reject(last.index if last else 0, "wrong-target")
+    return Accept()
 
 
 # -- structured proof search ---------------------------------------------------

@@ -37,7 +37,7 @@ from proofbench import pi_system
 from proofbench.pi_system import _axiom_premises, _key
 from proofbench.qlang import fbar_truth
 
-from oracles import axiom_premises
+from oracles import axiom_premises, check_by_equality
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "paper_3_1.drv"
 
@@ -437,6 +437,46 @@ def test_canonical_edge_lines(line, expected):
         assert parse_derivation_file(text)[0].lines == (expected,)
 
 
+# A span that misses a file's term memo is built from its operands' entries when it is a sum of
+# leaves or (X)+leaf; any other span is scanned.  Either way it must read as the scanner reads it.
+
+SPAN_LEAVES = st.sampled_from(["w", "1", "9", "42", "0", "01", "ab"])
+
+
+def _span_sums(depth):
+    """Sum texts of depth at most depth, each sum inside a sum in parentheses."""
+    if depth == 0:
+        return SPAN_LEAVES
+    sub = _span_sums(depth - 1)
+    return st.one_of(SPAN_LEAVES, st.tuples(sub, sub).map(lambda ts: "+".join(f"({t})" if "+" in t else t for t in ts)))
+
+
+def _scanned(span):
+    """repr of _scan_term's term when it reads all of span alone, else ParseError."""
+    try:
+        term, j = pi_system._scan_term(span + "\n", 0, 0, {})
+    except ParseError:
+        return ParseError
+    return repr(term) if j == len(span) else ParseError
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_span_sums(3), st.text("0129ab()+", min_size=1, max_size=12)), st.data())
+def test_a_span_reads_as_the_scanner_reads_it_alone(span, data):
+    terms = pi_system._Terms()
+    for _ in range(data.draw(st.integers(0, 4))):  # read substrings first, so operands may be in the memo
+        i = data.draw(st.integers(0, len(span) - 1))
+        try:
+            terms[span[i:data.draw(st.integers(i + 1, len(span)))]]
+        except ParseError:
+            pass
+    try:
+        got = repr(terms[span])
+    except ParseError:
+        got = ParseError
+    assert got == _scanned(span)
+
+
 def test_empty_derivation_rejects_with_wrong_target():
     derivation, target = parse_derivation_file("vars:\ntarget: fbar(1) is 1\n")
     verdict = check_derivation(make_axiom_pack(5), derivation, target)
@@ -568,6 +608,15 @@ TRUE_3 = FbarAtom(3, fbar_truth(3))
             Reject(2, "bad-substitution"),
             id="a1-stated-as-fbar-atom",
         ),
+        pytest.param(
+            (PREMISE_W, Line(2, IntTyping(ONE), AxiomInstance("A3", (("c", ONE),))),
+             Line(3, IntTyping(W1), AxiomInstance("A2", (("t1", W), ("t2", ONE)))),
+             Line(4, Greater(Sum(W1, ONE), W1), AxiomInstance("A1", (("t", W1),))),
+             Line(5, Greater(Sum(ONE, ONE), ONE), AxiomInstance("A1", (("t", ONE),))),
+             Line(6, Greater(Sum(W1, ONE), ONE), RuleApplication("R1", (4, 5)))),
+            Reject(6, "rule-mismatch"),
+            id="r1-premises-do-not-chain",
+        ),
     ],
 )
 def test_hand_built_rejections(lines, expected):
@@ -602,6 +651,97 @@ def test_a_generator_of_fresh_lines_checks(bad_line, expected):
     target = IntTyping(Sum(Num(2500), Num(1)))
     verdict = check_derivation(make_axiom_pack(0), Derivation((), _fresh_a2_lines(2500, bad_line)), target)
     assert verdict == expected
+
+
+@st.composite
+def _checked_derivations(draw):
+    """A derivation that checks, with its last line as the target: a premise per header
+    variable, then 1-8 steps of FBAR, A3, A2, A1 or R1, each on earlier lines."""
+    header = tuple(draw(st.lists(st.sampled_from("uvw"), max_size=2, unique=True)))
+    lines, ints, orders = [], [], []  # orders: (ordering, its line index)
+
+    def add(statement, just):
+        lines.append(Line(len(lines) + 1, statement, just))
+        return len(lines)
+
+    for name in header:
+        ints.append(Var(name))
+        add(IntTyping(Var(name)), Premise())
+    for step in draw(st.lists(st.sampled_from(["FBAR", "A3", "A2", "A1", "R1"]), min_size=1, max_size=8)):
+        if step == "FBAR":
+            x = draw(st.integers(1, 20))
+            add(FbarAtom(x, fbar_truth(x)), AxiomInstance("FBAR", (("i", Num(x)),)))
+        elif step == "A3" or not ints:
+            ints.append(Num(draw(st.integers(0, 9))))
+            add(IntTyping(ints[-1]), AxiomInstance("A3", (("c", ints[-1]),)))
+        elif step == "A2":
+            t1, t2 = draw(st.sampled_from(ints)), draw(st.sampled_from(ints))
+            ints.append(Sum(t1, t2))
+            add(IntTyping(ints[-1]), AxiomInstance("A2", (("t1", t1), ("t2", t2))))
+        elif step == "A1" or not orders:
+            t = draw(st.sampled_from(ints))
+            ordering = Greater(Sum(t, ONE), t)
+            orders.append((ordering, add(ordering, AxiomInstance("A1", (("t", t),)))))
+        else:  # from an ordering b > c (b is some t+1) and b+1 > b by A1, R1 concludes b+1 > c
+            (b, c), ref = draw(st.sampled_from(orders))
+            for t in (ONE, b):
+                if t not in ints:
+                    ints.append(t)
+                    add(IntTyping(t), AxiomInstance("A3", (("c", t),)) if t is ONE
+                        else AxiomInstance("A2", (("t1", t.left), ("t2", t.right))))
+            a1 = add(Greater(Sum(b, ONE), b), AxiomInstance("A1", (("t", b),)))
+            ordering = Greater(Sum(b, ONE), c)
+            orders.append((ordering, add(ordering, RuleApplication("R1", (a1, ref)))))
+    return Derivation(header, tuple(lines)), lines[-1].statement
+
+
+def _terms_of(statement):
+    """The terms a statement names, an fbar atom's index as a numeral."""
+    return [Num(statement.x)] if isinstance(statement, FbarAtom) else list(statement)
+
+
+@st.composite
+def _checker_cases(draw):
+    """A _derivations() or _checked_derivations() case after 0-2 edits: swapped R1 refs, an R1 ref
+    to a later or another earlier line, a substitution term taken from another line, a dropped
+    line, or another target."""
+    derivation, target = draw(st.one_of(_derivations(), _checked_derivations()))
+    lines = list(derivation.lines)
+    for edit in draw(st.lists(st.sampled_from(["swap", "later", "earlier", "term", "drop", "target"]), max_size=2)):
+        rules = [k for k, line in enumerate(lines) if isinstance(line.justification, RuleApplication)]
+        axioms = [k for k, line in enumerate(lines) if isinstance(line.justification, AxiomInstance)]
+        if edit in ("swap", "later", "earlier") and rules:
+            k = draw(st.sampled_from(rules))
+            index, statement, (rule, refs) = lines[k]
+            ref = index + draw(st.integers(1, 2)) if edit == "later" else draw(st.integers(1, max(1, index - 1)))
+            refs = refs[::-1] if edit == "swap" else refs[:-1] + (ref,)
+            lines[k] = Line(index, statement, RuleApplication(rule, refs))
+        elif edit == "term" and axioms and len(lines) > 1:
+            k = draw(st.sampled_from(axioms))
+            other = draw(st.sampled_from(lines[:k] + lines[k + 1:]))
+            index, statement, (schema, subst) = lines[k]
+            pos = draw(st.integers(0, len(subst) - 1))
+            pair = (subst[pos][0], draw(st.sampled_from(_terms_of(other.statement))))
+            lines[k] = Line(index, statement, AxiomInstance(schema, subst[:pos] + (pair,) + subst[pos + 1:]))
+        elif edit == "drop" and lines:
+            del lines[draw(st.integers(0, len(lines) - 1))]
+        elif edit == "target":
+            target = draw(st.one_of(STATEMENTS, st.sampled_from([line.statement for line in lines] or [target])))
+    return Derivation(derivation.header, tuple(lines)), target
+
+
+@settings(max_examples=500, deadline=None)
+@given(_checker_cases())
+def test_the_checker_agrees_with_comparing_statements_by_equality(case):
+    derivation, target = case
+    pack = make_axiom_pack(20)
+    assert check_derivation(pack, derivation, target) == check_by_equality(pack, derivation, target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_checked_derivations())
+def test_checked_derivations_accept(case):
+    assert check_derivation(make_axiom_pack(20), *case) == Accept()
 
 
 def test_checker_is_deterministic():
@@ -716,6 +856,34 @@ def test_a_499_level_derivation_checks():
     derivation, target = parse_derivation_file(a2_chain_file(499))
     assert len(derivation.lines) == 501
     assert check_derivation(make_axiom_pack(0), derivation, target) == Accept()
+
+
+def canonical_a2_chain(levels):
+    """int(w) as a premise, int(1) by A3, then `levels` A2 lines in canonical text that each add
+    one level, w+1, (w+1)+1, ...: each line's term is the sum of the last line's, already in the
+    file's term memo, and 1.  The target int(w) is no line's, so a file that parses rejects."""
+    lines, term = ["1. int(w) [premise]", "2. int(1) [axiom A3 {c := 1}]"], "w"
+    for index in range(3, levels + 3):
+        last, term = term, (f"({term})" if "+" in term else term) + "+1"
+        lines.append(f"{index}. int({term}) [axiom A2 {{t1 := {last}, t2 := 1}}]")
+    return "vars: w\ntarget: int(w)\n" + "\n".join(lines) + "\n"
+
+
+def test_a_chain_of_spans_from_the_memo_reaches_the_nesting_limit():
+    # the last line's term opens MAX_NESTING '(' at once
+    derivation, target = parse_derivation_file(canonical_a2_chain(MAX_NESTING + 1))
+    assert len(derivation.lines) == MAX_NESTING + 3
+    assert check_derivation(make_axiom_pack(0), derivation, target) == Reject(MAX_NESTING + 3, "wrong-target")
+
+
+def test_a_chain_of_spans_from_the_memo_stops_at_the_nesting_limit():
+    # one level more: the span (X)+1 has X in the memo, but opens MAX_NESTING + 1 '(' at once
+    text = canonical_a2_chain(MAX_NESTING + 2)
+    with pytest.raises(NestingError) as info:
+        parse_derivation_file(text)
+    head = f"{MAX_NESTING + 4}. int("
+    assert info.value.position == text.index(head) + len(head) + MAX_NESTING
+    assert info.value.expected == (f"at most {MAX_NESTING} nested '('",)
 
 
 @pytest.mark.parametrize("template", ["{} > w", "w > {}", "int({})"])
