@@ -303,10 +303,11 @@ def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept 
 # has checked every field of what it builds, so it builds records with
 # tuple.__new__, skipping their classes' __new__ (FbarAtom's checks among them).
 #
-# Only the scanner raises: parse_derivation_file reads a text by the patterns
-# below only when they match it whole and each term span is a whole term, read
-# from the memo, built from its operands' entries or scanned alone (see _Terms);
-# any other text is scanned, so every error is the scanner's.
+# Only the scanner raises: parse_derivation_file reads a file's numbered lines
+# by the _LINE pattern below only when every one of them is canonical and each
+# term span is a whole term, read from the memo, built from its operands'
+# entries or scanned alone (see _Terms); a file with any other line is scanned
+# whole, so every error is the scanner's.
 
 _DIGITS = "0123456789"
 _new = tuple.__new__
@@ -510,16 +511,18 @@ def _scan_justification(s: str, i: int, n: int, base: int, terms: dict):
 
 # single blanks, ASCII names, and numerals of at most 18 digits: int() reads those under any limit
 _TERM, _NAME, _NUM = r"([0-9A-Za-z()+]+)", r"([0-9A-Za-z]+)", r"(?:0|[1-9][0-9]{0,17})"
-_STATEMENT = re.compile(rf" (?:int\({_TERM}\)|{_TERM} > {_TERM}|fbar\(([1-9][0-9]{{0,17}})\) is ([01])) ")
-_JUSTIFICATION = re.compile(rf"axiom FBAR\(({_NUM})\)|axiom (?!FBAR ){_NAME} \{{{_NAME} := {_TERM}"
-                            rf"(?:, {_NAME} := {_TERM})?\}}|rule {_NAME} ({_NUM}(?:,{_NUM})*)")
+# a line as derivation_file_text writes it, blanks but "\n" (as rstrip drops) and its end; groups: index, statement,
+# int term, lhs, rhs, fbar index, bit, justification, FBAR index, schema, metavariable, term, the same, rule, refs
+_LINE = re.compile(rf"^([0-9]+)\. (int\({_TERM}\)|{_TERM} > {_TERM}|fbar\(([1-9][0-9]{{0,17}})\) is ([01])) "
+                   rf"\[(premise|axiom FBAR\(({_NUM})\)|axiom (?!FBAR ){_NAME} \{{{_NAME} := {_TERM}"
+                   rf"(?:, {_NAME} := {_TERM})?\}}|rule {_NAME} ({_NUM}(?:,{_NUM})*))\][^\S\n]*(?:\n|\Z)", re.M)
 _NUMERAL = re.compile(_NUM)
 
 
 class _Terms(dict):
     """The terms memo of a file (see _scan_term); terms[span] reads a missing span, a ParseError unless whole.
     A span L+R of leaf texts L and R, or (X)+R for an X with a '+' that is in the memo or has no parentheses,
-    is the sum of terms[L or X] and terms[R], for at most MAX_NESTING '('; a numeral the patterns read is
+    is the sum of terms[L or X] and terms[R], for at most MAX_NESTING '('; a numeral of at most 18 digits is
     int(span).  Any other span, or one whose lookups raise, is scanned whole, as _scan_term reads it."""
 
     def __missing__(self, span: str):  # self.setdefault(span, term) stores term under the missing span
@@ -542,34 +545,6 @@ class _Terms(dict):
             raise ParseError(j, ("end of term",))
         self[span] = term
         return term
-
-
-def _read_statement(s: str, i: int, n: int, base: int, terms: _Terms):
-    """_scan_statement's result, read by _STATEMENT when s[i:n] is canonical."""
-    if m := _STATEMENT.fullmatch(s, i, n):
-        term, lhs, rhs, x, bit = m.groups()
-        if x:
-            return _new(FbarAtom, (int(x), int(bit)))
-        try:
-            return _new(IntTyping, (terms[term],)) if term else _new(Greater, (terms[lhs], terms[rhs]))
-        except ParseError:
-            pass
-    return _scan_statement(s, i, n, base, terms)
-
-
-def _read_justification(s: str, i: int, n: int, base: int, terms: _Terms):
-    """_scan_justification's result, read by _JUSTIFICATION when s[i:n] is canonical."""
-    if m := _JUSTIFICATION.fullmatch(s, i, n):
-        index, schema, mv1, t1, mv2, t2, rule, refs = m.groups()
-        if rule:
-            return _new(RuleApplication, (rule, tuple(map(int, refs.split(",")))))
-        if index:
-            return _new(AxiomInstance, ("FBAR", (("i", _new(Num, (int(index),))),)))
-        try:
-            return _new(AxiomInstance, (schema, ((mv1, terms[t1]),) + (((mv2, terms[t2]),) if mv2 else ())))
-        except ParseError:
-            pass
-    return _scan_justification(s, i, n, base, terms)
 
 
 def parse_statement(text: str) -> object:
@@ -629,22 +604,22 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
     order; structural violations are parse errors, not checker rejections.
     Blank lines and the blanks ending a line (a CRLF file's "\r") are skipped.
 
-    The cost is linear in the length of the text, read in one pass.  Each
-    call keeps a memo from statement text and from justification text to the
-    parsed object, and builds each distinct term once (see _Terms), so a text
-    repeated on many lines is read once.  A text that misses the memo is read
-    as the canonical form (see the concrete syntax), and scanned when it is
-    not; a parse does not depend on where its text stands.  On the prove
-    benchmark's files, where half the lines carry a new statement text, a
-    line takes 2.9-3.3 us to parse (x0.57 of scanning it), 1.5-1.6 to check.
+    The cost is linear in the length of the text.  Each call keeps a memo
+    from statement text and from justification text to the parsed object,
+    and builds each distinct term once (see _Terms).  The route is chosen
+    per file: when every numbered line is canonical (see the concrete syntax;
+    the last may lack its newline), one _LINE.findall reads them all; any
+    other file, or one with a span that is no whole term, is scanned line by
+    line.  On the prove benchmark's files, all canonical, a line takes
+    2.5-3.4 us to parse (x0.48 of scanning it) and 1.4-1.9 us to check.
     """
-    rows, heads, off = iter(text.split("\n")), [], 0
-    for raw in rows:  # the header and the target: the first two lines that are not blank
-        off += len(raw) + 1
-        if raw.rstrip():
-            heads.append((raw.rstrip(), off - len(raw) - 1))
-            if len(heads) == 2:
-                break
+    heads, off = [], 0
+    while len(heads) < 2 and off <= len(text):  # the header and the target: the first two lines that are not blank
+        end = text.find("\n", off)
+        end = len(text) if end < 0 else end
+        if raw := text[off:end].rstrip():
+            heads.append((raw, off))
+        off = end + 1
     if not heads or not heads[0][0].startswith("vars:"):
         raise ParseError(0, ("'vars:'",))
     header_text, header_off = heads[0]
@@ -668,8 +643,33 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
     statements: dict = {}
     justifications: dict = {}
     target = _scan_statement(target_text + "\n", len("target:"), len(target_text), target_off, terms)
+    found = _LINE.findall(text, off)
+    if len(found) == text.count("\n", off, len(text.rstrip())) + 1:  # each line up to the last non-blank one is a row
+        try:
+            lines = []
+            for index, (head, stmt_text, term, lhs, rhs, x, bit, just_text, fbar, schema, mv1, t1, mv2, t2, rule,
+                        refs) in enumerate(found, 1):
+                if head != str(index):
+                    break
+                statement = statements.get(stmt_text)
+                if statement is None:
+                    statement = statements[stmt_text] = (
+                        _new(IntTyping, (terms[term],)) if term else _new(Greater, (terms[lhs], terms[rhs])) if lhs
+                        else _new(FbarAtom, (int(x), int(bit))))
+                justification = justifications.get(just_text)
+                if justification is None:
+                    justification = justifications[just_text] = (
+                        _new(RuleApplication, (rule, tuple(map(int, refs.split(","))))) if rule
+                        else _new(AxiomInstance, ("FBAR", (("i", _new(Num, (int(fbar),))),))) if fbar
+                        else _new(AxiomInstance, (schema, ((mv1, terms[t1]),) + (((mv2, terms[t2]),) if mv2 else ())))
+                        if schema else _new(Premise, ()))
+                lines.append(_new(Line, (index, statement, justification)))
+            else:
+                return _new(Derivation, (tuple(names), tuple(lines))), target
+        except ParseError:  # a span that is no whole term: the scanner raises its error
+            pass
     lines, index = [], 0
-    for raw in rows:
+    for raw in text[off:].split("\n"):
         start, off = off, off + len(raw) + 1
         raw = raw.rstrip()
         if not raw:
@@ -689,11 +689,11 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
         stmt_text = rest[:open_bracket]
         statement = statements.get(stmt_text)
         if statement is None:
-            statement = statements[stmt_text] = _read_statement(raw, len(head) + 1, bracket, start, terms)
+            statement = statements[stmt_text] = _scan_statement(raw, len(head) + 1, bracket, start, terms)
         just_text = rest[open_bracket + 1:-1]
         justification = justifications.get(just_text)
         if justification is None:
-            justification = justifications[just_text] = _read_justification(raw, bracket + 1, len(raw) - 1, start, terms)
+            justification = justifications[just_text] = _scan_justification(raw, bracket + 1, len(raw) - 1, start, terms)
         lines.append(_new(Line, (index, statement, justification)))
     return _new(Derivation, (tuple(names), tuple(lines))), target
 

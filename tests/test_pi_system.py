@@ -35,6 +35,7 @@ from proofbench.pi_system import (
 )
 from proofbench import pi_system
 from proofbench.pi_system import _axiom_premises, _key
+from proofbench.proof_search import SearchBudget, SearchMode, search
 from proofbench.qlang import fbar_truth
 
 from oracles import axiom_premises, check_by_equality
@@ -359,9 +360,9 @@ def test_line_forms_that_are_parse_errors(line, position, expected):
 
 # -- the canonical route and the scanner --------------------------------------------------
 #
-# Canonical statement and justification texts are recognised by two patterns; every other
-# text, and every error, comes from the scanner.  With both patterns replaced by one that
-# never matches, each file goes to the scanner alone, so the two runs must agree.
+# A file whose numbered lines are all canonical is read by one pattern; every other file,
+# and every error, comes from the scanner.  With the pattern replaced by one that never
+# matches, each file goes to the scanner alone, so the two runs must agree.
 
 NEVER = re.compile(r"(?!)")
 
@@ -376,14 +377,13 @@ def _outcome(text):
 
 def _scanner_outcome(text):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pi_system, "_STATEMENT", NEVER)
-        patch.setattr(pi_system, "_JUSTIFICATION", NEVER)
+        patch.setattr(pi_system, "_LINE", NEVER)
         return _outcome(text)
 
 
-# what an edit writes: blanks and characters the patterns refuse, and pieces of the canonical form
+# what an edit writes: blanks, line ends and characters the pattern refuses, and pieces of the canonical form
 EDIT_PIECES = st.sampled_from(["\t", " ", "  ", "é", "²", "0", "9" * 18, "{", "}", ",", "(", ")", "+",
-                               "[", "FBAR", ""])
+                               "[", "FBAR", "", "\r", "\n", " \n", "\x0c", "\u2028"])
 
 
 @st.composite
@@ -435,6 +435,66 @@ def test_canonical_edge_lines(line, expected):
             parse_derivation_file(text)
     else:
         assert parse_derivation_file(text)[0].lines == (expected,)
+
+
+# The route is chosen per file: a file with any line the pattern does not read whole, a line
+# end included, is scanned whole.  The last line may end the file without a newline.
+
+W1 = Sum(W, ONE)
+FIXTURE_LINES = (
+    Line(1, IntTyping(W), Premise()),
+    Line(2, IntTyping(ONE), AxiomInstance("A3", (("c", ONE),))),
+    Line(3, IntTyping(W1), AxiomInstance("A2", (("t1", W), ("t2", ONE)))),
+    Line(4, Greater(Sum(W1, ONE), W1), AxiomInstance("A1", (("t", W1),))),
+    Line(5, Greater(W1, W), AxiomInstance("A1", (("t", W),))),
+    Line(6, Greater(Sum(W1, ONE), W), RuleApplication("R1", (4, 5))),
+)
+FIX = fixture_text()
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (FIX.replace("\n", "\r\n"), FIXTURE_LINES),
+        (FIX.replace("[premise]\n", "[premise]\t\n"), FIXTURE_LINES),
+        (FIX[:-1], FIXTURE_LINES),
+        (FIX.replace("\n3. ", "\n\n3. "), FIXTURE_LINES),
+        (FIX.replace("int(w)", "int( w )"), FIXTURE_LINES),
+        (FIX + "7. int(1+2+3) [premise]\n", (ParseError, len(FIX + "7. int(1+2"), ("')'",))),
+        (FIX.replace("1. int(w)", "01. int(w)"), FIXTURE_LINES),
+        ("vars: w\ntarget: (w+1)+1 > w\n", ()),
+    ],
+    ids=["crlf", "trailing-tab", "no-final-newline", "blank-line-between", "blanks-in-a-term", "bad-span-last",
+         "leading-zero-index", "no-lines"],
+)
+def test_whole_file_cases(text, expected):
+    assert _outcome(text) == _scanner_outcome(text)
+    if expected[:1] == (ParseError,):
+        assert _outcome(text) == expected
+    else:
+        assert parse_derivation_file(text)[0].lines == expected
+
+
+def _found_proof_text(target, pack):
+    verdict = search(make_axiom_pack(pack), parse_statement(target), SearchBudget(10**6), SearchMode.STRUCTURED)
+    return derivation_file_text(verdict.derivation, verdict.derivation.lines[-1].statement)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [FIX, FIX.replace("\n", "\r\n"), FIX[:-1], _found_proof_text("int(w+3)", 0), _found_proof_text("fbar(3) is 1", 5)],
+    ids=["fixture", "crlf", "no-final-newline", "found-int", "found-fbar"],
+)
+def test_a_canonical_file_takes_the_route(text, monkeypatch):
+    # the scanner reads the target alone: a change that sends canonical files to it fails here
+    calls = {"_scan_statement": 0, "_scan_justification": 0}
+    for name in calls:
+        def counted(*args, _scan=getattr(pi_system, name), _name=name):
+            calls[_name] += 1
+            return _scan(*args)
+        monkeypatch.setattr(pi_system, name, counted)
+    assert parse_derivation_file(text)[0].lines
+    assert calls == {"_scan_statement": 1, "_scan_justification": 0}
 
 
 # A span that misses a file's term memo is built from its operands' entries when it is a sum of
