@@ -303,11 +303,11 @@ def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept 
 # has checked every field of what it builds, so it builds records with
 # tuple.__new__, skipping their classes' __new__ (FbarAtom's checks among them).
 #
-# Only the scanner raises: parse_derivation_file reads a file's numbered lines
-# by the _LINE pattern below only when every one of them is canonical and each
-# term span is a whole term, read from the memo, built from its operands'
-# entries or scanned alone (see _Terms); a file with any other line is scanned
-# whole, so every error is the scanner's.
+# Only the scanner raises: parse_derivation_file chooses per line.  It reads a
+# numbered line by the _LINE pattern below when the line is canonical, its index
+# is its own text and each term span is a whole term, read from the memo, built
+# from its operands' entries or scanned alone (see _Terms); any other line is
+# scanned alone, so every error is the scanner's.
 
 _DIGITS = "0123456789"
 _new = tuple.__new__
@@ -511,11 +511,12 @@ def _scan_justification(s: str, i: int, n: int, base: int, terms: dict):
 
 # single blanks, ASCII names, and numerals of at most 18 digits: int() reads those under any limit
 _TERM, _NAME, _NUM = r"([0-9A-Za-z()+]+)", r"([0-9A-Za-z]+)", r"(?:0|[1-9][0-9]{0,17})"
-# a line as derivation_file_text writes it, blanks but "\n" (as rstrip drops) and its end; groups: index, statement,
-# int term, lhs, rhs, fbar index, bit, justification, FBAR index, schema, metavariable, term, the same, rule, refs
-_LINE = re.compile(rf"^([0-9]+)\. (int\({_TERM}\)|{_TERM} > {_TERM}|fbar\(([1-9][0-9]{{0,17}})\) is ([01])) "
+# one line and its end: as derivation_file_text writes it, blanks but "\n" (as rstrip drops) after; groups: index,
+# statement, int term, lhs, rhs, fbar index, bit, justification, FBAR index, schema, metavariable, term, the same,
+# rule, refs, and any other line whole (every line is one row)
+_LINE = re.compile(rf"^(?:([0-9]+)\. (int\({_TERM}\)|{_TERM} > {_TERM}|fbar\(([1-9][0-9]{{0,17}})\) is ([01])) "
                    rf"\[(premise|axiom FBAR\(({_NUM})\)|axiom (?!FBAR ){_NAME} \{{{_NAME} := {_TERM}"
-                   rf"(?:, {_NAME} := {_TERM})?\}}|rule {_NAME} ({_NUM}(?:,{_NUM})*))\][^\S\n]*(?:\n|\Z)", re.M)
+                   rf"(?:, {_NAME} := {_TERM})?\}}|rule {_NAME} ({_NUM}(?:,{_NUM})*))\][^\S\n]*|([^\n]*))(?:\n|\Z)", re.M)
 _NUMERAL = re.compile(_NUM)
 
 
@@ -606,12 +607,10 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
 
     The cost is linear in the length of the text.  Each call keeps a memo
     from statement text and from justification text to the parsed object,
-    and builds each distinct term once (see _Terms).  The route is chosen
-    per file: when every numbered line is canonical (see the concrete syntax;
-    the last may lack its newline), one _LINE.findall reads them all; any
-    other file, or one with a span that is no whole term, is scanned line by
-    line.  On the prove benchmark's files, all canonical, a line takes
-    2.5-3.4 us to parse (x0.48 of scanning it) and 1.4-1.9 us to check.
+    and builds each distinct term once (see _Terms).  One _LINE.findall
+    yields a row per line: a canonical line (see the concrete syntax; the last
+    may lack its newline) is built from its row, and any other line, or one
+    with a span that is no whole term, is scanned alone.
     """
     heads, off = [], 0
     while len(heads) < 2 and off <= len(text):  # the header and the target: the first two lines that are not blank
@@ -643,14 +642,14 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
     statements: dict = {}
     justifications: dict = {}
     target = _scan_statement(target_text + "\n", len("target:"), len(target_text), target_off, terms)
-    found = _LINE.findall(text, off)
-    if len(found) == text.count("\n", off, len(text.rstrip())) + 1:  # each line up to the last non-blank one is a row
-        try:
-            lines = []
-            for index, (head, stmt_text, term, lhs, rhs, x, bit, just_text, fbar, schema, mv1, t1, mv2, t2, rule,
-                        refs) in enumerate(found, 1):
-                if head != str(index):
-                    break
+    lines, index, row = [], 0, 0  # findall yields one row per line, blank ones too; row's line starts at off
+    for r, (head, stmt_text, term, lhs, rhs, x, bit, just_text, fbar, schema, mv1, t1, mv2, t2, rule, refs,
+            other) in enumerate(_LINE.findall(text, off)):
+        if not (head or other.rstrip()):  # a blank line
+            continue
+        index += 1
+        if head and head == str(index):  # a canonical row whose index is its own text: built from its groups
+            try:
                 statement = statements.get(stmt_text)
                 if statement is None:
                     statement = statements[stmt_text] = (
@@ -664,17 +663,17 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
                         else _new(AxiomInstance, (schema, ((mv1, terms[t1]),) + (((mv2, terms[t2]),) if mv2 else ())))
                         if schema else _new(Premise, ()))
                 lines.append(_new(Line, (index, statement, justification)))
-            else:
-                return _new(Derivation, (tuple(names), tuple(lines))), target
-        except ParseError:  # a span that is no whole term: the scanner raises its error
-            pass
-    lines, index = [], 0
-    for raw in text[off:].split("\n"):
-        start, off = off, off + len(raw) + 1
-        raw = raw.rstrip()
-        if not raw:
-            continue
-        index += 1
+                continue
+            except ParseError:  # a span that is no whole term: the scanner raises its error
+                pass
+        while row < r:  # the scanner needs the line's offset: walk on from the last row whose offset is known
+            off = text.index("\n", off) + 1
+            row += 1
+        if not other:  # a canonical row's line runs to the next newline or the end
+            end = text.find("\n", off)
+            other = text[off:end if end >= 0 else len(text)]
+        start, off, row = off, off + len(other) + 1, r + 1  # the next row's line starts after this one
+        raw = other.rstrip()
         head, dot, rest = raw.partition(".")
         if not dot or head != str(index):  # a canonical index is its own text; any other takes these checks
             index_text = head.strip()

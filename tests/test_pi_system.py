@@ -360,11 +360,11 @@ def test_line_forms_that_are_parse_errors(line, position, expected):
 
 # -- the canonical route and the scanner --------------------------------------------------
 #
-# A file whose numbered lines are all canonical is read by one pattern; every other file,
-# and every error, comes from the scanner.  With the pattern replaced by one that never
-# matches, each file goes to the scanner alone, so the two runs must agree.
+# Each canonical numbered line is read by one pattern; every other line, and every error,
+# comes from the scanner.  With the pattern replaced by one whose every row is the catch-all,
+# each line goes to the scanner alone, so the two runs must agree.
 
-NEVER = re.compile(r"(?!)")
+SCANNED = re.compile("^" + "()" * (pi_system._LINE.groups - 1) + r"([^\n]*)(?:\n|\Z)", re.M)
 
 
 def _outcome(text):
@@ -377,7 +377,7 @@ def _outcome(text):
 
 def _scanner_outcome(text):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pi_system, "_LINE", NEVER)
+        patch.setattr(pi_system, "_LINE", SCANNED)
         return _outcome(text)
 
 
@@ -437,8 +437,9 @@ def test_canonical_edge_lines(line, expected):
         assert parse_derivation_file(text)[0].lines == (expected,)
 
 
-# The route is chosen per file: a file with any line the pattern does not read whole, a line
-# end included, is scanned whole.  The last line may end the file without a newline.
+# The route is chosen per line: a line the pattern does not read whole, a line end included, is
+# scanned alone, and the next line takes the route again.  The last line may end the file
+# without a newline.
 
 W1 = Sum(W, ONE)
 FIXTURE_LINES = (
@@ -450,6 +451,8 @@ FIXTURE_LINES = (
     Line(6, Greater(Sum(W1, ONE), W), RuleApplication("R1", (4, 5))),
 )
 FIX = fixture_text()
+LAST_SCANNED = FIX.replace("w [rule", "w  [rule")  # only the last line is non-canonical
+BAD_SPAN = "7. int(1+2+3) [premise]\n"
 
 
 @pytest.mark.parametrize(
@@ -460,12 +463,20 @@ FIX = fixture_text()
         (FIX[:-1], FIXTURE_LINES),
         (FIX.replace("\n3. ", "\n\n3. "), FIXTURE_LINES),
         (FIX.replace("int(w)", "int( w )"), FIXTURE_LINES),
-        (FIX + "7. int(1+2+3) [premise]\n", (ParseError, len(FIX + "7. int(1+2"), ("')'",))),
+        (FIX + BAD_SPAN, (ParseError, len(FIX + "7. int(1+2"), ("')'",))),
         (FIX.replace("1. int(w)", "01. int(w)"), FIXTURE_LINES),
         ("vars: w\ntarget: (w+1)+1 > w\n", ()),
+        (FIX.replace("1. int(w) ", "1.  int(w) "), FIXTURE_LINES),
+        (LAST_SCANNED, FIXTURE_LINES),
+        (FIX.replace("w [axiom A1 {t := w}]", "w  [axiom A1 {t := w}]") + BAD_SPAN,
+         (ParseError, len(FIX) + 1 + len("7. int(1+2"), ("')'",))),
+        (FIX.replace("\n", "\n\n") + BAD_SPAN, (ParseError, len(FIX) + FIX.count("\n") + len("7. int(1+2"),
+         ("')'",))),
+        (FIX.replace("\n3. ", "\n\n \n4. "), (ParseError, FIX.index("\n3. ") + len("\n\n \n"), ("line index 3",))),
     ],
     ids=["crlf", "trailing-tab", "no-final-newline", "blank-line-between", "blanks-in-a-term", "bad-span-last",
-         "leading-zero-index", "no-lines"],
+         "leading-zero-index", "no-lines", "scanned-then-route", "last-line-scanned", "bad-span-after-scanned",
+         "bad-span-after-blanks", "index-after-blanks"],
 )
 def test_whole_file_cases(text, expected):
     assert _outcome(text) == _scanner_outcome(text)
@@ -495,6 +506,24 @@ def test_a_canonical_file_takes_the_route(text, monkeypatch):
         monkeypatch.setattr(pi_system, name, counted)
     assert parse_derivation_file(text)[0].lines
     assert calls == {"_scan_statement": 1, "_scan_justification": 0}
+
+
+@pytest.mark.parametrize(
+    "text, statements, justifications",
+    [(LAST_SCANNED, 2, 1), (LAST_SCANNED.replace("\n", "\r\n"), 2, 1), (FIX.replace("1. int(w) ", "1.  int(w) "), 2, 1),
+     (FIX.replace("\n", "\n\n"), 1, 0), (FIX.replace("\n3. ", "\n \t\n3. "), 1, 0)],
+    ids=["last-line", "last-line-crlf", "first-line", "newlines-doubled", "blank-line-between"],
+)
+def test_a_non_canonical_line_is_scanned_alone(text, statements, justifications, monkeypatch):
+    # the target and each non-canonical line are scanned, and no other: a file-wide rescan fails here
+    calls = {"_scan_statement": 0, "_scan_justification": 0}
+    for name in calls:
+        def counted(*args, _scan=getattr(pi_system, name), _name=name):
+            calls[_name] += 1
+            return _scan(*args)
+        monkeypatch.setattr(pi_system, name, counted)
+    assert parse_derivation_file(text)[0].lines == FIXTURE_LINES
+    assert calls == {"_scan_statement": statements, "_scan_justification": justifications}
 
 
 # A span that misses a file's term memo is built from its operands' entries when it is a sum of
