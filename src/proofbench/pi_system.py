@@ -302,21 +302,46 @@ def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept 
 # base + i, where base is the offset of s in the caller's text.  The scanner
 # has checked every field of what it builds, so it builds records with
 # tuple.__new__, skipping their classes' __new__ (FbarAtom's checks among them).
+# Each token kind has one reader: _blanks, _run (a word or a name),
+# _scan_numeral (digits, with the leading-zero check), _expect (one character)
+# and _end (the end of the text).
 #
 # Only the scanner raises: parse_derivation_file chooses per line.  It reads a
 # numbered line by the _LINE pattern below when the line is canonical, its index
 # is its own text and each term span is a whole term, read from the memo, built
 # from its operands' entries or scanned alone (see _Terms); any other line is
-# scanned alone, so every error is the scanner's.
+# scanned alone, so every error is the scanner's.  The scanner thus reads a
+# parse_statement text (a search target among them), a file's target line, a
+# term span the memo misses and a line that is not canonical.
 
 _DIGITS = "0123456789"
 _new = tuple.__new__
 
 
-def _scan_numeral(s: str, i: int, base: int):
-    """A numeral after optional blanks: (value, index after it)."""
+def _blanks(s: str, i: int) -> int:
+    """The index after the blanks that start at s[i]."""
     while s[i] in " \t":
         i += 1
+    return i
+
+
+def _run(s: str, i: int, test):
+    """The run of characters that pass test (str.isalpha or str.isalnum) after optional blanks: (text, end)."""
+    i = j = _blanks(s, i)
+    while test(s[j]):
+        j += 1
+    return s[i:j], j
+
+
+def _end(s: str, j: int, n: int, base: int, what: str) -> None:
+    """Raise a ParseError expecting the end of what unless only blanks lie between s[j] and s[n]."""
+    j = _blanks(s, j)
+    if j != n:
+        raise ParseError(base + j, (f"end of {what}",))
+
+
+def _scan_numeral(s: str, i: int, base: int):
+    """The numeral at s[i]: (value, index after it)."""
     j = i
     while s[j] in _DIGITS:
         j += 1
@@ -339,8 +364,7 @@ def _scan_term(s: str, i: int, base: int, terms: dict):
     alive as long as terms does, so an id in a key cannot be reused."""
     lefts = [None]  # per open term: its left operand once '+' is read, else None
     while True:
-        while s[i] in " \t":
-            i += 1
+        i = _blanks(s, i)
         c = s[i]
         if c == "(":
             if len(lefts) > MAX_NESTING:
@@ -349,22 +373,16 @@ def _scan_term(s: str, i: int, base: int, terms: dict):
             lefts.append(None)
             continue
         if c in _DIGITS:
-            j = i + 1
-            while s[j] in _DIGITS:
-                j += 1
-            if c == "0" and j > i + 1:
-                raise ParseError(base + i, ("numeral without a leading zero",))
+            number, j = _scan_numeral(s, i, base)
             c = s[i:j]
             value = terms.get(c)
             if value is None:
-                value = terms[c] = _new(Num, (numeral_value(c, base + i),))
+                value = terms[c] = _new(Num, (number,))
             i = j
         elif c.isalpha():
             i += 1
             if s[i].isalpha():
-                while s[i].isalpha():
-                    i += 1
-                raise ParseError(base + i, ("single-letter variable",))
+                raise ParseError(base + _run(s, i, str.isalpha)[1], ("single-letter variable",))
             value = terms.get(c)
             if value is None:
                 value = terms[c] = _new(Var, (c,))
@@ -372,8 +390,7 @@ def _scan_term(s: str, i: int, base: int, terms: dict):
             raise ParseError(base + i, ("variable", "numeral", "'('"))
         while True:  # close every term this operand completes
             left = lefts.pop()
-            while s[i] in " \t":
-                i += 1
+            i = _blanks(s, i)
             if left is None and s[i] == "+":
                 i += 1
                 lefts.append(value)
@@ -393,8 +410,7 @@ def _scan_term(s: str, i: int, base: int, terms: dict):
 
 def _expect(s: str, i: int, base: int, ch: str) -> int:
     """The index after ch, which must follow optional blanks."""
-    while s[i] in " \t":
-        i += 1
+    i = _blanks(s, i)
     if s[i] != ch:
         raise ParseError(base + i, (repr(ch),))
     return i + 1
@@ -402,25 +418,16 @@ def _expect(s: str, i: int, base: int, ch: str) -> int:
 
 def _scan_statement(s: str, i: int, n: int, base: int, terms: dict):
     """The statement that is all of s[i:n], up to blanks."""
-    while s[i] in " \t":
-        i += 1
+    i = _blanks(s, i)
     if s.startswith("fbar", i) and not s[i + 4].isalpha():
-        j = _expect(s, i + 4, base, "(")
-        while s[j] in " \t":
-            j += 1
+        j = _blanks(s, _expect(s, i + 4, base, "("))
         if s[j] == "0":
             raise ParseError(base + j, ("positive fbar index",))
         x, j = _scan_numeral(s, j, base)
-        j = _expect(s, j, base, ")")
-        while s[j] in " \t":
-            j += 1
-        k = j
-        while s[k].isalpha():
-            k += 1
-        if s[j:k] != "is":
+        word, k = _run(s, _expect(s, j, base, ")"), str.isalpha)
+        if word != "is":
             raise ParseError(base + k, ("'is'",))
-        while s[k] in " \t":
-            k += 1
+        k = _blanks(s, k)
         bit, j = _scan_numeral(s, k, base)
         if bit not in (0, 1):
             raise ParseError(base + k, ("bit 0 or 1",))
@@ -433,67 +440,41 @@ def _scan_statement(s: str, i: int, n: int, base: int, terms: dict):
         lhs, j = _scan_term(s, i, base, terms)
         rhs, j = _scan_term(s, _expect(s, j, base, ">"), base, terms)
         statement = _new(Greater, (lhs, rhs))
-    while s[j] in " \t":
-        j += 1
-    if j != n:
-        raise ParseError(base + j, ("end of statement",))
+    _end(s, j, n, base, "statement")
     return statement
 
 
 def _scan_justification(s: str, i: int, n: int, base: int, terms: dict):
-    """The justification that is all of s[i:n], up to blanks; its runs and ':=' are read inline."""
-    j = i
-    while s[j] in " \t":
-        j += 1
-    k = j
-    while s[k].isalpha():
-        k += 1
-    word, j = s[j:k], k
+    """The justification that is all of s[i:n], up to blanks."""
+    word, j = _run(s, i, str.isalpha)
     if word == "premise":
         just = _new(Premise, ())
     elif word == "axiom" or word == "rule":
-        while s[j] in " \t":
-            j += 1
-        k = j
-        while s[k].isalnum():
-            k += 1
-        name, j = s[j:k], k
+        name, j = _run(s, j, str.isalnum)
         if not name:
             raise ParseError(base + j, (word + " name",))
         if word == "rule":
             refs = []
             while True:
-                ref, j = _scan_numeral(s, j, base)
+                ref, j = _scan_numeral(s, _blanks(s, j), base)
                 refs.append(ref)
-                while s[j] in " \t":
-                    j += 1
+                j = _blanks(s, j)
                 if s[j] != ",":
                     break
                 j += 1
             just = _new(RuleApplication, (name, tuple(refs)))
         elif name == "FBAR":
-            index, j = _scan_numeral(s, _expect(s, j, base, "("), base)
+            index, j = _scan_numeral(s, _blanks(s, _expect(s, j, base, "(")), base)
             just = _new(AxiomInstance, ("FBAR", (("i", _new(Num, (index,))),)))
             j = _expect(s, j, base, ")")
         else:
             j = _expect(s, j, base, "{")
             pairs = []
             while True:
-                while s[j] in " \t":
-                    j += 1
-                k = j
-                while s[k].isalnum():
-                    k += 1
-                if k == j:
-                    raise ParseError(base + j, ("metavariable name",))
-                mv = s[j:k]
-                for ch in ":=":
-                    while s[k] in " \t":
-                        k += 1
-                    if s[k] != ch:
-                        raise ParseError(base + k, (repr(ch),))
-                    k += 1
-                value, j = _scan_term(s, k, base, terms)
+                mv, k = _run(s, j, str.isalnum)
+                if not mv:
+                    raise ParseError(base + k, ("metavariable name",))
+                value, j = _scan_term(s, _expect(s, _expect(s, k, base, ":"), base, "="), base, terms)
                 pairs.append((mv, value))
                 if s[j] != ",":
                     break
@@ -502,10 +483,7 @@ def _scan_justification(s: str, i: int, n: int, base: int, terms: dict):
             j = _expect(s, j, base, "}")
     else:
         raise ParseError(base + i, ("'premise'", "'axiom'", "'rule'"))
-    while s[j] in " \t":
-        j += 1
-    if j != n:
-        raise ParseError(base + j, ("end of justification",))
+    _end(s, j, n, base, "justification")
     return just
 
 
@@ -542,8 +520,7 @@ class _Terms(dict):
         elif not plus and _NUMERAL.fullmatch(span):
             return self.setdefault(span, _new(Num, (int(span),)))
         term, j = _scan_term(span + "\n", 0, 0, self)
-        if j != len(span):
-            raise ParseError(j, ("end of term",))
+        _end(span + "\n", j, len(span), 0, "term")
         self[span] = term
         return term
 

@@ -7,14 +7,19 @@ its input; the bound leaves room for fixed costs, and a quadratic step reads abo
 Each case is called once to warm the shared caches before it is counted.
 """
 
+import itertools
 import sys
 
 import pytest
 
-from proofbench.pi_system import parse_derivation_file
+from proofbench import qlang
+from proofbench.pi_system import (AxiomInstance, Derivation, IntTyping, Line, Num, Premise, Sum, Var, check_derivation,
+                                  make_axiom_pack, parse_derivation_file, parse_statement, pretty_statement)
+from proofbench.proof_search import decide
 
 LINEAR = 2.3  # the bound on a linear case's line events per doubling of its input
 SIZES = (200, 400, 800)
+LEVELS = (100, 200, 400)  # nesting levels, under MAX_NESTING and the recursion limit
 
 
 def _line_events(call):
@@ -36,6 +41,12 @@ def _line_events(call):
     return count
 
 
+def _assert_linear(counts):
+    """Each count, at twice the size of the one before, is at most LINEAR times it."""
+    ratios = [later / earlier for earlier, later in zip(counts, counts[1:])]
+    assert max(ratios) <= LINEAR, (counts, ratios)
+
+
 def _derivation_file(n, scanned):
     """A file of n distinct A2 lines; a line k with scanned(n, k) has a doubled blank, so it is not canonical."""
     lines = (f"{k}.{'  ' if scanned(n, k) else ' '}int(w+{k}) [axiom A2 {{t1 := w, t2 := {k}}}]" for k in range(1, n + 1))
@@ -52,6 +63,55 @@ FILE_SHAPES = {
 @pytest.mark.parametrize("shape", FILE_SHAPES)
 def test_parse_derivation_file_is_linear(shape):
     texts = [_derivation_file(n, FILE_SHAPES[shape]) for n in SIZES]
-    counts = [_line_events(lambda text=text: parse_derivation_file(text)) for text in texts]
-    ratios = [later / earlier for earlier, later in zip(counts, counts[1:])]
-    assert max(ratios) <= LINEAR, (counts, ratios)
+    _assert_linear([_line_events(lambda text=text: parse_derivation_file(text)) for text in texts])
+
+
+def _chain(n):
+    """The left-nested (...(w+1)+1...)+1 of n levels, as text."""
+    return "(" * (n - 1) + "w+1" + ")+1" * (n - 1)
+
+
+def _a2_chain(n):
+    """A derivation of int(t) for the n-level chain t, built through the API: one A2 line per level."""
+    one = Num(1)
+    terms = list(itertools.accumulate(range(n), lambda t, _: Sum(t, one), initial=Var("w")))
+    lines = [Line(1, IntTyping(terms[0]), Premise()), Line(2, IntTyping(one), AxiomInstance("A3", (("c", one),)))]
+    lines += [Line(k + 2, IntTyping(terms[k]), AxiomInstance("A2", (("t1", terms[k - 1]), ("t2", one))))
+              for k in range(1, n + 1)]
+    return Derivation(("w",), tuple(lines)), IntTyping(terms[-1])
+
+
+def _padded(n):
+    """int(w) with n blank-and-tab pairs in each of its six gaps."""
+    pad = " \t" * n
+    return pad.join(("", "int", "(", "w", ")", ""))
+
+
+def _nots(n):
+    """A Q-lang program of n '!' before one comparison."""
+    return "!" * n + "(x=x)"
+
+
+def _sums(n):
+    """A Q-lang comparison whose left side is x nested in n (...+1) sums."""
+    return "(" * (n + 1) + "x" + "+1)" * n + ">x)"
+
+
+PACK = make_axiom_pack(0)
+NESTED_CASES = {  # name: (entry point, n -> its arguments at n levels)
+    "parse_statement-chain": (parse_statement, lambda n: (_chain(n) + " > w",)),
+    "parse_statement-padded": (parse_statement, lambda n: (_padded(n),)),
+    "pretty_statement": (pretty_statement, lambda n: (parse_statement(_chain(n) + " > w"),)),
+    "decide": (decide, lambda n: (PACK, parse_statement(_chain(n) + " > w"))),
+    "check_derivation-a2": (check_derivation, lambda n: (PACK, *_a2_chain(n))),
+    "qlang.parse-not": (qlang.parse, lambda n: (_nots(n),)),
+    "qlang.parse-sum": (qlang.parse, lambda n: (_sums(n),)),
+    "qlang.evaluate-not": (qlang.evaluate, lambda n: (qlang.parse(_nots(n)), 7)),
+    "qlang.evaluate-sum": (qlang.evaluate, lambda n: (qlang.parse(_sums(n)), 7)),
+}
+
+
+@pytest.mark.parametrize("case", NESTED_CASES)
+def test_nested_inputs_are_linear(case):
+    entry, arguments = NESTED_CASES[case]
+    _assert_linear([_line_events(lambda args=arguments(n): entry(*args)) for n in LEVELS])
