@@ -32,12 +32,12 @@ than 100,000 words are kept in one list in rank order.  A rank first asked
 for appends each length the list lacks up to its own, one build each.  A
 build starts from the start symbol's pairs of the lengths already listed,
 so Q-lang's "!" in front of a listed program wraps that program's own
-tree; and it moves what it made into the collector's oldest generation, so
-no young collection walks it again.  grammar_derivation hands out rank k's
-entry, word and value, in about 0.1 us (2-vCPU x86-64 VM, Python 3.11),
-and a cold fbar_truth sweep of Q-lang's 64,446 programs of length <= 7
-takes 0.08-0.16 s.  The first length whose build outgrows its cell budget
-ends the list; it and every longer length are descended.
+tree; and it runs under the one collector pause (_kept), shared by parsing
+derivation files, so no young collection walks it again.  grammar_derivation
+hands out rank k's entry, word and value, in about 0.1 us (2-vCPU x86-64
+VM, Python 3.11), and a cold fbar_truth sweep of Q-lang's 64,446 programs
+of length <= 7 takes 0.08-0.16 s.  The first length whose build outgrows
+its cell budget ends the list; it and every longer length are descended.
 
 A longer length is found by prefix descent over an Earley chart that
 carries derivation counts (Earley, CACM 1970; recursive ranking as in
@@ -543,17 +543,25 @@ def _bucket(grammar: Grammar, length: int) -> list:
     else:
         order = {ord(s): i for i, s in enumerate(symbols)}
         key = lambda pair: pair[0].translate(order)
-    # nearly every container the build makes survives it, so a collection
-    # would only walk it again: pause the collector, then move everything
-    # tracked into the oldest generation at once (freeze, unfreeze), unless
-    # the caller keeps objects frozen or had the collector off
+    try:
+        pairs = _kept(derive, start, length)
+    finally:
+        memo.clear()  # the DP's functions form a cycle that would keep it alive
+    return sorted(pairs, key=key) if len(pairs) > 1 else pairs
+
+
+def _kept(build, *args):
+    """build(*args) with the collector paused: the one pause, which _bucket and
+    pi_system.parse_derivation_file share.  Nearly every container a build
+    makes survives it, so a collection would only walk it again.  The pause
+    covers the whole process for the length of the build; then everything
+    tracked moves into the oldest generation at once (freeze, unfreeze),
+    unless the caller keeps objects frozen or had the collector off."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        pairs = derive(start, length)
-        return sorted(pairs, key=key) if len(pairs) > 1 else pairs
+        return build(*args)
     finally:
-        memo.clear()  # the DP's functions form a cycle that would keep it alive
         if enabled:
             if not gc.get_freeze_count():
                 gc.freeze()

@@ -55,6 +55,7 @@ from __future__ import annotations
 import re
 from collections.abc import Set
 
+from .enumerator import _kept
 from .errors import NestingError, ParseError, ResourceLimitError, numeral_value
 from .qlang import fbar_truth
 from .records import record
@@ -587,8 +588,14 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
     and builds each distinct term once (see _Terms).  One _LINE.findall
     yields a row per line: a canonical line (see the concrete syntax; the last
     may lack its newline) is built from its row, and any other line, or one
-    with a span that is no whole term, is scanned alone.
+    with a span that is no whole term, is scanned alone.  A parse returns
+    nearly all it makes, so it runs under the one collector pause, which
+    the enumerator's bucket builds share (enumerator._kept).
     """
+    return _kept(_parse_file, text)
+
+
+def _parse_file(text: str) -> tuple[Derivation, object]:
     heads, off = [], 0
     while len(heads) < 2 and off <= len(text):  # the header and the target: the first two lines that are not blank
         end = text.find("\n", off)

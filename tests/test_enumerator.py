@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proofbench import enumerator, qlang
+from proofbench import enumerator, pi_system, qlang
 from proofbench.enumerator import (
     Alphabet,
     Grammar,
@@ -20,8 +20,9 @@ from proofbench.enumerator import (
     stream,
     unrank,
 )
-from proofbench.errors import ResourceLimitError
+from proofbench.errors import ParseError, ResourceLimitError
 from proofbench.qlang import QLANG_ALPHABET, QLANG_GRAMMAR
+from proofbench.records import OPEN, walk
 
 from oracles import derive_trees, derive_words, shortlex_key, shortlex_rank, shortlex_strings
 
@@ -648,26 +649,10 @@ def test_only_the_bucket_cell_budget_falls_back_to_descent(monkeypatch):
     assert info.value.budget == "max_entries"
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_bucket_builds_with_the_collector_paused_and_restores_it(enabled, monkeypatch):
-    # the action's value records whether the collector ran during the build
-    g = Grammar(ABC, "S", {"S": [["a", "S"], ["b"]]}, {("S", ("b",)): lambda word, c: gc.isenabled()})
-    over_budget = _grammar({"S": [["a", "S"], ["b", "S"], ["c", "S"], ["a"], ["b"], ["c"]]})
-    try:
-        if not enabled:
-            gc.disable()
-        assert enumerator._bucket(g, 1) == [("b", False)]
-        assert gc.isenabled() is enabled
-        monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 2)
-        with pytest.raises(ResourceLimitError):
-            enumerator._bucket(over_budget, 3)
-        assert gc.isenabled() is enabled
-    finally:
-        gc.enable()
-
-
-def _tree_grammar(prods):
-    trees = {(nt, tuple(rhs)): lambda word, children, nt=nt: (nt, children) for nt, alts in prods.items() for rhs in alts}
+def _tree_grammar(prods, spy=lambda: None):
+    """A grammar over "ab" whose actions build (nonterminal, children) trees, calling spy first."""
+    trees = {(nt, tuple(rhs)): lambda word, children, nt=nt: spy() or (nt, children) for nt, alts in prods.items()
+             for rhs in alts}
     return Grammar(Alphabet.from_string("ab"), "S", prods, trees)
 
 
@@ -715,26 +700,91 @@ def test_a_qlang_length_wraps_the_listed_trees_of_shorter_ones():
     assert trees["!(x=x)"].arg is trees["(x=x)"]
 
 
-def test_a_build_leaves_no_young_objects_for_the_collector_to_walk():
-    g = _tree_grammar({"S": [["a", "S"], ["b", "S"], ["a"], ["b"]]})
-    assert grammar_derivation(g, 509) is not None  # builds lengths 1-8, one at a time
-    pairs = g.ranked
-    built = {id(obj) for pair in pairs for obj in (pair, pair[1])}
+# -- the collector pause that bucket builds and derivation file parses share ---------
+
+def _bucket_build(spy, monkeypatch):
+    """Lengths 1-8 of a tree grammar, built one at a time, whose actions call spy; its pairs and trees."""
+    g = _tree_grammar({"S": [["a", "S"], ["b", "S"], ["a"], ["b"]]}, spy)
+    assert grammar_derivation(g, 509) is not None and len(g.ranked) == 510
+    return [obj for pair in g.ranked for obj in (pair, pair[1])]
+
+
+def _bucket_error(monkeypatch):
+    monkeypatch.setattr(enumerator, "_BUCKET_WORDS", 2)
+    with pytest.raises(ResourceLimitError):
+        enumerator._bucket(_grammar({"S": [["a", "S"], ["b", "S"], ["c", "S"], ["a"], ["b"], ["c"]]}), 3)
+
+
+def _derivation_text(n):
+    """A canonical derivation file of n lines, every statement shape and justification among them."""
+    shapes = ("{k}. int(w+{k}) [axiom A2 {{t1 := w, t2 := {k}}}]", "{k}. (w+{k})+1 > w+{k} [axiom A1 {{t := w+{k}}}]",
+              "{k}. fbar({k}) is 1 [axiom FBAR({k})]", "{k}. w+{k} > w [rule R1 1,2]", "{k}. int(w) [premise]")
+    return "vars: w\ntarget: int(w)\n" + "".join(shapes[k % 5].format(k=k) + "\n" for k in range(1, n + 1))
+
+
+def _parse_build(spy, monkeypatch):
+    """A 2,000-line file parsed, its scanner calling spy (the target line is scanned); every tuple it made."""
+    scan = pi_system._scan_statement
+    monkeypatch.setattr(pi_system, "_scan_statement", lambda *args: spy() or scan(*args))
+    derivation, target = pi_system.parse_derivation_file(_derivation_text(2000))
+    assert len(derivation.lines) == 2000
+    return [node for root in (derivation, target) for event, node in walk(root) if event == OPEN]
+
+
+def _parse_error(monkeypatch):
+    with pytest.raises(ParseError):
+        pi_system.parse_derivation_file("vars: w\ntarget: int(w)\n1. int(w) [premise]\n3. int(w) [premise]\n")
+
+
+BUILDS = {"bucket": (_bucket_build, _bucket_error), "parse": (_parse_build, _parse_error)}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("build", BUILDS)
+def test_a_build_runs_with_the_collector_paused_and_restores_it(build, enabled, monkeypatch):
+    run, fail = BUILDS[build]
+    seen = []  # whether the collector ran, each time the build calls the spy
+    try:
+        if not enabled:
+            gc.disable()
+        run(lambda: seen.append(gc.isenabled()), monkeypatch)
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+        fail(monkeypatch)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_a_build_leaves_no_young_objects_for_the_collector_to_walk(build, monkeypatch):
+    made = BUILDS[build][0](lambda: None, monkeypatch)  # kept alive, so no young object can reuse an id
     young = {id(obj) for generation in (0, 1) for obj in gc.get_objects(generation)}
-    assert len(pairs) == 510 and not built & young
+    assert made and not {id(obj) for obj in made} & young
     assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
-def test_a_build_leaves_a_callers_frozen_objects_frozen():
-    g = _grammar({"S": [["a", "S"], ["b"]]})
+@pytest.mark.parametrize("build", BUILDS)
+def test_a_build_leaves_a_callers_frozen_objects_frozen(build, monkeypatch):
     gc.freeze()
     try:
         frozen = gc.get_freeze_count()
         assert frozen > 0
-        assert [word for word, _ in enumerator._bucket(g, 3)] == ["aab"]
+        BUILDS[build][0](lambda: None, monkeypatch)
         assert gc.get_freeze_count() == frozen and gc.isenabled()
     finally:
         gc.unfreeze()
+
+
+def test_no_collection_starts_while_a_derivation_file_parses():
+    text, starts = _derivation_text(2000), []
+    note = lambda phase, info: phase == "start" and starts.append(info["generation"])
+    gc.callbacks.append(note)
+    try:
+        pi_system.parse_derivation_file(text)
+    finally:
+        gc.callbacks.remove(note)
+    assert starts == []
 
 
 # -- prefix descent against the oracles ----------------------------------------------

@@ -13,11 +13,13 @@ import sys
 import pytest
 
 from proofbench import qlang
+from proofbench.enumerator import Alphabet, rank, stream, unrank
 from proofbench.pi_system import (AxiomInstance, Derivation, IntTyping, Line, Num, Premise, Sum, Var, check_derivation,
                                   make_axiom_pack, parse_derivation_file, parse_statement, pretty_statement)
-from proofbench.proof_search import decide
+from proofbench.proof_search import SearchBudget, SearchMode, decide, search
 
 LINEAR = 2.3  # the bound on a linear case's line events per doubling of its input
+QUADRATIC = 4.6  # the bound on a named quadratic case's line events per doubling
 SIZES = (200, 400, 800)
 LEVELS = (100, 200, 400)  # nesting levels, under MAX_NESTING and the recursion limit
 
@@ -41,10 +43,10 @@ def _line_events(call):
     return count
 
 
-def _assert_linear(counts):
-    """Each count, at twice the size of the one before, is at most LINEAR times it."""
+def _assert_linear(counts, bound=LINEAR):
+    """Each count, at twice the size of the one before, is at most bound times it."""
     ratios = [later / earlier for earlier, later in zip(counts, counts[1:])]
-    assert max(ratios) <= LINEAR, (counts, ratios)
+    assert max(ratios) <= bound, (counts, ratios)
 
 
 def _derivation_file(n, scanned):
@@ -115,3 +117,28 @@ NESTED_CASES = {  # name: (entry point, n -> its arguments at n levels)
 def test_nested_inputs_are_linear(case):
     entry, arguments = NESTED_CASES[case]
     _assert_linear([_line_events(lambda args=arguments(n): entry(*args)) for n in LEVELS])
+
+
+BINARY = Alphabet.from_string("01")
+
+
+def _word(n):
+    """A binary word of n symbols that is no run of one symbol."""
+    return ("0110" * n)[:n]
+
+
+SIZED_CASES = {  # name: (entry point, n -> its arguments at size n, the three sizes, the bound per doubling)
+    "stream": (stream, lambda n: (BINARY, 10**n, 10), LEVELS, LINEAR),  # ranks of 100, 200 and 400 digits
+    "rank": (rank, lambda n: (BINARY, _word(n)), SIZES, LINEAR),
+    "unrank": (unrank, lambda n: (BINARY, rank(BINARY, _word(n))), SIZES, LINEAR),
+    # the first proof of a k-layer ordering has Θ(k²) symbols, each read once by rank
+    "search-literal-ordering": (search, lambda n: (PACK, parse_statement(_chain(n) + " > w"),
+                                                   SearchBudget(2**1_000_000), SearchMode.LITERAL),
+                                (50, 100, 200), QUADRATIC),
+}
+
+
+@pytest.mark.parametrize("case", SIZED_CASES)
+def test_sized_inputs_stay_within_their_bound(case):
+    entry, arguments, sizes, bound = SIZED_CASES[case]
+    _assert_linear([_line_events(lambda args=arguments(n): entry(*args)) for n in sizes], bound)
