@@ -240,8 +240,8 @@ def build_parser() -> _Parser:
 
 
 # -- subcommand handlers -------------------------------------------------------
-# Each handler returns (output, exit code): its report rows, which main renders
-# in cfg.format, or finished text; main alone writes stdout.
+# The handler of a command is _cmd_<command>.  It returns (output, exit code): its
+# report rows, which main renders in cfg.format, or finished text; main alone writes stdout.
 
 def _cmd_enumerate(args, cfg):
     alphabet = _resolve_alphabet(args.alphabet or cfg.alphabet)
@@ -400,20 +400,6 @@ def _cmd_demo(args, cfg):
     return "\n".join(out) + "\n", 0
 
 
-_HANDLERS = {
-    "enumerate": _cmd_enumerate,
-    "rank": _cmd_rank,
-    "unrank": _cmd_unrank,
-    "qlang": _cmd_qlang,
-    "check": _cmd_check,
-    "search": _cmd_search,
-    "decide": _cmd_decide,
-    "gap": _cmd_gap,
-    "audit": _cmd_audit,
-    "demo": _cmd_demo,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -424,7 +410,7 @@ def main(argv=None) -> int:
         return 64
     cfg = cfg._replace(format=getattr(args, "format", None) or cfg.format)  # --format overrides the config
     try:
-        output, code = _HANDLERS[args.command](args, cfg)
+        output, code = globals()["_cmd_" + args.command](args, cfg)
         if isinstance(output, list):
             output = _all_digits(emit_report, output, cfg.format)
         sys.stdout.write(output)

@@ -34,8 +34,10 @@ them, which is what later makes their derivability decidable by a lookup.
 Derivations are line-numbered files (see parse_derivation_file).  Checking is
 a single pass: every line must be a declared premise, a valid axiom instance
 under its explicitly written substitution, or a rule application to strictly
-earlier lines, and the last line must equal the target.  Rejections carry the
-first failing line and one of five reason codes:
+earlier lines, and the last line must equal the target.  A premise or axiom
+line that repeats an accepted one's objects is accepted again from a memo, as
+what accepted it only grows; only a tuple of lines, which holds them, keeps
+it.  Rejections carry the first failing line and one of five reason codes:
 
     bad-substitution      the written substitution does not fit the schema
                           (missing/unknown metavariables, a non-numeral for
@@ -250,14 +252,22 @@ Reject = record("Reject", "line reason")
 
 def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept | Reject:
     """Single mechanical pass over the lines; no search of any kind.  Statements compare by their
-    keys in one term table (_key), which walks each distinct term once: linear at any depth."""
+    keys in one term table (_key), which walks each distinct term once: linear at any depth.  A
+    premise or axiom line that repeats an accepted one's statement and justification objects is
+    accepted by one read of a memo keyed by id(justification): the header and pack are fixed and
+    the derived keys only grow.  Only a tuple of lines keeps the memo, since it holds them anyway."""
     ids: dict = {}
     seen: dict = {}  # _key's memo of the terms it has met, which it holds: lines may come from a generator
     derived: set = set()
     by_index: dict = {}
-    last = key = None
+    accepted, keep = {}, type(derivation.lines) is tuple  # id(just) -> (statement, key, just): it holds what it keys
+    line = key = None
     for line in derivation.lines:
         just, statement = line.justification, line.statement
+        hit = accepted.get(id(just))
+        if hit and hit[0] is statement:
+            by_index[line.index] = key = hit[1]
+            continue
         key = _key(statement, ids, seen)
         if isinstance(just, Premise):
             if not (isinstance(statement, IntTyping) and isinstance(statement.term, Var)
@@ -274,7 +284,8 @@ def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept 
         elif isinstance(just, RuleApplication):
             if just.rule != "R1" or len(just.refs) != 2:
                 return Reject(line.index, REASON_RULE_MISMATCH)
-            if any(not 1 <= ref < line.index or ref not in by_index for ref in just.refs):
+            a, b = just.refs
+            if not (1 <= a < line.index and a in by_index and 1 <= b < line.index and b in by_index):
                 return Reject(line.index, REASON_FORWARD_REFERENCE)
             first, second = by_index[just.refs[0]], by_index[just.refs[1]]
             # of the lines' keys, only an ordering's is a plain tuple
@@ -283,13 +294,14 @@ def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept 
                 return Reject(line.index, REASON_RULE_MISMATCH)
         else:
             return Reject(line.index, REASON_RULE_MISMATCH)
+        if keep and not isinstance(just, RuleApplication):  # an R1 line reads by_index, which a line may rewrite
+            accepted[id(just)] = statement, key, just
         derived.add(key)
         by_index[line.index] = key
-        last = line
-    # the keys of two statements of one class compare as the statements do
-    if last is None or not (target is last.statement or type(target) is type(last.statement)
+    # line is the last line, if any; the keys of two statements of one class compare as the statements do
+    if line is None or not (target is line.statement or type(target) is type(line.statement)
                             and key == _key(target, ids, seen)):
-        return Reject(last.index if last else 0, REASON_WRONG_TARGET)
+        return Reject(line.index if line else 0, REASON_WRONG_TARGET)
     return Accept()
 
 

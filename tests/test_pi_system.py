@@ -722,6 +722,41 @@ def test_rule_reference_to_a_missing_line_is_a_forward_reference(refs):
     assert verdict == Reject(5, "forward-reference")
 
 
+@pytest.mark.parametrize(
+    "refs, expected",
+    [
+        ((4, 5), Accept()),
+        ([4, 5], Accept()),  # refs given as a list read as the tuple does
+        ([5, 4], Reject(6, "rule-mismatch")),
+        ((0, 5), Reject(6, "forward-reference")),
+        ((4, 0), Reject(6, "forward-reference")),
+        ((-1, 5), Reject(6, "forward-reference")),
+        ((4, -1), Reject(6, "forward-reference")),
+        ((6, 5), Reject(6, "forward-reference")),  # the line itself
+        ((4, 7), Reject(6, "forward-reference")),  # a later line
+        ((4.5, 5), Reject(6, "forward-reference")),  # in range, but no line has that index
+        ((4.0, 5), Accept()),  # a key equal to an index names that line, as in a dict
+        ((4, 5.0), Accept()),
+        ((True, 5), Reject(6, "rule-mismatch")),  # True is line 1, int(w)
+        ((4, True), Reject(6, "rule-mismatch")),
+        (("4", 5), TypeError("'<=' not supported between instances of 'int' and 'str'")),
+        ((4, "5"), TypeError("'<=' not supported between instances of 'int' and 'str'")),
+        (([4], 5), TypeError("'<=' not supported between instances of 'int' and 'list'")),
+        ((4, [5]), TypeError("'<=' not supported between instances of 'int' and 'list'")),
+    ],
+)
+def test_hand_built_r1_references(refs, expected):
+    # each reference is tested in turn: 1 <= ref < index, then ref is a line's index
+    derivation, target = parse_derivation_file(fixture_text())
+    lines = derivation.lines[:5] + (Line(6, target, RuleApplication("R1", refs)),)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as raised:
+            check_derivation(make_axiom_pack(0), Derivation(("w",), lines), target)
+        assert str(raised.value) == str(expected)
+    else:
+        assert check_derivation(make_axiom_pack(0), Derivation(("w",), lines), target) == expected
+
+
 def _fresh_a2_lines(last, bad_line=None):
     """int(1) by A3, then for k = 2..last int(k) by A3 and int(k+1) by A2 from int(k) and int(1).
     Every term is built afresh, and each line is dropped once the checker has read it, so the
@@ -825,6 +860,82 @@ def test_the_checker_agrees_with_comparing_statements_by_equality(case):
     derivation, target = case
     pack = make_axiom_pack(20)
     assert check_derivation(pack, derivation, target) == check_by_equality(pack, derivation, target)
+
+
+def _renumbered(line, at):
+    """line after a line is inserted at index at: its index and its R1 refs from at on move up by one."""
+    index, statement, just = line
+    if isinstance(just, RuleApplication):
+        just = RuleApplication(just.rule, tuple(ref + (ref >= at) for ref in just.refs))
+    return Line(index + (index >= at), statement, just)
+
+
+@st.composite
+def _memo_cases(draw):
+    """A _derivations() or _checked_derivations() case after 1-3 edits that meet the checker's memo:
+    an earlier line's statement and justification objects repeated at a later index, an earlier
+    line's justification object with another statement, or an earlier line repeated under an index
+    that an R1 line cites (so that index now reads another line) and then that R1 line repeated."""
+    derivation, target = draw(st.one_of(_derivations(), _checked_derivations()))
+    lines = list(derivation.lines)
+    for edit in draw(st.lists(st.sampled_from(["repeat", "reuse", "index"]), min_size=1, max_size=3)):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        _, statement, just = lines[k]
+        if edit == "index":
+            rules = [line for line in lines if isinstance(line.justification, RuleApplication)]
+            rule = draw(st.sampled_from(rules or lines))
+            taken = draw(st.sampled_from(rule.justification.refs if rules else [line.index for line in lines]))
+            lines += [Line(taken, statement, just), Line(lines[-1].index + 1, rule.statement, rule.justification)]
+            continue
+        if edit == "reuse":
+            statement = draw(st.one_of(STATEMENTS, st.sampled_from([line.statement for line in lines]), st.just(
+                negate_fbar(statement) if isinstance(statement, FbarAtom) else statement)))
+        at = draw(st.integers(k + 1, len(lines)))
+        at_index = lines[at].index if at < len(lines) else lines[-1].index + 1
+        lines[at:] = [_renumbered(line, at_index) for line in lines[at:]]
+        lines.insert(at, Line(at_index, statement, just))
+    if draw(st.booleans()) and lines:
+        target = lines[-1].statement
+    return derivation.header, lines, target
+
+
+@settings(max_examples=500, deadline=None)
+@given(_memo_cases())
+def test_the_memo_of_accepted_lines_changes_no_verdict(case):
+    # a tuple of lines keeps the memo and a generator does not; both must agree with comparing by equality
+    header, lines, target = case
+    pack = make_axiom_pack(20)
+    verdict = check_derivation(pack, Derivation(header, tuple(lines)), target)
+    assert verdict == check_derivation(pack, Derivation(header, iter(lines)), target)
+    assert verdict == check_by_equality(pack, Derivation(header, tuple(lines)), target)
+
+
+def test_a_repeated_fbar_justification_with_the_other_bit_is_rejected():
+    # the parse makes both lines' justifications one object: a memo keyed by it alone would accept line 2
+    bit = fbar_truth(3)
+    text = f"vars:\ntarget: fbar(3) is {1 - bit}\n1. fbar(3) is {bit} [axiom FBAR(3)]\n2. fbar(3) is {1 - bit} [axiom FBAR(3)]\n"
+    derivation, target = parse_derivation_file(text)
+    assert derivation.lines[0].justification is derivation.lines[1].justification
+    assert check_derivation(make_axiom_pack(5), derivation, target) == Reject(2, "bad-substitution")
+
+
+def test_a_repeated_r1_line_is_checked_again_after_its_reference_changes():
+    # line 6 (R1 from lines 4 and 5) is accepted, then index 4 is taken by int(1): its repeat reads line 4 afresh
+    derivation, target = parse_derivation_file(fixture_text())
+    a3, r1 = derivation.lines[1], derivation.lines[5]
+    lines = derivation.lines + (Line(4, a3.statement, a3.justification), Line(7, r1.statement, r1.justification))
+    assert check_derivation(make_axiom_pack(0), Derivation(("w",), lines), target) == Reject(7, "rule-mismatch")
+
+
+def test_repeated_lines_of_a_file_are_accepted_again():
+    # lines 3 and 6 repeated as lines 7 and 8: line 7 from the memo, line 8 an R1 line checked again
+    lines = fixture_text().splitlines()
+    text = "\n".join(lines + ["7. " + lines[4].partition(" ")[2], "8. " + lines[7].partition(" ")[2]]) + "\n"
+    derivation, target = parse_derivation_file(text)
+    assert derivation.lines[6].justification is derivation.lines[2].justification
+    assert check_derivation(make_axiom_pack(0), derivation, target) == Accept()
 
 
 @settings(max_examples=100, deadline=None)

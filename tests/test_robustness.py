@@ -58,7 +58,7 @@ def _search_terms(monkeypatch):
 def _handler(*argv):
     # the handler alone, so that the error reaches the test; main prints it
     args = cli.build_parser().parse_args(argv)
-    return lambda monkeypatch: cli._HANDLERS[args.command](args, cli.GlobalConfig(table_cells=10))
+    return lambda monkeypatch: getattr(cli, "_cmd_" + args.command)(args, cli.GlobalConfig(table_cells=10))
 
 
 @pytest.mark.parametrize("call, expected, argv", [

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from proofbench import qlang
-from proofbench.enumerator import Alphabet, rank, stream, unrank
+from proofbench.enumerator import Alphabet, Grammar, grammar_count, rank, stream, unrank
 from proofbench.pi_system import (AxiomInstance, Derivation, IntTyping, Line, Num, Premise, Sum, Var, check_derivation,
                                   make_axiom_pack, parse_derivation_file, parse_statement, pretty_statement)
 from proofbench.proof_search import SearchBudget, SearchMode, decide, search
@@ -127,6 +127,29 @@ def _word(n):
     return ("0110" * n)[:n]
 
 
+def _checked_file(n):
+    """A canonical file of about n distinct lines that checks: after int(w) and int(1), for each k, int(k)
+    by A3, int(w+k) and int((w+k)+1) by A2, the A1 orderings of w+k and (w+k)+1, and R1 on the two."""
+    lines = ["int(w) [premise]", "int(1) [axiom A3 {c := 1}]"]
+    for k in range(2, (n - 2) // 6 + 2):
+        c, e = len(lines) + 3, len(lines) + 5  # the two A1 lines
+        lines += [f"int({k}) [axiom A3 {{c := {k}}}]", f"int(w+{k}) [axiom A2 {{t1 := w, t2 := {k}}}]",
+                  f"(w+{k})+1 > w+{k} [axiom A1 {{t := w+{k}}}]", f"int((w+{k})+1) [axiom A2 {{t1 := w+{k}, t2 := 1}}]",
+                  f"((w+{k})+1)+1 > (w+{k})+1 [axiom A1 {{t := (w+{k})+1}}]", f"((w+{k})+1)+1 > w+{k} [rule R1 {e},{c}]"]
+    return f"vars: w\ntarget: {lines[-1].partition(' [')[0]}\n" + "".join(f"{i}. {line}\n" for i, line in enumerate(lines, 1))
+
+
+def _repeated_premise(n):
+    """A file of n lines that all state the premise int(w)."""
+    return "vars: w\ntarget: int(w)\n" + "".join(f"{k}. int(w) [premise]\n" for k in range(1, n + 1))
+
+
+def _cold_count(length):
+    """grammar_count of one Q-lang length on a fresh copy of the grammar, whose memos start empty."""
+    q = qlang.QLANG_GRAMMAR
+    return grammar_count(Grammar(q.alphabet, q.start, q.productions), length)
+
+
 SIZED_CASES = {  # name: (entry point, n -> its arguments at size n, the three sizes, the bound per doubling)
     "stream": (stream, lambda n: (BINARY, 10**n, 10), LEVELS, LINEAR),  # ranks of 100, 200 and 400 digits
     "rank": (rank, lambda n: (BINARY, _word(n)), SIZES, LINEAR),
@@ -135,6 +158,12 @@ SIZED_CASES = {  # name: (entry point, n -> its arguments at size n, the three s
     "search-literal-ordering": (search, lambda n: (PACK, parse_statement(_chain(n) + " > w"),
                                                    SearchBudget(2**1_000_000), SearchMode.LITERAL),
                                 (50, 100, 200), QUADRATIC),
+    # a parsed file's lines are a tuple, so the checker keeps its memo of accepted premise and axiom lines
+    "check_derivation-file": (check_derivation, lambda n: (PACK, *parse_derivation_file(_checked_file(n))), SIZES, LINEAR),
+    "check_derivation-repeated-premise": (check_derivation, lambda n: (PACK, *parse_derivation_file(_repeated_premise(n))),
+                                          SIZES, LINEAR),
+    # a length's count sums over every split of it into two: Θ(L²) splits
+    "grammar_count-qlang": (_cold_count, lambda n: (n,), (25, 50, 100), QUADRATIC),
 }
 
 
