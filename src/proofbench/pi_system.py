@@ -282,12 +282,16 @@ def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept 
             if not derived.issuperset(premises):
                 return Reject(line.index, REASON_RULE_MISMATCH)
         elif isinstance(just, RuleApplication):
-            if just.rule != "R1" or len(just.refs) != 2:
+            if just.rule != "R1" or not hasattr(just.refs, "__len__") or len(just.refs) != 2:
                 return Reject(line.index, REASON_RULE_MISMATCH)
             a, b = just.refs
-            if not (1 <= a < line.index and a in by_index and 1 <= b < line.index and b in by_index):
+            try:  # a ref that does not compare with an int, or has no hash, is no earlier line's index
+                earlier = 1 <= a < line.index and a in by_index and 1 <= b < line.index and b in by_index
+            except TypeError:
+                earlier = False
+            if not earlier:
                 return Reject(line.index, REASON_FORWARD_REFERENCE)
-            first, second = by_index[just.refs[0]], by_index[just.refs[1]]
+            first, second = by_index[a], by_index[b]
             # of the lines' keys, only an ordering's is a plain tuple
             if not (type(statement) is Greater and type(first) is tuple and type(second) is tuple
                     and first[1] == second[0] and (first[0], second[1]) == key):
@@ -311,13 +315,13 @@ def check_derivation(pack: AxiomPack, derivation: Derivation, target) -> Accept 
 # string s and an index i into it; the text it reads ends at some n, and s[n]
 # must exist and be a character that no rule consumes: "[" or "]" inside a
 # file line, or an appended "\n".  Reaching s[n] then reads as the end of the
-# text, so the scans need no bounds checks.  Every error is raised at
-# base + i, where base is the offset of s in the caller's text.  The scanner
-# has checked every field of what it builds, so it builds records with
-# tuple.__new__, skipping their classes' __new__ (FbarAtom's checks among them).
-# Each token kind has one reader: _blanks, _run (a word or a name),
-# _scan_numeral (digits, with the leading-zero check), _expect (one character)
-# and _end (the end of the text).
+# text, so the scans need no bounds checks.  Every error is raised at i, its
+# index in s; a file's line is its own s, and _parse_file adds the line's
+# offset to an error.  The scanner has checked every field of what it builds,
+# so it builds records with tuple.__new__, skipping their classes' __new__
+# (FbarAtom's checks among them).  Each token kind has one reader: _blanks,
+# _run (a word or a name), _scan_numeral (digits, with the leading-zero
+# check), _expect (one character) and _end (the end of the text).
 #
 # Only the scanner raises: parse_derivation_file chooses per line.  It reads a
 # numbered line by the _LINE pattern below when the line is canonical, its index
@@ -346,26 +350,26 @@ def _run(s: str, i: int, test):
     return s[i:j], j
 
 
-def _end(s: str, j: int, n: int, base: int, what: str) -> None:
+def _end(s: str, j: int, n: int, what: str) -> None:
     """Raise a ParseError expecting the end of what unless only blanks lie between s[j] and s[n]."""
     j = _blanks(s, j)
     if j != n:
-        raise ParseError(base + j, (f"end of {what}",))
+        raise ParseError(j, (f"end of {what}",))
 
 
-def _scan_numeral(s: str, i: int, base: int):
+def _scan_numeral(s: str, i: int):
     """The numeral at s[i]: (value, index after it)."""
     j = i
     while s[j] in _DIGITS:
         j += 1
     if j == i:
-        raise ParseError(base + i, ("numeral",))
+        raise ParseError(i, ("numeral",))
     if s[i] == "0" and j > i + 1:
-        raise ParseError(base + i, ("numeral without a leading zero",))
-    return numeral_value(s[i:j], base + i), j
+        raise ParseError(i, ("numeral without a leading zero",))
+    return numeral_value(s[i:j], i), j
 
 
-def _scan_term(s: str, i: int, base: int, terms: dict):
+def _scan_term(s: str, i: int, terms: dict):
     """term := operand ['+' operand]; operand := '(' term ')' | numeral | variable.
     One loop over an explicit stack of open terms; more than MAX_NESTING open
     '(' is a NestingError.  The bound is on outside input only: no code that
@@ -381,12 +385,12 @@ def _scan_term(s: str, i: int, base: int, terms: dict):
         c = s[i]
         if c == "(":
             if len(lefts) > MAX_NESTING:
-                raise NestingError(base + i, (f"at most {MAX_NESTING} nested '('",))
+                raise NestingError(i, (f"at most {MAX_NESTING} nested '('",))
             i += 1
             lefts.append(None)
             continue
         if c in _DIGITS:
-            number, j = _scan_numeral(s, i, base)
+            number, j = _scan_numeral(s, i)
             c = s[i:j]
             value = terms.get(c)
             if value is None:
@@ -395,12 +399,12 @@ def _scan_term(s: str, i: int, base: int, terms: dict):
         elif c.isalpha():
             i += 1
             if s[i].isalpha():
-                raise ParseError(base + _run(s, i, str.isalpha)[1], ("single-letter variable",))
+                raise ParseError(_run(s, i, str.isalpha)[1], ("single-letter variable",))
             value = terms.get(c)
             if value is None:
                 value = terms[c] = _new(Var, (c,))
         else:
-            raise ParseError(base + i, ("variable", "numeral", "'('"))
+            raise ParseError(i, ("variable", "numeral", "'('"))
         while True:  # close every term this operand completes
             left = lefts.pop()
             i = _blanks(s, i)
@@ -417,47 +421,47 @@ def _scan_term(s: str, i: int, base: int, terms: dict):
             if not lefts:
                 return value, i
             if s[i] != ")":
-                raise ParseError(base + i, ("')'",))
+                raise ParseError(i, ("')'",))
             i += 1
 
 
-def _expect(s: str, i: int, base: int, ch: str) -> int:
+def _expect(s: str, i: int, ch: str) -> int:
     """The index after ch, which must follow optional blanks."""
     i = _blanks(s, i)
     if s[i] != ch:
-        raise ParseError(base + i, (repr(ch),))
+        raise ParseError(i, (repr(ch),))
     return i + 1
 
 
-def _scan_statement(s: str, i: int, n: int, base: int, terms: dict):
+def _scan_statement(s: str, i: int, n: int, terms: dict):
     """The statement that is all of s[i:n], up to blanks."""
     i = _blanks(s, i)
     if s.startswith("fbar", i) and not s[i + 4].isalpha():
-        j = _blanks(s, _expect(s, i + 4, base, "("))
+        j = _blanks(s, _expect(s, i + 4, "("))
         if s[j] == "0":
-            raise ParseError(base + j, ("positive fbar index",))
-        x, j = _scan_numeral(s, j, base)
-        word, k = _run(s, _expect(s, j, base, ")"), str.isalpha)
+            raise ParseError(j, ("positive fbar index",))
+        x, j = _scan_numeral(s, j)
+        word, k = _run(s, _expect(s, j, ")"), str.isalpha)
         if word != "is":
-            raise ParseError(base + k, ("'is'",))
+            raise ParseError(k, ("'is'",))
         k = _blanks(s, k)
-        bit, j = _scan_numeral(s, k, base)
+        bit, j = _scan_numeral(s, k)
         if bit not in (0, 1):
-            raise ParseError(base + k, ("bit 0 or 1",))
+            raise ParseError(k, ("bit 0 or 1",))
         statement = _new(FbarAtom, (x, bit))
     elif s.startswith("int", i) and not s[i + 3].isalpha():
-        term, j = _scan_term(s, _expect(s, i + 3, base, "("), base, terms)
+        term, j = _scan_term(s, _expect(s, i + 3, "("), terms)
         statement = _new(IntTyping, (term,))
-        j = _expect(s, j, base, ")")
+        j = _expect(s, j, ")")
     else:
-        lhs, j = _scan_term(s, i, base, terms)
-        rhs, j = _scan_term(s, _expect(s, j, base, ">"), base, terms)
+        lhs, j = _scan_term(s, i, terms)
+        rhs, j = _scan_term(s, _expect(s, j, ">"), terms)
         statement = _new(Greater, (lhs, rhs))
-    _end(s, j, n, base, "statement")
+    _end(s, j, n, "statement")
     return statement
 
 
-def _scan_justification(s: str, i: int, n: int, base: int, terms: dict):
+def _scan_justification(s: str, i: int, n: int, terms: dict):
     """The justification that is all of s[i:n], up to blanks."""
     word, j = _run(s, i, str.isalpha)
     if word == "premise":
@@ -465,11 +469,11 @@ def _scan_justification(s: str, i: int, n: int, base: int, terms: dict):
     elif word == "axiom" or word == "rule":
         name, j = _run(s, j, str.isalnum)
         if not name:
-            raise ParseError(base + j, (word + " name",))
+            raise ParseError(j, (word + " name",))
         if word == "rule":
             refs = []
             while True:
-                ref, j = _scan_numeral(s, _blanks(s, j), base)
+                ref, j = _scan_numeral(s, _blanks(s, j))
                 refs.append(ref)
                 j = _blanks(s, j)
                 if s[j] != ",":
@@ -477,26 +481,26 @@ def _scan_justification(s: str, i: int, n: int, base: int, terms: dict):
                 j += 1
             just = _new(RuleApplication, (name, tuple(refs)))
         elif name == "FBAR":
-            index, j = _scan_numeral(s, _blanks(s, _expect(s, j, base, "(")), base)
+            index, j = _scan_numeral(s, _blanks(s, _expect(s, j, "(")))
             just = _new(AxiomInstance, ("FBAR", (("i", _new(Num, (index,))),)))
-            j = _expect(s, j, base, ")")
+            j = _expect(s, j, ")")
         else:
-            j = _expect(s, j, base, "{")
+            j = _expect(s, j, "{")
             pairs = []
             while True:
                 mv, k = _run(s, j, str.isalnum)
                 if not mv:
-                    raise ParseError(base + k, ("metavariable name",))
-                value, j = _scan_term(s, _expect(s, _expect(s, k, base, ":"), base, "="), base, terms)
+                    raise ParseError(k, ("metavariable name",))
+                value, j = _scan_term(s, _expect(s, _expect(s, k, ":"), "="), terms)
                 pairs.append((mv, value))
                 if s[j] != ",":
                     break
                 j += 1
             just = _new(AxiomInstance, (name, tuple(pairs)))
-            j = _expect(s, j, base, "}")
+            j = _expect(s, j, "}")
     else:
-        raise ParseError(base + i, ("'premise'", "'axiom'", "'rule'"))
-    _end(s, j, n, base, "justification")
+        raise ParseError(i, ("'premise'", "'axiom'", "'rule'"))
+    _end(s, j, n, "justification")
     return just
 
 
@@ -532,15 +536,14 @@ class _Terms(dict):
                 pass
         elif not plus and _NUMERAL.fullmatch(span):
             return self.setdefault(span, _new(Num, (int(span),)))
-        term, j = _scan_term(span + "\n", 0, 0, self)
-        _end(span + "\n", j, len(span), 0, "term")
-        self[span] = term
-        return term
+        term, j = _scan_term(span + "\n", 0, self)
+        _end(span + "\n", j, len(span), "term")
+        return self.setdefault(span, term)
 
 
 def parse_statement(text: str) -> object:
     """Parse one statement; round-trips with pretty_statement on canonical text."""
-    return _scan_statement(text + "\n", 0, len(text), 0, {})
+    return _scan_statement(text + "\n", 0, len(text), {})
 
 
 def pretty_term(term) -> str:
@@ -600,9 +603,9 @@ def parse_derivation_file(text: str) -> tuple[Derivation, object]:
     and builds each distinct term once (see _Terms).  One _LINE.findall
     yields a row per line: a canonical line (see the concrete syntax; the last
     may lack its newline) is built from its row, and any other line, or one
-    with a span that is no whole term, is scanned alone.  A parse returns
-    nearly all it makes, so it runs under the one collector pause, which
-    the enumerator's bucket builds share (enumerator._kept).
+    with a span that is no whole term, is scanned alone.  Only an error walks
+    to its line's offset.  A parse returns nearly all it makes, so it runs
+    under the collector pause of the enumerator's bucket builds (_kept).
     """
     return _kept(_parse_file, text)
 
@@ -634,62 +637,59 @@ def _parse_file(text: str) -> tuple[Derivation, object]:
     if len(heads) < 2 or not heads[1][0].startswith("target:"):
         raise ParseError(heads[1][1] if len(heads) > 1 else len(text), ("'target:'",))
     target_text, target_off = heads[1]
-    terms = _Terms()  # the per-call memo: terms (see _Terms), and text -> parsed object
-    statements: dict = {}
-    justifications: dict = {}
-    target = _scan_statement(target_text + "\n", len("target:"), len(target_text), target_off, terms)
-    lines, index, row = [], 0, 0  # findall yields one row per line, blank ones too; row's line starts at off
-    for r, (head, stmt_text, term, lhs, rhs, x, bit, just_text, fbar, schema, mv1, t1, mv2, t2, rule, refs,
-            other) in enumerate(_LINE.findall(text, off)):
-        if not (head or other.rstrip()):  # a blank line
-            continue
-        index += 1
-        if head and head == str(index):  # a canonical row whose index is its own text: built from its groups
-            try:
-                statement = statements.get(stmt_text)
-                if statement is None:
-                    statement = statements[stmt_text] = (
-                        _new(IntTyping, (terms[term],)) if term else _new(Greater, (terms[lhs], terms[rhs])) if lhs
-                        else _new(FbarAtom, (int(x), int(bit))))
-                justification = justifications.get(just_text)
-                if justification is None:
-                    justification = justifications[just_text] = (
-                        _new(RuleApplication, (rule, tuple(map(int, refs.split(","))))) if rule
-                        else _new(AxiomInstance, ("FBAR", (("i", _new(Num, (int(fbar),))),))) if fbar
-                        else _new(AxiomInstance, (schema, ((mv1, terms[t1]),) + (((mv2, terms[t2]),) if mv2 else ())))
-                        if schema else _new(Premise, ()))
-                lines.append(_new(Line, (index, statement, justification)))
+    terms, statements, justifications = _Terms(), {}, {}  # the per-call memos: see _Terms, and text -> parsed object
+    lines, index, r = [], 0, -1  # findall yields a row per line, blank ones too: row r is r + 1 lines after the target
+    try:
+        target = _scan_statement(target_text + "\n", len("target:"), len(target_text), terms)
+        for r, (head, stmt_text, term, lhs, rhs, x, bit, just_text, fbar, schema, mv1, t1, mv2, t2, rule, refs,
+                other) in enumerate(_LINE.findall(text, off)):
+            if not (head or other.rstrip()):  # a blank line
                 continue
-            except ParseError:  # a span that is no whole term: the scanner raises its error
-                pass
-        while row < r:  # the scanner needs the line's offset: walk on from the last row whose offset is known
-            off = text.index("\n", off) + 1
-            row += 1
-        if not other:  # a canonical row's line runs to the next newline or the end
-            end = text.find("\n", off)
-            other = text[off:end if end >= 0 else len(text)]
-        start, off, row = off, off + len(other) + 1, r + 1  # the next row's line starts after this one
-        raw = other.rstrip()
-        head, dot, rest = raw.partition(".")
-        if not dot or head != str(index):  # a canonical index is its own text; any other takes these checks
-            index_text = head.strip()
-            if not dot or not (index_text.isascii() and index_text.isdigit()):
-                raise ParseError(start, ("line index",))
-            if numeral_value(index_text, start + len(head) - len(head.lstrip())) != index:
-                raise ParseError(start, (f"line index {index}",))
-        open_bracket = rest.rfind("[")
-        if open_bracket < 0 or raw[-1] != "]":
-            raise ParseError(start + len(raw), ("'[justification]'",))
-        bracket = len(head) + 1 + open_bracket  # raw[bracket] == "[" and raw[-1] == "]" end the two scans
-        stmt_text = rest[:open_bracket]
-        statement = statements.get(stmt_text)
-        if statement is None:
-            statement = statements[stmt_text] = _scan_statement(raw, len(head) + 1, bracket, start, terms)
-        just_text = rest[open_bracket + 1:-1]
-        justification = justifications.get(just_text)
-        if justification is None:
-            justification = justifications[just_text] = _scan_justification(raw, bracket + 1, len(raw) - 1, start, terms)
-        lines.append(_new(Line, (index, statement, justification)))
+            index += 1
+            if head and head == str(index):  # a canonical row whose index is its own text: built from its groups
+                try:
+                    statement = statements.get(stmt_text)
+                    if statement is None:
+                        statement = statements[stmt_text] = (
+                            _new(IntTyping, (terms[term],)) if term else _new(Greater, (terms[lhs], terms[rhs]))
+                            if lhs else _new(FbarAtom, (int(x), int(bit))))
+                    justification = justifications.get(just_text)
+                    if justification is None:
+                        justification = justifications[just_text] = (
+                            _new(RuleApplication, (rule, tuple(map(int, refs.split(","))))) if rule
+                            else _new(AxiomInstance, ("FBAR", (("i", _new(Num, (int(fbar),))),))) if fbar
+                            else _new(AxiomInstance, (schema, ((mv1, terms[t1]),) + (((mv2, terms[t2]),) if mv2 else ())))
+                            if schema else _new(Premise, ()))
+                    lines.append(_new(Line, (index, statement, justification)))
+                    continue
+                except ParseError:  # a span that is no whole term: the scanner raises its error
+                    pass
+            raw = f"{head}. {stmt_text} [{just_text}]" if head else other.rstrip()  # _LINE fixes a canonical row's text
+            head, dot, rest = raw.partition(".")
+            if not dot or head != str(index):  # a canonical index is its own text; any other takes these checks
+                index_text = head.strip()
+                if not dot or not (index_text.isascii() and index_text.isdigit()):
+                    raise ParseError(0, ("line index",))
+                if numeral_value(index_text, len(head) - len(head.lstrip())) != index:
+                    raise ParseError(0, (f"line index {index}",))
+            open_bracket = rest.rfind("[")
+            if open_bracket < 0 or raw[-1] != "]":
+                raise ParseError(len(raw), ("'[justification]'",))
+            bracket = len(head) + 1 + open_bracket  # raw[bracket] == "[" and raw[-1] == "]" end the two scans
+            stmt_text = rest[:open_bracket]
+            statement = statements.get(stmt_text)
+            if statement is None:
+                statement = statements[stmt_text] = _scan_statement(raw, len(head) + 1, bracket, terms)
+            just_text = rest[open_bracket + 1:-1]
+            justification = justifications.get(just_text)
+            if justification is None:
+                justification = justifications[just_text] = _scan_justification(raw, bracket + 1, len(raw) - 1, terms)
+            lines.append(_new(Line, (index, statement, justification)))
+    except ParseError as error:  # its position counts from the start of the target line or of row r: add that offset
+        for _ in range(r + 1):
+            target_off = text.index("\n", target_off) + 1
+        error.position += target_off
+        raise
     return _new(Derivation, (tuple(names), tuple(lines))), target
 
 

@@ -14,9 +14,12 @@ import pytest
 
 from proofbench import qlang
 from proofbench.enumerator import Alphabet, Grammar, grammar_count, rank, stream, unrank
-from proofbench.pi_system import (AxiomInstance, Derivation, IntTyping, Line, Num, Premise, Sum, Var, check_derivation,
-                                  make_axiom_pack, parse_derivation_file, parse_statement, pretty_statement)
-from proofbench.proof_search import SearchBudget, SearchMode, decide, search
+from proofbench.errors import ParseError
+from proofbench.pi_system import (AxiomInstance, AxiomPack, Derivation, IntTyping, Line, Num, Premise, Sum, Var,
+                                  check_derivation, make_axiom_pack, parse_derivation_file, parse_statement,
+                                  pretty_statement)
+from proofbench.proof_search import (SearchBudget, SearchMode, audit_consistency, audit_soundness, completeness_gap,
+                                     decide, search)
 
 LINEAR = 2.3  # the bound on a linear case's line events per doubling of its input
 QUADRATIC = 4.6  # the bound on a named quadratic case's line events per doubling
@@ -144,6 +147,32 @@ def _repeated_premise(n):
     return "vars: w\ntarget: int(w)\n" + "".join(f"{k}. int(w) [premise]\n" for k in range(1, n + 1))
 
 
+def _failing_last_line(n):
+    """A canonical file of n lines whose last, int(1+2+3), is canonical but has a span that is no whole term."""
+    return _derivation_file(n - 1, FILE_SHAPES["canonical"]) + f"{n}. int(1+2+3) [premise]\n"
+
+
+def _parse_error(text):
+    """The ParseError that parsing text raises: its position is the one walk to the failing line's offset."""
+    try:
+        parse_derivation_file(text)
+    except ParseError as error:
+        return error
+    raise AssertionError("the text parsed")
+
+
+def _hand_pack(n):
+    """A hand-built pack of n entries: the bit x % 2 of each x up to n - n // 8, and the other bit of each x up to
+    n // 8, so its audits find violations."""
+    entries = {(x, x % 2) for x in range(1, n - n // 8 + 1)} | {(x, 1 - x % 2) for x in range(1, n // 8 + 1)}
+    return AxiomPack(n, frozenset(entries))
+
+
+def _right_chain(n):
+    """The right-nested w+(w+(...)) of n leaves, as text."""
+    return "w+(" * (n - 1) + "w" + ")" * (n - 1)
+
+
 def _cold_count(length):
     """grammar_count of one Q-lang length on a fresh copy of the grammar, whose memos start empty."""
     q = qlang.QLANG_GRAMMAR
@@ -164,6 +193,21 @@ SIZED_CASES = {  # name: (entry point, n -> its arguments at size n, the three s
                                           SIZES, LINEAR),
     # a length's count sums over every split of it into two: Θ(L²) splits
     "grammar_count-qlang": (_cold_count, lambda n: (n,), (25, 50, 100), QUADRATIC),
+    # only an error reads a line's offset, by one walk of the newlines before the failing line
+    "parse_derivation_file-last-line-fails": (_parse_error, lambda n: (_failing_last_line(n),), SIZES, LINEAR),
+    "completeness_gap": (completeness_gap, lambda n: (_hand_pack(n), 2 * n), SIZES, LINEAR),
+    "audit_consistency": (audit_consistency, lambda n: (_hand_pack(n), n), SIZES, LINEAR),
+    "audit_soundness": (audit_soundness, lambda n: (_hand_pack(n),), SIZES, LINEAR),
+    # int(k) is found when the numeral k is queued, after about k pops
+    "search-structured-numeral": (search, lambda n: (PACK, parse_statement(f"int({n})"), SearchBudget(10**30),
+                                                     SearchMode.STRUCTURED), SIZES, LINEAR),
+    # int(w+k) is found when k is popped; ahead of it the FIFO walks the block of each int queued before it, one
+    # pair per pop, and the m-th int's block holds 2m + 1 pairs: Θ(k²) pops
+    "search-structured-sum": (search, lambda n: (PACK, parse_statement(f"int(w+{n})"), SearchBudget(10**30),
+                                                 SearchMode.STRUCTURED), (25, 50, 100), QUADRATIC),
+    # the first proof of int(t) has a few symbols per leaf and sum of t, each read once by rank
+    "search-literal-int": (search, lambda n: (PACK, parse_statement(f"int({_right_chain(n)})"),
+                                              SearchBudget(2**1_000_000), SearchMode.LITERAL), LEVELS, LINEAR),
 }
 
 
